@@ -1,10 +1,9 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Every operation appends a node to an implicit tape (the expression graph):
-nodes cache their forward value, know how to push gradients to their parents,
-and record a pure re-execution closure so a recorded graph can be replayed
-bit-identically from its leaves.  ``backward()`` on a scalar fills the
-``grad`` buffer of every reachable tensor.
+nodes cache their forward value and know how to push gradients to their
+parents.  ``backward()`` on a scalar fills the ``grad`` buffer of every
+reachable tensor.
 
 The op set is exactly what the network layers and losses require; reductions
 that must be invariant to input permutations (site sums in equivariant
@@ -33,15 +32,14 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_push", "_forward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_push")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _push=None, _forward=None):
+    def __init__(self, data, requires_grad=False, _parents=(), _push=None):
         self.data = np.asarray(data, dtype=float)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents
         self._push = _push
-        self._forward = _forward
 
     @property
     def shape(self):
@@ -83,17 +81,6 @@ class Tensor:
             if node._push is None or node.grad is None:
                 continue
             node._push(node.grad)
-
-    def replay(self):
-        """Re-execute the recorded graph from its leaves; returns the value."""
-        order = self._topo()
-        values = {}
-        for node in order:
-            if node._forward is None:
-                values[id(node)] = node.data
-            else:
-                values[id(node)] = node._forward(*(values[id(p)] for p in node._parents))
-        return values[id(self)]
 
     def _accumulate(self, g):
         g = np.asarray(g, dtype=float)
@@ -158,8 +145,8 @@ def parameter(data, rng=None, scale=None):
     return Tensor(np.array(data, dtype=float), requires_grad=True)
 
 
-def _node(data, parents, push, forward):
-    return Tensor(data, _parents=tuple(parents), _push=push, _forward=forward)
+def _node(data, parents, push):
+    return Tensor(data, _parents=tuple(parents), _push=push)
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -173,7 +160,7 @@ def add(a, b):
         a._accumulate(_unbroadcast(g, a.data.shape))
         b._accumulate(_unbroadcast(g, b.data.shape))
 
-    return _node(out_data, (a, b), push, lambda x, y: x + y)
+    return _node(out_data, (a, b), push)
 
 
 def mul(a, b):
@@ -184,7 +171,7 @@ def mul(a, b):
         a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return _node(out_data, (a, b), push, lambda x, y: x * y)
+    return _node(out_data, (a, b), push)
 
 
 def power(a, k):
@@ -195,7 +182,7 @@ def power(a, k):
     def push(g):
         a._accumulate(g * k * a.data ** (k - 1.0))
 
-    return _node(out_data, (a,), push, lambda x: x**k)
+    return _node(out_data, (a,), push)
 
 
 def matmul(a, b):
@@ -219,7 +206,7 @@ def matmul(a, b):
         a._accumulate(_unbroadcast(np.asarray(ga), x.shape))
         b._accumulate(_unbroadcast(np.asarray(gb), y.shape))
 
-    return _node(out_data, (a, b), push, lambda x, y: x @ y)
+    return _node(out_data, (a, b), push)
 
 
 # -- elementwise nonlinearities -----------------------------------------------------
@@ -232,7 +219,7 @@ def exp(a):
     def push(g):
         a._accumulate(g * out_data)
 
-    return _node(out_data, (a,), push, np.exp)
+    return _node(out_data, (a,), push)
 
 
 def log(a):
@@ -242,7 +229,7 @@ def log(a):
     def push(g):
         a._accumulate(g / a.data)
 
-    return _node(out_data, (a,), push, np.log)
+    return _node(out_data, (a,), push)
 
 
 def sqrt(a):
@@ -255,7 +242,7 @@ def sqrt(a):
         safe = np.where(denom == 0.0, np.inf, denom)
         a._accumulate(g / safe)
 
-    return _node(out_data, (a,), push, np.sqrt)
+    return _node(out_data, (a,), push)
 
 
 def absolute(a):
@@ -265,7 +252,7 @@ def absolute(a):
     def push(g):
         a._accumulate(g * np.sign(a.data))
 
-    return _node(out_data, (a,), push, np.abs)
+    return _node(out_data, (a,), push)
 
 
 def relu(a):
@@ -275,7 +262,7 @@ def relu(a):
     def push(g):
         a._accumulate(g * (a.data > 0.0))
 
-    return _node(out_data, (a,), push, lambda x: np.maximum(x, 0.0))
+    return _node(out_data, (a,), push)
 
 
 def elu(a, alpha=1.0):
@@ -286,10 +273,7 @@ def elu(a, alpha=1.0):
     def push(g):
         a._accumulate(g * np.where(a.data > 0.0, 1.0, neg + alpha))
 
-    def fwd(x):
-        return np.where(x > 0.0, x, alpha * np.expm1(np.minimum(x, 0.0)))
-
-    return _node(out_data, (a,), push, fwd)
+    return _node(out_data, (a,), push)
 
 
 def softplus(a):
@@ -299,7 +283,7 @@ def softplus(a):
     def push(g):
         a._accumulate(g / (1.0 + np.exp(-a.data)))
 
-    return _node(out_data, (a,), push, lambda x: np.logaddexp(0.0, x))
+    return _node(out_data, (a,), push)
 
 
 ACTIVATIONS = {
@@ -326,7 +310,7 @@ def tensor_sum(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
-    return _node(out_data, (a,), push, lambda x: x.sum(axis=axis, keepdims=keepdims))
+    return _node(out_data, (a,), push)
 
 
 def ordered_sum(a, axis, keepdims=False):
@@ -336,13 +320,9 @@ def ordered_sum(a, axis, keepdims=False):
     along the axis produces a bit-identical result.
     """
     a = as_tensor(a)
-
-    def fwd(x):
-        # contiguous layout pins numpy's pairwise-summation blocking
-        s = np.ascontiguousarray(np.sort(x, axis=axis))
-        return s.sum(axis=axis, keepdims=keepdims)
-
-    out_data = fwd(a.data)
+    # contiguous layout pins numpy's pairwise-summation blocking
+    s = np.ascontiguousarray(np.sort(a.data, axis=axis))
+    out_data = s.sum(axis=axis, keepdims=keepdims)
 
     def push(g):
         g = np.asarray(g)
@@ -350,7 +330,7 @@ def ordered_sum(a, axis, keepdims=False):
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
-    return _node(out_data, (a,), push, fwd)
+    return _node(out_data, (a,), push)
 
 
 def mean(a, axis=None, keepdims=False):
@@ -361,19 +341,14 @@ def mean(a, axis=None, keepdims=False):
 
 def softmax(a, axis=-1):
     a = as_tensor(a)
-
-    def fwd(x):
-        z = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=axis, keepdims=True)
-
-    out_data = fwd(a.data)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    out_data = e / e.sum(axis=axis, keepdims=True)
 
     def push(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
         a._accumulate(out_data * (g - inner))
 
-    return _node(out_data, (a,), push, fwd)
+    return _node(out_data, (a,), push)
 
 
 # -- shape ops --------------------------------------------------------------------------
@@ -386,7 +361,7 @@ def reshape(a, shape):
     def push(g):
         a._accumulate(np.asarray(g).reshape(orig))
 
-    return _node(a.data.reshape(shape), (a,), push, lambda x: x.reshape(shape))
+    return _node(a.data.reshape(shape), (a,), push)
 
 
 def moveaxis(a, source, destination):
@@ -395,12 +370,7 @@ def moveaxis(a, source, destination):
     def push(g):
         a._accumulate(np.moveaxis(np.asarray(g), destination, source))
 
-    return _node(
-        np.moveaxis(a.data, source, destination),
-        (a,),
-        push,
-        lambda x: np.moveaxis(x, source, destination),
-    )
+    return _node(np.moveaxis(a.data, source, destination), (a,), push)
 
 
 def take(a, idx):
@@ -411,7 +381,7 @@ def take(a, idx):
         np.add.at(buf, idx, np.asarray(g))
         a._accumulate(buf)
 
-    return _node(a.data[idx], (a,), push, lambda x: x[idx])
+    return _node(a.data[idx], (a,), push)
 
 
 def concat(tensors, axis=0):
@@ -423,12 +393,7 @@ def concat(tensors, axis=0):
         for t, piece in zip(tensors, np.split(np.asarray(g), splits, axis=axis)):
             t._accumulate(piece)
 
-    return _node(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        tuple(tensors),
-        push,
-        lambda *xs: np.concatenate(xs, axis=axis),
-    )
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, push)
 
 
 def stack(tensors, axis=0):
@@ -446,25 +411,21 @@ def inv(a):
         t = out_data.T
         a._accumulate(-t @ np.asarray(g) @ t)
 
-    return _node(out_data, (a,), push, np.linalg.inv)
+    return _node(out_data, (a,), push)
 
 
 def logdet(a):
     """log|A| for symmetric positive definite A (eigenvalues floored)."""
     a = as_tensor(a)
-
-    def fwd(x):
-        w = np.linalg.eigvalsh((x + x.T) / 2.0)
-        return np.log(np.maximum(w, _EIG_FLOOR)).sum()
-
-    out_data = fwd(a.data)
+    w = np.linalg.eigvalsh((a.data + a.data.T) / 2.0)
+    out_data = np.log(np.maximum(w, _EIG_FLOOR)).sum()
 
     def push(g):
         w, v = np.linalg.eigh((a.data + a.data.T) / 2.0)
         w = np.maximum(w, _EIG_FLOOR)
         a._accumulate(np.asarray(g) * (v / w) @ v.T)
 
-    return _node(out_data, (a,), push, fwd)
+    return _node(out_data, (a,), push)
 
 
 def symlog(a):
@@ -475,11 +436,8 @@ def symlog(a):
         w, v = np.linalg.eigh((x + x.T) / 2.0)
         return np.maximum(w, _EIG_FLOOR), v
 
-    def fwd(x):
-        w, v = decompose(x)
-        return (v * np.log(w)) @ v.T
-
-    out_data = fwd(a.data)
+    w, v = decompose(a.data)
+    out_data = (v * np.log(w)) @ v.T
 
     def push(g):
         w, v = decompose(a.data)
@@ -493,7 +451,7 @@ def symlog(a):
         gs = (np.asarray(g) + np.asarray(g).T) / 2.0
         a._accumulate(v @ (ratio * (v.T @ gs @ v)) @ v.T)
 
-    return _node(out_data, (a,), push, fwd)
+    return _node(out_data, (a,), push)
 
 
 def trace(a):
@@ -511,7 +469,7 @@ def gradients(loss, params):
     return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
 
 
-def finite_difference_check(f, params, h=1e-4, tol=1e-4):
+def finite_difference_check(f, params, h=1e-4):
     """Compare reverse-mode gradients of f() against central differences.
 
     Returns the worst relative error max |a-fd| / max(|a|+|fd|, 1e-6) over
@@ -533,5 +491,4 @@ def finite_difference_check(f, params, h=1e-4, tol=1e-4):
             a_i = float(a.reshape(-1)[idx])
             rel = abs(a_i - fd) / max(abs(a_i) + abs(fd), 1e-6)
             worst = max(worst, rel)
-    del tol
     return worst

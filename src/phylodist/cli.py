@@ -19,7 +19,7 @@ import numpy as np
 from .alignment import read_fasta, read_phylip, write_fasta, write_phylip
 from .audit import audit_metric
 from .distances import SaturationPolicy, distance_matrix
-from .embed import embedding_distortion, euclidean_matrix, llr_embed, measure_distortion
+from .embed import embedding_distortion, llr_embed
 from .errors import ConfigError, DataError, NumericError, PhylodistError
 from .evaluate import evaluate_pipeline, write_instances_csv, write_report_csv
 from .matrices import read_tsv, write_tsv
@@ -34,10 +34,13 @@ from .simulate import (
     sample_hky_frequencies,
     simulate_bd_tree,
 )
-from .train import TrainConfig, train, training_targets, validation_rf, write_history_csv
-from .tree import parse_newick, read_newick_file, serialize_newick
+from .train import TrainConfig, read_history_csv, train, training_targets, write_history_csv
+from .tree import read_newick_file, serialize_newick
 
 EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC = 2, 3, 4
+
+_FASTA_EXTENSIONS = (".fasta", ".fa", ".fna")
+ALIGNMENT_EXTENSIONS = _FASTA_EXTENSIONS + (".phy", ".phylip")
 
 
 # -- plumbing -----------------------------------------------------------------------
@@ -83,10 +86,11 @@ def resolve_config(args, defaults):
             want = defaults[key]
             if isinstance(want, bool):
                 resolved[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(want, int) and not isinstance(want, bool):
-                resolved[key] = int(raw)
-            elif isinstance(want, float):
-                resolved[key] = float(raw)
+            elif isinstance(want, (int, float)):
+                try:
+                    resolved[key] = type(want)(raw)
+                except ValueError:
+                    raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
             elif raw.lower() == "none":
                 resolved[key] = None
             else:
@@ -128,11 +132,26 @@ def _build_model(cfg, rep_seed):
 
 
 def _read_alignment(path):
-    if path.endswith((".fasta", ".fa", ".fna")):
+    if path.endswith(_FASTA_EXTENSIONS):
         return read_fasta(path)
-    if path.endswith((".phy", ".phylip")):
+    if path.endswith(ALIGNMENT_EXTENSIONS):
         return read_phylip(path)
     raise DataError(f"{path}: cannot infer alignment format from extension")
+
+
+def _list_dir(directory, extensions, what):
+    """Sorted paths of the files in a directory that end in one of the extensions."""
+    names = [f for f in os.listdir(directory) if f.endswith(extensions)]
+    if not names:
+        raise DataError(f"no {what} found in {directory}")
+    return sorted(os.path.join(directory, f) for f in names)
+
+
+def _input_paths(spec, extensions, what):
+    """The matching files of a directory, or a comma-separated list of paths."""
+    if os.path.isdir(spec):
+        return _list_dir(spec, extensions, what)
+    return sorted(spec.split(","))
 
 
 # -- simulate -----------------------------------------------------------------------
@@ -199,19 +218,6 @@ INFER_DEFAULTS = {
 }
 
 
-def _alignment_paths(spec):
-    if os.path.isdir(spec):
-        names = sorted(
-            f for f in os.listdir(spec) if f.endswith((".fasta", ".fa", ".fna", ".phy", ".phylip"))
-        )
-        paths = [os.path.join(spec, f) for f in names]
-    else:
-        paths = sorted(spec.split(","))
-    if not paths:
-        raise DataError(f"no alignments found at {spec!r}")
-    return paths
-
-
 def cmd_infer(args):
     cfg = resolve_config(args, INFER_DEFAULTS)
     if not (cfg["alignments"] or cfg["matrices"]) or not cfg["out"]:
@@ -224,16 +230,7 @@ def cmd_infer(args):
     net = load_network(cfg["checkpoint"]) if cfg["checkpoint"] else None
 
     if cfg["matrices"]:
-        if os.path.isdir(cfg["matrices"]):
-            paths = sorted(
-                os.path.join(cfg["matrices"], f)
-                for f in os.listdir(cfg["matrices"])
-                if f.endswith(".tsv")
-            )
-        else:
-            paths = sorted(cfg["matrices"].split(","))
-        if not paths:
-            raise DataError(f"no matrices found at {cfg['matrices']!r}")
+        paths = _input_paths(cfg["matrices"], ".tsv", "matrices")
 
         def one_matrix(path):
             d = read_tsv(path)
@@ -264,7 +261,7 @@ def cmd_infer(args):
         _write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
         return stem
 
-    paths = _alignment_paths(cfg["alignments"])
+    paths = _input_paths(cfg["alignments"], ALIGNMENT_EXTENSIONS, "alignments")
     _map(one, paths, cfg["threads"])
     write_manifest(cfg, "infer", cfg["out"])
     print(f"inferred {len(paths)} tree(s) in {cfg['out']}")
@@ -355,33 +352,19 @@ def cmd_train(args):
         val_data=[(a, tree) for a, _, tree in val_set] if val_set else None,
     )
     history_path = os.path.join(cfg["out"], "history.csv")
-    offset = 0
-    old_rows = []
+    old = []
     if cfg["resume"] and os.path.exists(history_path):
-        old_rows = open(history_path).read().strip().splitlines()[1:]
-        if old_rows:
-            offset = int(old_rows[-1].split(",")[0]) + 1
+        old = read_history_csv(history_path)
+    offset = old[-1]["epoch"] + 1 if old else 0
     for row in result.history:
         row["epoch"] += offset
-    _atomic_write(
-        history_path,
-        lambda p: _write_history_with_prefix(p, old_rows, result.history),
-    )
+    _atomic_write(history_path, lambda p: write_history_csv(old + result.history, p))
     ckpt = os.path.join(cfg["out"], "checkpoint.pdnet")
     save_network(spec, ckpt)
     write_manifest(cfg, "train", cfg["out"])
     best = result.best_val_rf if result.best_epoch >= 0 else float("nan")
     print(f"trained {cfg['arch']}: {len(result.history)} epoch(s), best val RF {best}")
     return 0
-
-
-def _write_history_with_prefix(path, old_rows, history):
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,val_rf,lr\n")
-        for row in old_rows:
-            fh.write(row + "\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_rf']!r},{row['lr']!r}\n")
 
 
 # -- eval ---------------------------------------------------------------------------
@@ -401,21 +384,17 @@ EVAL_DEFAULTS = {
 
 
 def _load_pairs(data_dir):
-    trees = sorted(f for f in os.listdir(data_dir) if f.endswith(".nwk"))
-    if not trees:
-        raise DataError(f"no .nwk files in {data_dir}")
     pairs = []
-    for tf in trees:
-        stem = os.path.splitext(tf)[0]
+    for tree_path in _list_dir(data_dir, ".nwk", ".nwk files"):
+        stem = os.path.splitext(tree_path)[0]
         aln_path = None
-        for ext in (".fasta", ".fa", ".fna", ".phy", ".phylip"):
-            cand = os.path.join(data_dir, stem + ext)
-            if os.path.exists(cand):
-                aln_path = cand
+        for ext in ALIGNMENT_EXTENSIONS:
+            if os.path.exists(stem + ext):
+                aln_path = stem + ext
                 break
         if aln_path is None:
-            raise DataError(f"{data_dir}: no alignment found for {tf}")
-        tree = read_newick_file(os.path.join(data_dir, tf))[0]
+            raise DataError(f"{data_dir}: no alignment found for {os.path.basename(tree_path)}")
+        tree = read_newick_file(tree_path)[0]
         aln = _read_alignment(aln_path)
         if set(aln.labels) != set(tree.leaf_labels):
             raise DataError(f"{stem}: tree and alignment have different taxa")
@@ -462,7 +441,7 @@ def cmd_eval(args):
 # -- audit --------------------------------------------------------------------------
 
 
-AUDIT_DEFAULTS = {"matrix": "", "exhaustive": False, "out": "", "threads": 1}
+AUDIT_DEFAULTS = {"matrix": "", "exhaustive": False, "out": ""}
 
 
 def cmd_audit(args):
@@ -492,7 +471,7 @@ def cmd_audit(args):
 # -- embed --------------------------------------------------------------------------
 
 
-EMBED_DEFAULTS = {"matrix": "", "seed": 0, "sweep": 1, "out": "", "threads": 1}
+EMBED_DEFAULTS = {"matrix": "", "seed": 0, "sweep": 1, "out": ""}
 
 
 def cmd_embed(args):
@@ -571,7 +550,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as err:
+    except (DataError, OSError, UnicodeDecodeError) as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
     except NumericError as err:

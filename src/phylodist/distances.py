@@ -11,14 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import Alignment
+from .alignment import TRANSITIONS, Alignment
 from .errors import ConfigError, DataError, SaturationError
 from .matrices import DistanceMatrix
 
 DEFAULT_CEILING = 5.0
-
-# state-index pairs (i < j) that are transitions under the A,C,G,T encoding
-_TRANSITION = {(0, 2), (1, 3)}
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,7 @@ def transition_transversion_fractions(x, y):
     diff = x != y
     lo = np.minimum(x, y)[diff]
     hi = np.maximum(x, y)[diff]
-    ts = sum(
-        int(np.count_nonzero((lo == i) & (hi == j))) for i, j in _TRANSITION
-    )
+    ts = sum(int(np.count_nonzero((lo == i) & (hi == j))) for i, j in TRANSITIONS)
     total = int(np.count_nonzero(diff))
     n = x.size
     return ts / n, (total - ts) / n

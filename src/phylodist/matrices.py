@@ -160,7 +160,10 @@ def read_tsv(path, kind="distance"):
             raise DataError(
                 f"{path}: row label {parts[0]!r} does not match header {labels[i]!r}"
             )
-        values[i] = [float(x) for x in parts[1:]]
+        try:
+            values[i] = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise DataError(f"{path}: row {i + 1} has a non-numeric value") from None
     if kind == "distance":
         return DistanceMatrix(labels, values)
     if kind == "covariance":

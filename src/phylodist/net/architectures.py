@@ -22,19 +22,10 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..alignment import Alignment
-from ..errors import ConfigError, DataError
-from ..matrices import DistanceMatrix, inverse_gromov
+from ..errors import ConfigError, DataError, NumericError
+from ..matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov
 from ..rng import substream
-from .layers import (
-    Attention,
-    ChannelConv,
-    DeepSetsMix,
-    Dense,
-    EquivariantPair,
-    InvariantPair,
-    MeanPoolSites,
-    ScalarMLP,
-)
+from .layers import Attention, ChannelConv, DeepSetsMix, Dense, MeanPoolSites, ScalarMLP
 
 ARCHITECTURES = (
     "SitesInvariantS",
@@ -189,6 +180,12 @@ def build_architecture(
 # -- forward passes -----------------------------------------------------------------
 
 
+def _check_length(spec, length):
+    want = spec.config.get("ref_length")
+    if want and length != want:
+        raise DataError(f"network was built for length {want}, got {length} sites")
+
+
 def _onehot_tensor(source, spec=None):
     if isinstance(source, Alignment):
         labels, data = tuple(source.labels), source.onehot()
@@ -196,11 +193,7 @@ def _onehot_tensor(source, spec=None):
         labels, onehot = source
         data = np.asarray(onehot, float)
     if spec is not None:
-        want = spec.config.get("ref_length")
-        if want and data.shape[-1] != want:
-            raise DataError(
-                f"network was built for length {want}, got {data.shape[-1]} sites"
-            )
+        _check_length(spec, data.shape[-1])
     return labels, ad.Tensor(data)
 
 
@@ -217,11 +210,9 @@ def _canonical_pairs(labels):
 
 def _scatter_symmetric(values, n, ii, jj):
     """(P,) pair values -> exactly symmetric (n, n) tensor with zero diagonal."""
-    scatter = np.zeros((n * n, len(ii)))
-    for col, (i, j) in enumerate(zip(ii, jj)):
-        scatter[i * n + j, col] = 1.0
-        scatter[j * n + i, col] = 1.0
-    return ad.reshape(ad.Tensor(scatter) @ values, (n, n))
+    index = np.full((n, n), len(ii))  # the diagonal reads the appended zero
+    index[ii, jj] = index[jj, ii] = np.arange(len(ii))
+    return ad.take(ad.concat([values, np.zeros(1)]), index)
 
 
 def _run(stack, t, capture=None):
@@ -232,11 +223,21 @@ def _run(stack, t, capture=None):
     return t
 
 
+def _pair_tail(spec, pair, capture=None):
+    """Pair-stack input, one row per pair -> (P,) pair values."""
+    pair = _run(spec.pair_stack, pair, capture)
+    # reference trunks end in an invariant collapse; others need pooling
+    pooled = spec.pool.forward(pair) if pair.ndim == 3 else pair
+    vals = spec.g.forward(pooled)
+    if spec.config.get("nonneg") == "softplus":
+        vals = ad.softplus(vals)
+    return vals
+
+
 def forward_matrix(spec, source, capture=None):
     """Distance (or Gram) matrix as a Tensor, labels in input row order.
 
-    For inner_product heads returns the Gram matrix tensor; use
-    gram_to_distance_tensor for the corresponding distances.  ``capture``,
+    For inner_product heads returns the Gram matrix tensor.  ``capture``,
     when a dict, receives the final site-axis hidden activation under
     "hidden".
     """
@@ -245,13 +246,7 @@ def forward_matrix(spec, source, capture=None):
     t = _run(spec.seq_stack, x, capture)
     if spec.is_pair_net:
         ii, jj = _canonical_pairs(labels)
-        pair = ad.concat([t[ii], t[jj]], axis=1)
-        pair = _run(spec.pair_stack, pair, capture)
-        # reference trunks end in an invariant collapse; others need pooling
-        pooled = spec.pool.forward(pair) if pair.ndim == 3 else pair
-        vals = spec.g.forward(pooled)
-        if spec.config.get("nonneg") == "softplus":
-            vals = ad.softplus(vals)
+        vals = _pair_tail(spec, ad.concat([t[ii], t[jj]], axis=1), capture)
         return labels, _scatter_symmetric(vals, n, ii, jj)
     pooled = spec.pool.forward(t)
     z = spec.embed.forward(pooled)
@@ -263,22 +258,15 @@ def forward_matrix(spec, source, capture=None):
     return labels, _scatter_symmetric(dist, n, ii, jj)
 
 
-def gram_to_distance_tensor(gram):
-    """Differentiable inverse Gromov transform of a Gram matrix tensor."""
-    n = gram.shape[0]
-    diag = ad.tensor_sum(gram * np.eye(n), axis=1)
-    return ad.reshape(diag, (n, 1)) + ad.reshape(diag, (1, n)) - 2.0 * gram
-
-
 def network_forward(spec, aln):
     """Alignment -> DistanceMatrix under a built network."""
     if isinstance(aln, Alignment) and aln.length < 1:
         raise DataError("empty alignment")
     labels, out = forward_matrix(spec, aln)
     values = out.data
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"{spec.architecture} produced non-finite network output")
     if spec.head == "inner_product":
-        from ..matrices import CovarianceMatrix
-
         return inverse_gromov(CovarianceMatrix(labels, values, check_psd=False))
     values = np.array(values)
     values[values < 0] = 0.0  # guard against -0.0 and rounding dust
@@ -302,22 +290,11 @@ def pair_values(spec, x_batch, y_batch):
     """
     if not spec.is_pair_net:
         raise ConfigError("pair_values requires a pair network")
-    want = spec.config.get("ref_length")
-    if want and np.asarray(x_batch).shape[-1] != want:
-        raise DataError(
-            f"network was built for length {want}, got {np.asarray(x_batch).shape[-1]} sites"
-        )
-    x = ad.Tensor(np.asarray(x_batch, float))
-    y = ad.Tensor(np.asarray(y_batch, float))
-    tx = _run(spec.seq_stack, x)
-    ty = _run(spec.seq_stack, y)
-    pair = ad.concat([tx, ty], axis=1)
-    pair = _run(spec.pair_stack, pair)
-    pooled = spec.pool.forward(pair) if pair.ndim == 3 else pair
-    vals = spec.g.forward(pooled)
-    if spec.config.get("nonneg") == "softplus":
-        vals = ad.softplus(vals)
-    return vals.data
+    x = np.asarray(x_batch, float)
+    _check_length(spec, x.shape[-1])
+    tx = _run(spec.seq_stack, ad.Tensor(x))
+    ty = _run(spec.seq_stack, ad.Tensor(np.asarray(y_batch, float)))
+    return _pair_tail(spec, ad.concat([tx, ty], axis=1)).data
 
 
 # -- site-pattern compression ---------------------------------------------------------

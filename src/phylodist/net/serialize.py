@@ -57,10 +57,16 @@ def load_network(path):
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a network weights file")
-        version, blob_len = struct.unpack("<II", fh.read(8))
+        try:
+            version, blob_len = struct.unpack("<II", fh.read(8))
+        except struct.error:
+            raise DataError(f"{path}: truncated weights file header") from None
         if version != VERSION:
             raise DataError(f"{path}: unsupported weights version {version}")
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(blob_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise DataError(f"{path}: malformed weights file header: {err}") from None
         cfg = header["config"]
         name = cfg["architecture"]
         if name in ARCHITECTURES:

@@ -8,11 +8,11 @@ probabilities are exact matrix exponentials obtained from the eigendecomposed
 reversible generator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import ALPHABET, Alignment, TRANSITIONS
+from .alignment import Alignment, TRANSITIONS
 from .errors import ConfigError
 from .rng import substream
 from .tree import PhyloTree

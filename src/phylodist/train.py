@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged
 from .losses import batch_loss
 from .net.architectures import forward_matrix, network_forward
 from .net.layers import Dense, ScalarMLP
@@ -167,6 +167,27 @@ def write_history_csv(history, path):
         fh.write("epoch,train_loss,val_rf,lr\n")
         for row in history:
             fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_rf']!r},{row['lr']!r}\n")
+
+
+def read_history_csv(path):
+    """History rows of a file written by write_history_csv."""
+    history = []
+    with open(path) as fh:
+        next(fh, None)
+        for line in fh:
+            try:
+                epoch, train_loss, val_rf, lr = line.split(",")
+                history.append(
+                    {
+                        "epoch": int(epoch),
+                        "train_loss": float(train_loss),
+                        "val_rf": float(val_rf),
+                        "lr": float(lr),
+                    }
+                )
+            except ValueError:
+                raise DataError(f"{path}: malformed history row {line!r}") from None
+    return history
 
 
 # -- scalar-map fitting ----------------------------------------------------------

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phylodist.alignment import Alignment
-from phylodist.errors import ConfigError
+from phylodist.errors import ConfigError, NumericError
+from phylodist.losses import batch_loss
 from phylodist.net.architectures import (
     ARCHITECTURES,
     NetworkSpec,
@@ -94,6 +97,29 @@ def test_duplicate_sequences_embed_identically():
     aln = Alignment(["a", "b", "c", "d"], states)
     d = network_forward(spec, aln)
     assert d.values[0, 2] == 0.0
+
+
+def test_non_finite_output_is_a_numeric_error():
+    rng = np.random.default_rng(9)
+    spec = build_small("SitesAttentionP")
+    spec.parameters()[0].data[...] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        network_forward(spec, random_alignment(rng))
+
+
+def test_pair_scatter_memory_is_bounded():
+    # the bound rules out a dense (n^2, P) pair-scatter matrix: ~400 MB at n=100
+    rng = np.random.default_rng(10)
+    spec = build_architecture("SitesInvariantS", channels=16, n_taxa=100)
+    aln = random_alignment(rng, n=100, length=100)
+    tracemalloc.start()
+    try:
+        _, out = forward_matrix(spec, aln)
+        batch_loss("mse", [(out, np.zeros((100, 100)))]).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_head_architecture_compatibility():

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -107,11 +108,12 @@ def test_train_writes_checkpoint_history_and_resumes(tmp_path):
     ckpt = out / "checkpoint.pdnet"
     history = out / "history.csv"
     assert ckpt.exists() and history.exists()
-    rows = history.read_text().strip().splitlines()
-    assert len(rows) == 3  # header + 2 epochs
+    first = history.read_text().strip().splitlines()
+    assert len(first) == 3  # header + 2 epochs
     assert run(*common, "--epochs", "1", "--resume", ckpt) == 0
     rows = history.read_text().strip().splitlines()
     assert len(rows) == 4
+    assert rows[:3] == first  # earlier epochs are kept byte-for-byte
     assert rows[-1].split(",")[0] == "2"  # epoch numbering continues
 
 
@@ -160,6 +162,23 @@ def test_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("nonsense_key=1\n")
     assert run("simulate", "--config", bad_cfg, "--out", tmp_path / "y") == 2
+    bad_cfg.write_text("n=abc\n")
+    assert run("simulate", "--config", bad_cfg, "--out", tmp_path / "y") == 2
+    binary = tmp_path / "binary.fasta"
+    binary.write_bytes(b">a\n\xff\xfe\n")
+    assert run("infer", "--alignments", binary, "--out", tmp_path / "z") == 3
+    phy = tmp_path / "bad.phy"
+    phy.write_text("x 10\na  ACGTACGTAC\n")
+    assert run("infer", "--alignments", phy, "--out", tmp_path / "z") == 3
+    tsv = tmp_path / "bad.tsv"
+    tsv.write_text("\ta\tb\na\t0.0\tfoo\nb\tfoo\t0.0\n")
+    assert run("infer", "--matrices", tsv, "--out", tmp_path / "z") == 3
+    bad_json = tmp_path / "json.pdnet"
+    bad_json.write_bytes(b"PDNET\x00" + struct.pack("<II", 1, 5) + b"{nope")
+    assert run("infer", "--alignments", phy, "--checkpoint", bad_json, "--out", tmp_path / "z") == 3
+    cut = tmp_path / "cut.pdnet"
+    cut.write_bytes(b"PDNET\x00\x01\x00")
+    assert run("infer", "--alignments", phy, "--checkpoint", cut, "--out", tmp_path / "z") == 3
 
 
 def test_infer_from_matrix_tsv(tmp_path):
