@@ -74,10 +74,6 @@ class Alignment:
         eye = np.eye(N_STATES)
         return np.ascontiguousarray(np.moveaxis(eye[self.states], 2, 1))
 
-    def take(self, labels):
-        idx = [self.labels.index(l) for l in labels]
-        return Alignment(labels, self.states[idx])
-
     def __eq__(self, other):
         return (
             isinstance(other, Alignment)
@@ -89,13 +85,16 @@ class Alignment:
 # -- FASTA -------------------------------------------------------------------
 
 
-def write_fasta(aln, path, width=70):
+_FASTA_WIDTH = 70
+
+
+def write_fasta(aln, path):
     with open(path, "w") as fh:
         for i, lab in enumerate(aln.labels):
             fh.write(f">{lab}\n")
             seq = aln.sequence(i)
-            for k in range(0, len(seq), width):
-                fh.write(seq[k : k + width] + "\n")
+            for k in range(0, len(seq), _FASTA_WIDTH):
+                fh.write(seq[k : k + _FASTA_WIDTH] + "\n")
 
 
 def read_fasta(path):

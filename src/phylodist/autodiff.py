@@ -49,9 +49,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
     # -- graph walking -----------------------------------------------------
 
     def _topo(self):
@@ -138,10 +135,8 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(data, rng=None, scale=None):
-    """Trainable tensor; optionally randomly initialized from rng."""
-    if rng is not None:
-        data = rng.normal(0.0, scale if scale is not None else 1.0, size=data)
+def parameter(data):
+    """Trainable tensor holding a copy of data."""
     return Tensor(np.array(data, dtype=float), requires_grad=True)
 
 
@@ -218,16 +213,6 @@ def exp(a):
 
     def push(g):
         a._accumulate(g * out_data)
-
-    return _node(out_data, (a,), push)
-
-
-def log(a):
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def push(g):
-        a._accumulate(g / a.data)
 
     return _node(out_data, (a,), push)
 

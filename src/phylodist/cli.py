@@ -18,7 +18,7 @@ import numpy as np
 
 from .alignment import read_fasta, read_phylip, write_fasta, write_phylip
 from .audit import audit_metric
-from .distances import SaturationPolicy, distance_matrix
+from .distances import DEFAULT_CEILING, SaturationPolicy, distance_matrix
 from .embed import embedding_distortion, llr_embed
 from .errors import ConfigError, DataError, NumericError, PhylodistError
 from .evaluate import evaluate_pipeline, write_instances_csv, write_report_csv
@@ -131,6 +131,14 @@ def _build_model(cfg, rep_seed):
     raise ConfigError(f"unknown model {cfg['model']!r}")
 
 
+def _simulate_replicate(cfg, params, stream, r):
+    """(tree, alignment) of replicate r of a named seed stream."""
+    rep_seed = derive_seed(cfg["seed"], stream, r)
+    tree = simulate_bd_tree(params, rep_seed)
+    aln = evolve_alignment(tree, _build_model(cfg, rep_seed), cfg["length"], rep_seed)
+    return tree, aln
+
+
 def _read_alignment(path):
     if path.endswith(_FASTA_EXTENSIONS):
         return read_fasta(path)
@@ -157,8 +165,8 @@ def _input_paths(spec, extensions, what):
 # -- simulate -----------------------------------------------------------------------
 
 
-SIM_DEFAULTS = {
-    "out": "",
+# The simulation keys of simulate and train.
+_SIM_KEYS = {
     "n": 20,
     "length": 500,
     "lam": 1.0,
@@ -167,11 +175,10 @@ SIM_DEFAULTS = {
     "kappa": 2.0,
     "gamma_shape": 0.0,
     "freqs": "uniform",
-    "replicates": 1,
     "seed": 0,
-    "format": "fasta",
-    "threads": 1,
 }
+
+SIM_DEFAULTS = {"out": "", **_SIM_KEYS, "replicates": 1, "format": "fasta", "threads": 1}
 
 
 def cmd_simulate(args):
@@ -186,10 +193,7 @@ def cmd_simulate(args):
     writer = write_fasta if ext == "fasta" else write_phylip
 
     def one(rep):
-        rep_seed = derive_seed(cfg["seed"], "replicate", rep)
-        tree = simulate_bd_tree(params, rep_seed)
-        model = _build_model(cfg, rep_seed)
-        aln = evolve_alignment(tree, model, cfg["length"], rep_seed)
+        tree, aln = _simulate_replicate(cfg, params, "replicate", rep)
         stem = os.path.join(cfg["out"], f"rep_{rep:04d}")
         _write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
         _atomic_write(f"{stem}.{ext}", lambda p: writer(aln, p))
@@ -210,7 +214,7 @@ INFER_DEFAULTS = {
     "method": "jc",
     "checkpoint": "",
     "algorithm": "nj",
-    "ceiling": 5.0,
+    "ceiling": DEFAULT_CEILING,
     "saturation": "ceiling",
     "out": "",
     "dump_matrix": False,
@@ -287,17 +291,8 @@ TRAIN_DEFAULTS = {
     "train_size": 100,
     "val_size": 50,
     "val_n": 0,
-    "n": 20,
-    "length": 500,
-    "lam": 1.0,
-    "mu": 0.5,
-    "model": "jc",
-    "kappa": 2.0,
-    "gamma_shape": 0.0,
-    "freqs": "uniform",
-    "seed": 0,
+    **_SIM_KEYS,
     "resume": "",
-    "threads": 1,
 }
 
 
@@ -305,10 +300,7 @@ def _simulate_set(cfg, count, n_taxa, stream, spec=None):
     """List of (alignment, target, tree) triples for training/validation."""
     out = []
     for r in range(count):
-        rep_seed = derive_seed(cfg["seed"], stream, r)
-        tree = simulate_bd_tree(BDParams(cfg["lam"], cfg["mu"], n_taxa), rep_seed)
-        model = _build_model(cfg, rep_seed)
-        aln = evolve_alignment(tree, model, cfg["length"], rep_seed)
+        tree, aln = _simulate_replicate(cfg, BDParams(cfg["lam"], cfg["mu"], n_taxa), stream, r)
         target = training_targets(spec, tree, aln.labels) if spec is not None else None
         out.append((aln, target, tree))
     return out
@@ -374,7 +366,7 @@ EVAL_DEFAULTS = {
     "data": "",
     "methods": "jc",
     "algorithm": "nj",
-    "ceiling": 5.0,
+    "ceiling": DEFAULT_CEILING,
     "saturation": "ceiling",
     "collapse_zero": False,
     "gnuplot": False,

@@ -20,10 +20,6 @@ def _upper_mask(n):
     return np.triu(np.ones((n, n)), k=1)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, float))
-
-
 def _check_spd(name, values):
     values = np.asarray(values)
     if not np.allclose(values, values.T, atol=1e-8):
@@ -39,19 +35,19 @@ def exp_transform(matrix, gamma):
     """Entrywise X -> exp(-gamma X); maps a metric matrix into the PSD cone."""
     if not gamma > 0:
         raise ConfigError("gamma must be positive")
-    m = _as_tensor(matrix)
+    m = ad.as_tensor(matrix)
     return ad.exp(m * (-gamma))
 
 
 def mae(predicted, target):
-    predicted, target = _as_tensor(predicted), np.asarray(target, float)
+    predicted, target = ad.as_tensor(predicted), np.asarray(target, float)
     mask = _upper_mask(target.shape[0])
     diff = ad.absolute(predicted - ad.Tensor(target)) * mask
     return ad.tensor_sum(diff) * (1.0 / mask.sum())
 
 
 def mse(predicted, target):
-    predicted, target = _as_tensor(predicted), np.asarray(target, float)
+    predicted, target = ad.as_tensor(predicted), np.asarray(target, float)
     mask = _upper_mask(target.shape[0])
     diff = ((predicted - ad.Tensor(target)) ** 2.0) * mask
     return ad.tensor_sum(diff) * (1.0 / mask.sum())
@@ -59,7 +55,7 @@ def mse(predicted, target):
 
 def logdet_divergence(x, y):
     """Stein's loss D_ld(X||Y) = tr(X Y^-1) - log det(X Y^-1) - n."""
-    xt, yt = _as_tensor(x), _as_tensor(y)
+    xt, yt = ad.as_tensor(x), ad.as_tensor(y)
     _check_spd("X", xt.data)
     _check_spd("Y", yt.data)
     n = xt.shape[0]
@@ -68,7 +64,7 @@ def logdet_divergence(x, y):
 
 def von_neumann_divergence(x, y):
     """D_vn(X||Y) = tr(X log X - X log Y - X + Y) for symmetric PSD X, Y."""
-    xt, yt = _as_tensor(x), _as_tensor(y)
+    xt, yt = ad.as_tensor(x), ad.as_tensor(y)
     _check_spd("X", xt.data)
     _check_spd("Y", yt.data)
     inner = ad.tensor_sum(xt * (ad.symlog(xt) - ad.symlog(yt)))
@@ -90,7 +86,7 @@ def matrix_loss(kind, predicted, target, gamma=None):
         return mse(predicted, target)
     if kind == "l21":
         return ad.sqrt(mse(predicted, target))
-    pred_t = _as_tensor(predicted)
+    pred_t = ad.as_tensor(predicted)
     targ_t = ad.Tensor(np.asarray(target, float))
     if gamma is not None:
         pred_t = exp_transform(pred_t, gamma)

@@ -140,8 +140,8 @@ def write_tsv(mat, path):
             fh.write(lab + "\t" + "\t".join(repr(float(v)) for v in values[i]) + "\n")
 
 
-def read_tsv(path, kind="distance"):
-    """Read a labeled square matrix from TSV (see write_tsv)."""
+def read_tsv(path):
+    """Read a labeled distance matrix from TSV (see write_tsv)."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -149,6 +149,8 @@ def read_tsv(path, kind="distance"):
     header = lines[0].split("\t")
     labels = header[1:]
     n = len(labels)
+    if not n:
+        raise DataError(f"{path}: header row names no taxa")
     if len(lines) != n + 1:
         raise DataError(f"{path}: expected {n} data rows, found {len(lines) - 1}")
     values = np.zeros((n, n))
@@ -164,8 +166,4 @@ def read_tsv(path, kind="distance"):
             values[i] = [float(x) for x in parts[1:]]
         except ValueError:
             raise DataError(f"{path}: row {i + 1} has a non-numeric value") from None
-    if kind == "distance":
-        return DistanceMatrix(labels, values)
-    if kind == "covariance":
-        return CovarianceMatrix(labels, values)
-    raise DataError(f"unknown matrix kind {kind!r}")
+    return DistanceMatrix(labels, values)

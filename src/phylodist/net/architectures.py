@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .. import autodiff as ad
-from ..alignment import Alignment
 from ..errors import ConfigError, DataError, NumericError
 from ..matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov
 from ..rng import substream
@@ -186,15 +185,10 @@ def _check_length(spec, length):
         raise DataError(f"network was built for length {want}, got {length} sites")
 
 
-def _onehot_tensor(source, spec=None):
-    if isinstance(source, Alignment):
-        labels, data = tuple(source.labels), source.onehot()
-    else:
-        labels, onehot = source
-        data = np.asarray(onehot, float)
+def _onehot_tensor(aln, spec=None):
     if spec is not None:
-        _check_length(spec, data.shape[-1])
-    return labels, ad.Tensor(data)
+        _check_length(spec, aln.length)
+    return aln.labels, ad.Tensor(aln.onehot())
 
 
 def _canonical_pairs(labels):
@@ -234,14 +228,14 @@ def _pair_tail(spec, pair, capture=None):
     return vals
 
 
-def forward_matrix(spec, source, capture=None):
+def forward_matrix(spec, aln, capture=None):
     """Distance (or Gram) matrix as a Tensor, labels in input row order.
 
     For inner_product heads returns the Gram matrix tensor.  ``capture``,
     when a dict, receives the final site-axis hidden activation under
     "hidden".
     """
-    labels, x = _onehot_tensor(source, spec)
+    labels, x = _onehot_tensor(aln, spec)
     n = len(labels)
     t = _run(spec.seq_stack, x, capture)
     if spec.is_pair_net:
@@ -260,7 +254,7 @@ def forward_matrix(spec, source, capture=None):
 
 def network_forward(spec, aln):
     """Alignment -> DistanceMatrix under a built network."""
-    if isinstance(aln, Alignment) and aln.length < 1:
+    if aln.length < 1:
         raise DataError("empty alignment")
     labels, out = forward_matrix(spec, aln)
     values = out.data

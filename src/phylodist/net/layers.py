@@ -25,14 +25,6 @@ class Layer:
     def params(self):
         return [(name, getattr(self, name)) for name in self.param_names]
 
-    def load(self, arrays):
-        for (name, p), arr in zip(self.params(), arrays):
-            if p.data.shape != arr.shape:
-                raise ConfigError(
-                    f"{type(self).__name__}.{name}: shape {arr.shape} != {p.data.shape}"
-                )
-            p.data = np.array(arr, dtype=float)
-
 
 class EquivariantPair(Layer):
     """Pair layer with the five-term structured weights, one set per head.
@@ -50,10 +42,6 @@ class EquivariantPair(Layer):
         if self.weights.shape[1] != 5:
             raise ConfigError("each equivariant head needs 5 weights")
         self.activation = activation
-
-    @classmethod
-    def random(cls, heads, rng, activation="elu"):
-        return cls(rng.normal(0.0, 0.5, size=(heads, 5)), activation)
 
     def forward(self, t):
         p, c2, length = t.shape
@@ -85,10 +73,6 @@ class InvariantPair(Layer):
 
     def __init__(self, w1, w2):
         self.weights = ad.Tensor(np.array([w1, w2], float), requires_grad=True)
-
-    @classmethod
-    def random(cls, rng):
-        return cls(rng.normal(0.0, 0.5), rng.normal(0.0, 0.5))
 
     def forward(self, t):
         p, c2, length = t.shape
@@ -232,20 +216,6 @@ class Attention(Layer):
             return ad.moveaxis(x, 2, 1)
         return ad.moveaxis(x, 0, 2)
 
-    def attention_weights(self, t):
-        """Softmax matrices per head (numpy), for diagnostics."""
-        d = t.shape[1]
-        x = ad.moveaxis(t, 1, 2) if self.axis == "site" else ad.moveaxis(t, 2, 0)
-        out = []
-        for h in range(self.heads):
-            q = (x @ self.w_q[h]).data
-            k = (x @ self.w_k[h]).data
-            scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(d)
-            z = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(z)
-            out.append(e / e.sum(axis=-1, keepdims=True))
-        return out
-
 
 class MeanPoolSites(Layer):
     """(batch, channel, site) -> (batch, channel), invariant to site order."""
@@ -294,11 +264,6 @@ class ScalarMLP(Layer):
             for name, p in layer.params():
                 out.append((f"dense{i}.{name}", p))
         return out
-
-    def load(self, arrays):
-        it = iter(arrays)
-        for layer in self.dense:
-            layer.load([next(it) for _ in layer.param_names])
 
     def forward(self, t):
         for layer in self.dense:

@@ -50,12 +50,6 @@ def jc_curve(z):
     return -0.75 * np.log1p(-4.0 * np.asarray(z) / 3.0)
 
 
-def k2p_curve(p, q):
-    return -0.5 * np.log1p(-(2.0 * np.asarray(p) + np.asarray(q))) - 0.25 * np.log1p(
-        -2.0 * np.asarray(q)
-    )
-
-
 def _trunk(length):
     return [
         EquivariantPair([[1.0, -1.0, 0.0, 0.0, 0.0]], activation="relu"),

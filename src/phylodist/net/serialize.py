@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 
 MAGIC = b"PDNET\x00"
 VERSION = 1
@@ -49,8 +49,30 @@ def save_network(spec, path):
     return str(path)
 
 
+def _field(path, table, key, *types):
+    """table[key] when table is a JSON object and the value's JSON type is one
+    of types (NoneType: the key may be absent)."""
+    value = table.get(key) if type(table) is dict else None
+    if type(value) not in types:
+        raise DataError(f"{path}: weights file header field {key!r} is missing or malformed")
+    return value
+
+
+def _sizes(path, table, key, *types):
+    """A header field holding a positive int, or a list or absence of them."""
+    value = _field(path, table, key, *types)
+    items = value if type(value) is list else [value] if value is not None else []
+    if any(type(v) is not int or v < 1 for v in items):
+        raise DataError(f"{path}: weights file header field {key!r} is malformed")
+    return value
+
+
 def load_network(path):
-    """Rebuild a NetworkSpec from a weights file."""
+    """Rebuild a NetworkSpec from a weights file.
+
+    Raises DataError when a header field is missing or of the wrong type, or
+    when a stored parameter's name or shape differs from the architecture's.
+    """
     from .architectures import ARCHITECTURES, build_architecture
     from .reference import build_reference_net
 
@@ -67,31 +89,40 @@ def load_network(path):
             header = json.loads(fh.read(blob_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise DataError(f"{path}: malformed weights file header: {err}") from None
-        cfg = header["config"]
-        name = cfg["architecture"]
-        if name in ARCHITECTURES:
-            spec = build_architecture(
-                name,
-                head=cfg["head"],
-                channels=cfg["channels"],
-                heads=cfg["heads"],
-                embed_dim=cfg["embed_dim"],
-                g_hidden=tuple(cfg.get("g_hidden") or ()),
-                seed=cfg.get("seed") or 0,
-            )
-        elif name.startswith("Reference"):
-            spec = build_reference_net(name[len("Reference") :], cfg["ref_length"])
-        else:
-            raise DataError(f"{path}: unknown architecture {name!r}")
+        cfg = _field(path, header, "config", dict)
+        table = _field(path, header, "params", list)
+        name = _field(path, cfg, "architecture", str)
+        try:
+            if name in ARCHITECTURES:
+                spec = build_architecture(
+                    name,
+                    head=_field(path, cfg, "head", str),
+                    channels=_sizes(path, cfg, "channels", int),
+                    heads=_sizes(path, cfg, "heads", int),
+                    embed_dim=_sizes(path, cfg, "embed_dim", int),
+                    g_hidden=tuple(_sizes(path, cfg, "g_hidden", list, type(None)) or ()),
+                    seed=_field(path, cfg, "seed", int, type(None)) or 0,
+                )
+            elif name.startswith("Reference"):
+                length = _sizes(path, cfg, "ref_length", int)
+                spec = build_reference_net(name[len("Reference") :], length)
+            else:
+                raise DataError(f"{path}: unknown architecture {name!r}")
+        except ConfigError as err:
+            raise DataError(f"{path}: {err}") from None
         named = spec.named_params()
-        if [n for n, _ in named] != [p["name"] for p in header["params"]]:
+        if [n for n, _ in named] != [_field(path, meta, "name", str) for meta in table]:
             raise DataError(f"{path}: parameter table does not match architecture")
-        for (_, p), meta in zip(named, header["params"]):
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+        for (n, p), meta in zip(named, table):
+            shape = _field(path, meta, "shape", list)
+            if shape != list(p.data.shape):
+                raise DataError(
+                    f"{path}: parameter {n} has shape {shape}, "
+                    f"the architecture's is {list(p.data.shape)}"
+                )
+            raw = fh.read(p.data.size * 8)
+            if len(raw) != p.data.size * 8:
                 raise DataError(f"{path}: truncated weights file")
-            p.data = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+            p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape).astype(float)
         spec.config = cfg
     return spec

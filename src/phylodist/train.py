@@ -22,18 +22,18 @@ from .rng import substream
 from .tree import covariance_matrix, patristic_matrix, rf_distance
 
 
+# Adam hyperparameters (Kingma & Ba defaults)
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 100
     patience: int = 10
     batch_size: int = 4
     loss: str = "mae"
     gamma: float = 1.0
-    decay_horizon: int = None  # steps; defaults to max_epochs * steps/epoch
     seed: int = 0
 
     def __post_init__(self):
@@ -42,16 +42,15 @@ class TrainConfig:
 
 
 class Adam:
-    def __init__(self, params, cfg):
+    def __init__(self, params):
         self.params = list(params)
-        self.cfg = cfg
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
     def step(self, lr):
         self.t += 1
-        b1, b2, eps = self.cfg.beta1, self.cfg.beta2, self.cfg.eps
+        b1, b2, eps = ADAM_B1, ADAM_B2, ADAM_EPS
         for k, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
@@ -107,10 +106,10 @@ def train(spec, train_data, cfg, val_data=None):
     cfg.seed under single-threaded execution.
     """
     params = spec.parameters()
-    opt = Adam(params, cfg)
+    opt = Adam(params)
     order_rng = substream(cfg.seed, "batch-order")
     steps_per_epoch = max(1, math.ceil(len(train_data) / cfg.batch_size))
-    horizon = cfg.decay_horizon or cfg.max_epochs * steps_per_epoch
+    horizon = cfg.max_epochs * steps_per_epoch
     result = TrainResult()
     best_weights = None
     stale = 0
@@ -228,8 +227,7 @@ def fit_scalar_head(
     rng = substream(seed, "scalar-head")
     mlp = ScalarMLP.random(1, hidden, rng, activation="elu")
     params = [p for _, p in mlp.params()]
-    cfg = TrainConfig(learning_rate=learning_rate, max_epochs=epochs, seed=seed)
-    opt = Adam(params, cfg)
+    opt = Adam(params)
     xs = x[:, None]
     for step in range(epochs):
         pred = mlp.forward(ad.Tensor(xs))

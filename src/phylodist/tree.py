@@ -90,10 +90,6 @@ class PhyloTree:
         """Leaf labels in node-index order."""
         return tuple(self._label[i] for i in self._leaves)
 
-    def taxa(self):
-        """Leaf labels in sorted (canonical) order."""
-        return tuple(sorted(self.leaf_labels))
-
     def parent(self, i):
         p = int(self._parent[i])
         return None if p < 0 else p
@@ -294,21 +290,15 @@ def read_newick_file(path):
     return trees
 
 
-def write_newick_file(trees, path):
-    with open(path, "w") as fh:
-        for t in trees:
-            fh.write(serialize_newick(t) + "\n")
-
-
 # -- splits and Robinson-Foulds ---------------------------------------------
 
 
-def tree_splits(tree, collapse_zero=False, tol=0.0):
+def tree_splits(tree, collapse_zero=False):
     """Non-trivial splits of the unrooted topology.
 
     Each split is the frozenset of labels on the side containing the
     lexicographically smallest taxon.  With collapse_zero, splits from edges
-    of length <= tol are dropped.
+    of length zero are dropped.
     """
     taxa = set(tree.leaf_labels)
     smallest = min(taxa)
@@ -324,7 +314,7 @@ def tree_splits(tree, collapse_zero=False, tol=0.0):
             below[v] = s
         if v == tree.root:
             continue
-        if collapse_zero and tree.branch_length(v) <= tol:
+        if collapse_zero and tree.branch_length(v) <= 0.0:
             continue
         side = below[v]
         if len(side) < 2 or len(side) > len(taxa) - 2:

@@ -6,6 +6,7 @@ import pytest
 
 from phylodist.cli import main
 from phylodist.matrices import write_tsv
+from phylodist.net.architectures import build_architecture
 from phylodist.net.reference import build_reference_net
 from phylodist.net.serialize import save_network
 from phylodist.tree import patristic_matrix, read_newick_file
@@ -179,6 +180,29 @@ def test_exit_codes(tmp_path):
     cut = tmp_path / "cut.pdnet"
     cut.write_bytes(b"PDNET\x00\x01\x00")
     assert run("infer", "--alignments", phy, "--checkpoint", cut, "--out", tmp_path / "z") == 3
+    fasta = tmp_path / "ok.fasta"
+    fasta.write_text(">a\nACGTACGTAC\n>b\nACGTACGTTC\n>c\nACGAACGTAC\n>d\nTCGTACGTAC\n")
+    empty_header = tmp_path / "empty.pdnet"
+    empty_header.write_bytes(b"PDNET\x00" + struct.pack("<II", 1, 2) + b"{}")
+    assert run("infer", "--alignments", fasta, "--checkpoint", empty_header,
+               "--out", tmp_path / "z") == 3
+    # same element count, transposed shape: only the shape check can catch it
+    ckpt = tmp_path / "h.pdnet"
+    save_network(build_reference_net("H", 10), ckpt)
+    good = b'"g.dense0.weight", "shape": [4, 1]'
+    blob = read_bytes(ckpt)
+    assert blob.count(good) == 1
+    ckpt.write_bytes(blob.replace(good, good.replace(b"[4, 1]", b"[1, 4]")))
+    assert run("infer", "--alignments", fasta, "--checkpoint", ckpt, "--out", tmp_path / "z") == 3
+    # a size below 1 in the header
+    save_network(build_architecture("SitesInvariantS", channels=4, heads=2, embed_dim=4), ckpt)
+    blob = read_bytes(ckpt)
+    assert blob.count(b'"channels": 4') == 1
+    ckpt.write_bytes(blob.replace(b'"channels": 4', b'"channels": 0'))
+    assert run("infer", "--alignments", fasta, "--checkpoint", ckpt, "--out", tmp_path / "z") == 3
+    newick = tmp_path / "tree.nwk"
+    newick.write_text("((a:1,b:1):1,c:1);\n")
+    assert run("audit", "--matrix", newick) == 3  # a TSV header naming no taxa
 
 
 def test_infer_from_matrix_tsv(tmp_path):
@@ -230,3 +254,24 @@ def test_matrix_tsv_roundtrip(tmp_path):
     back = read_tsv(path)
     assert back.labels == d.labels
     assert np.array_equal(back.values, d.values)
+
+
+def test_thread_pool_output_matches_serial(tmp_path):
+    def outputs(directory):
+        return {f: read_bytes(directory / f) for f in os.listdir(directory) if f != "manifest.txt"}
+
+    sims = {}
+    for threads in ("1", "2"):
+        sims[threads] = tmp_path / f"sims{threads}"
+        assert run("simulate", "--out", sims[threads], "--replicates", "6", "--n", "8",
+                   "--length", "200", "--model", "hky", "--freqs", "empirical",
+                   "--gamma-shape", "0.5", "--seed", "13", "--threads", threads) == 0
+    assert len(outputs(sims["1"])) == 12
+    assert outputs(sims["1"]) == outputs(sims["2"])
+    trees = {}
+    for threads in ("1", "2"):
+        trees[threads] = tmp_path / f"trees{threads}"
+        assert run("infer", "--alignments", sims["1"], "--method", "k2p", "--dump-matrix",
+                   "--out", trees[threads], "--threads", threads) == 0
+    assert len(outputs(trees["1"])) == 12
+    assert outputs(trees["1"]) == outputs(trees["2"])

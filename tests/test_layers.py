@@ -198,14 +198,6 @@ def test_attention_permutation_equivariance(axis, shape_axis):
     assert np.allclose(direct, after, atol=1e-12)
 
 
-def test_attention_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(16)
-    layer = Attention.random(8, 4, rng, axis="site")
-    t = ad.Tensor(rng.normal(size=(3, 8, 11)))
-    for a in layer.attention_weights(t):
-        assert np.allclose(a.sum(axis=-1), 1.0, atol=1e-9)
-
-
 def test_attention_rejects_bad_head_count():
     rng = np.random.default_rng(17)
     from phylodist.errors import ConfigError

@@ -34,8 +34,7 @@ def test_adam_fits_linear_model():
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, 64)
     w = ad.Tensor(np.array(0.0), requires_grad=True)
-    cfg = TrainConfig()
-    opt = Adam([w], cfg)
+    opt = Adam([w])
     for step in range(800):
         pred = w * x
         loss = ad.mean((pred - 2.0 * x) ** 2.0)
