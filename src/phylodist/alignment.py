@@ -10,8 +10,11 @@ import numpy as np
 from .errors import DataError
 
 ALPHABET = "ACGT"
-_STATE = {c: i for i, c in enumerate(ALPHABET)}
 N_STATES = 4
+
+# byte -> state index, -1 for every byte outside ALPHABET
+_CODES = np.full(256, -1, dtype=np.int8)
+_CODES[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(N_STATES)
 
 # index pairs (i, j) with i<j that are transitions (purine<->purine,
 # pyrimidine<->pyrimidine): A<->G and C<->T
@@ -45,14 +48,18 @@ class Alignment:
             raise DataError(f"ragged alignment rows: {lengths}")
         n = len(seqs)
         length = len(seqs[0]) if n else 0
-        states = np.zeros((n, length), dtype=np.int8)
-        for r, (lab, s) in enumerate(zip(labels, seqs)):
-            for c, ch in enumerate(s):
-                if ch not in _STATE:
-                    raise DataError(
-                        f"illegal character {ch!r} in record {lab!r} (column {c})"
-                    )
-                states[r, c] = _STATE[ch]
+        # "replace" encodes each non-ASCII character as one "?", so rows keep
+        # their lengths and the character maps to -1
+        blob = "".join(seqs).encode("ascii", "replace")
+        states = _CODES[np.frombuffer(blob, dtype=np.uint8)].reshape(n, length)
+        if states.size and states.min() < 0:
+            # name the first character outside ALPHABET, row by row
+            for lab, s in zip(labels, seqs):
+                for c, ch in enumerate(s):
+                    if ch not in ALPHABET:
+                        raise DataError(
+                            f"illegal character {ch!r} in record {lab!r} (column {c})"
+                        )
         return cls(labels, states)
 
     @property

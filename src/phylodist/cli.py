@@ -74,6 +74,9 @@ def read_config_file(path):
     return out
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def resolve_config(args, defaults):
     """defaults < config file < explicit CLI flags; returns a plain dict."""
     resolved = dict(defaults)
@@ -85,7 +88,9 @@ def resolve_config(args, defaults):
                 raise ConfigError(f"unknown config key {key!r}")
             want = defaults[key]
             if isinstance(want, bool):
-                resolved[key] = raw.lower() in ("1", "true", "yes")
+                if raw.lower() not in _BOOLEANS:
+                    raise ConfigError(f"config key {key!r}: bad value {raw!r}")
+                resolved[key] = _BOOLEANS[raw.lower()]
             elif isinstance(want, (int, float)):
                 try:
                     resolved[key] = type(want)(raw)
@@ -504,7 +509,7 @@ def _add_common(sub, defaults):
     for key, val in defaults.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(val, bool):
-            sub.add_argument(flag, action="store_const", const=True, default=None)
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
         elif isinstance(val, int) and not isinstance(val, bool):
             sub.add_argument(flag, type=int, default=None)
         elif isinstance(val, float):

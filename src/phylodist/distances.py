@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import TRANSITIONS, Alignment
+from .alignment import N_STATES, TRANSITIONS, Alignment
 from .errors import ConfigError, DataError, SaturationError
 from .matrices import DistanceMatrix
 
@@ -97,34 +97,72 @@ def d_k2p(x, y, policy=SaturationPolicy()):
     return k2p_correct(p, q, policy)
 
 
-_ESTIMATORS = {"hamming": d_hamming, "jc": d_jc, "k2p": d_k2p}
+_KINDS = ("hamming", "jc", "k2p")
+
+# Sites per block of the one-hot indicator matrix: distance_matrix holds
+# O(n * _BLOCK_SITES) floats of indicators next to its O(n^2) count matrices.
+_BLOCK_SITES = 128
+
+
+def _pair_counts(states, transitions):
+    """Matching and transition counts of every row pair of an n x L state matrix.
+
+    Row i of X is the 0/1 indicator of its states, laid out as the A, C, G
+    and T blocks of sites, so X Xᵀ counts matches.  The A,C half times the
+    G,T half counts the A-G and C-T pairs (alignment.TRANSITIONS) in one
+    orientation.  Integer counts below 2^53 are exact in float64.
+    """
+    n, length = states.shape
+    matches = np.zeros((n, n))
+    ts = np.zeros((n, n)) if transitions else None
+    for start in range(0, length, _BLOCK_SITES):
+        block = states[:, None, start : start + _BLOCK_SITES]
+        x = (block == np.arange(N_STATES)[:, None]).reshape(n, -1).astype(np.float64)
+        matches += x @ x.T
+        if transitions:
+            half = x.shape[1] // 2
+            one_way = x[:, :half] @ x[:, half:].T
+            ts += one_way
+            ts += one_way.T
+    return matches, ts
 
 
 def distance_matrix(aln, kind="jc", policy=SaturationPolicy()):
     """All-pairs distance matrix under one analytic estimator.
 
     Labels come out in sorted (canonical) order.  Saturation errors are
-    re-raised with the offending pair named.
+    re-raised with the offending pair named.  The counts of all pairs come
+    from BLAS; each pair is corrected by the scalar jc_correct/k2p_correct in
+    row-major order, so entries equal those of d_hamming/d_jc/d_k2p bit for bit.
     """
-    if kind not in _ESTIMATORS:
-        raise ConfigError(f"unknown distance kind {kind!r}; options {sorted(_ESTIMATORS)}")
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown distance kind {kind!r}; options {sorted(_KINDS)}")
     if aln.n < 3:
         raise DataError(f"distance matrix needs >= 3 sequences, got {aln.n}")
+    length = aln.length
+    if length == 0:
+        raise DataError("empty sequences")
     labels = tuple(sorted(aln.labels))
-    rows = {lab: aln.row(lab) for lab in labels}
+    row_of = {lab: i for i, lab in enumerate(aln.labels)}
+    states = aln.states[[row_of[lab] for lab in labels]]
+    matches, ts = _pair_counts(states, kind == "k2p")
     n = len(labels)
     d = np.zeros((n, n))
-    fn = _ESTIMATORS[kind]
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
+    for i in range(n - 1):
+        mismatches = (length - matches[i, i + 1 :]).tolist()
+        # transitions are read only for k2p
+        transitions = ts[i, i + 1 :].tolist() if kind == "k2p" else mismatches
+        row = []
+        try:
+            for j, (m, t) in enumerate(zip(mismatches, transitions), i + 1):
                 if kind == "hamming":
-                    val = fn(rows[labels[i]], rows[labels[j]])
+                    row.append(m / length)
+                elif kind == "jc":
+                    row.append(jc_correct(m / length, policy))
                 else:
-                    val = fn(rows[labels[i]], rows[labels[j]], policy)
-            except SaturationError as err:
-                raise SaturationError(
-                    f"pair ({labels[i]}, {labels[j]}): {err}"
-                ) from None
-            d[i, j] = d[j, i] = val
+                    row.append(k2p_correct(t / length, (m - t) / length, policy))
+        except SaturationError as err:
+            raise SaturationError(f"pair ({labels[i]}, {labels[j]}): {err}") from None
+        d[i, i + 1 :] = row
+        d[i + 1 :, i] = row
     return DistanceMatrix(labels, d)

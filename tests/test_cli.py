@@ -165,6 +165,9 @@ def test_exit_codes(tmp_path):
     assert run("simulate", "--config", bad_cfg, "--out", tmp_path / "y") == 2
     bad_cfg.write_text("n=abc\n")
     assert run("simulate", "--config", bad_cfg, "--out", tmp_path / "y") == 2
+    bad_cfg.write_text("dump_matrix=ture\n")  # a misspelled boolean is not false
+    assert run("infer", "--config", bad_cfg, "--alignments", tmp_path / "missing_dir",
+               "--out", tmp_path / "y") == 2
     binary = tmp_path / "binary.fasta"
     binary.write_bytes(b">a\n\xff\xfe\n")
     assert run("infer", "--alignments", binary, "--out", tmp_path / "z") == 3
@@ -203,6 +206,26 @@ def test_exit_codes(tmp_path):
     newick = tmp_path / "tree.nwk"
     newick.write_text("((a:1,b:1):1,c:1);\n")
     assert run("audit", "--matrix", newick) == 3  # a TSV header naming no taxa
+
+
+def test_boolean_flags_and_config_values_turn_off(tmp_path):
+    sims, first = tmp_path / "sims", tmp_path / "first"
+    assert run("simulate", "--out", sims, "--replicates", "1", "--n", "5",
+               "--length", "50", "--seed", "4") == 0
+    assert run("infer", "--alignments", sims, "--out", first, "--dump-matrix") == 0
+    assert (first / "rep_0000.dist.tsv").exists()
+    assert "dump_matrix=True" in (first / "manifest.txt").read_text()
+    off = tmp_path / "off"
+    assert run("infer", "--config", first / "manifest.txt", "--out", off,
+               "--no-dump-matrix") == 0
+    assert not (off / "rep_0000.dist.tsv").exists()
+    assert read_bytes(off / "rep_0000.nwk") == read_bytes(first / "rep_0000.nwk")
+    cfg = tmp_path / "spelled.cfg"
+    for raw, dumped in (("YES", True), ("No", False), ("1", True), ("FALSE", False)):
+        cfg.write_text(f"alignments={sims}\ndump_matrix={raw}\n")
+        out = tmp_path / f"spelled_{raw}"
+        assert run("infer", "--config", cfg, "--out", out) == 0
+        assert (out / "rep_0000.dist.tsv").exists() == dumped
 
 
 def test_infer_from_matrix_tsv(tmp_path):

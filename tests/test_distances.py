@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -16,7 +18,7 @@ from phylodist.distances import (
 )
 from phylodist.alignment import Alignment
 from phylodist.errors import ConfigError, DataError, SaturationError
-from phylodist.simulate import SubstModel, evolve_alignment
+from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
 from phylodist.tree import parse_newick
 
 getcontext().prec = 50
@@ -197,3 +199,31 @@ def test_unknown_kind_rejected():
     a = Alignment.from_sequences(["x", "y", "z"], ["ACGT", "ACGT", "ACGT"])
     with pytest.raises(ConfigError):
         distance_matrix(a, "hky")
+
+
+def test_distance_matrix_memory_is_bounded():
+    # a one-hot float64 copy of the whole alignment would take ~100 MB
+    rng = np.random.default_rng(0)
+    aln = Alignment([f"t{i:02d}" for i in range(32)],
+                    rng.integers(0, 4, (32, 100_000), dtype=np.int8))
+    tracemalloc.start()
+    try:
+        distance_matrix(aln, "k2p")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_distance_matrices_match_golden_digest():
+    # Recorded from the pair-by-pair implementation; a vectorized logarithm,
+    # which differs from math.log/log1p in the last ulp, would change it.
+    tree = simulate_bd_tree(BDParams(1.0, 0.5, 30), seed=4)
+    model = SubstModel("HKY", kappa=2.0, base_freqs=(0.3, 0.2, 0.2, 0.3), gamma_shape=0.5)
+    aln = evolve_alignment(tree, model, 1000, seed=4)
+    h = hashlib.sha256()
+    for kind in ("hamming", "jc", "k2p"):
+        d = distance_matrix(aln, kind)
+        h.update(repr(d.labels).encode())
+        h.update(d.values.tobytes())
+    assert h.hexdigest() == "cb9a11b051546f883714384fc23b6afb06ce09f7197e6731e65e122b95a1934d"

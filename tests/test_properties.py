@@ -1,8 +1,19 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phylodist.distances import d_hamming, jc_correct, k2p_correct
+from phylodist.alignment import Alignment
+from phylodist.distances import (
+    SaturationPolicy,
+    d_hamming,
+    d_jc,
+    d_k2p,
+    distance_matrix,
+    jc_correct,
+    k2p_correct,
+)
+from phylodist.errors import DataError, SaturationError
 from phylodist.embed import measure_distortion
 from phylodist.matrices import DistanceMatrix, inverse_gromov
 from phylodist.tree import covariance_matrix, patristic_matrix
@@ -57,3 +68,99 @@ def test_gromov_identity_property(seed, n):
     pat = patristic_matrix(t)
     back = inverse_gromov(covariance_matrix(t))
     assert np.max(np.abs(back.values - pat.values)) <= 1e-9
+
+
+@st.composite
+def alignments(draw):
+    """n in 3-12, L in 1-60, shuffled labels; rows are random, copies of an
+    earlier row, or an earlier row with every site a transversion or a
+    transition away (saturated under JC and K2P)."""
+    n = draw(st.integers(3, 12))
+    length = draw(st.integers(1, 60))
+    rows = [draw(st.lists(st.integers(0, 3), min_size=length, max_size=length))]
+    for _ in range(n - 1):
+        how = draw(st.sampled_from(("random", "copy", "transversion", "transition")))
+        if how == "random":
+            rows.append(draw(st.lists(st.integers(0, 3), min_size=length, max_size=length)))
+            continue
+        src = rows[draw(st.integers(0, len(rows) - 1))]
+        shift = {"copy": 0, "transversion": 1, "transition": 2}[how]
+        rows.append([(s + shift) % 4 for s in src])
+    labels = draw(st.permutations([f"t{i}" for i in range(n)]))
+    return Alignment(labels, np.array(rows, dtype=np.int8))
+
+
+def pairwise_matrix(aln, kind, policy):
+    """distance_matrix built pair by pair from the per-pair estimators."""
+    labels = sorted(aln.labels)
+    d = np.zeros((len(labels), len(labels)))
+    for i, a in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            x, y = aln.row(a), aln.row(labels[j])
+            try:
+                if kind == "hamming":
+                    val = d_hamming(x, y)
+                else:
+                    val = {"jc": d_jc, "k2p": d_k2p}[kind](x, y, policy)
+            except SaturationError as err:
+                raise SaturationError(f"pair ({a}, {labels[j]}): {err}") from None
+            d[i, j] = d[j, i] = val
+    return tuple(labels), d
+
+
+@given(alignments())
+@settings(max_examples=60, deadline=None)
+def test_distance_matrix_equals_pairwise_estimators_bit_for_bit(aln):
+    for kind in ("hamming", "jc", "k2p"):
+        labels, expected = pairwise_matrix(aln, kind, SaturationPolicy())
+        got = distance_matrix(aln, kind)
+        assert got.labels == labels
+        assert got.values.tobytes() == expected.tobytes()
+        try:
+            pairwise_matrix(aln, kind, SaturationPolicy("error"))
+        except SaturationError as err:
+            with pytest.raises(SaturationError) as raised:
+                distance_matrix(aln, kind, SaturationPolicy("error"))
+            assert str(raised.value) == str(err)
+        else:
+            strict = distance_matrix(aln, kind, SaturationPolicy("error"))
+            assert strict.values.tobytes() == expected.tobytes()
+
+
+def reference_states(labels, seqs):
+    """Per-character state mapping of from_sequences, with its error messages."""
+    seqs = [s.upper() for s in seqs]
+    if len(set(len(s) for s in seqs)) > 1:
+        lengths = {lab: len(s) for lab, s in zip(labels, seqs)}
+        raise DataError(f"ragged alignment rows: {lengths}")
+    rows = []
+    for lab, s in zip(labels, seqs):
+        row = []
+        for c, ch in enumerate(s):
+            if ch not in "ACGT":
+                raise DataError(f"illegal character {ch!r} in record {lab!r} (column {c})")
+            row.append("ACGT".index(ch))
+        rows.append(row)
+    return np.array(rows, dtype=np.int8).reshape(len(seqs), len(seqs[0]) if seqs else 0)
+
+
+residues = st.sampled_from("ACGTACGTACGTacgtN-? \x00\xdf\xe9\xff")
+
+
+@given(st.integers(1, 6), st.integers(0, 20), st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_sequences_matches_per_character_reference(n, length, data):
+    clean = data.draw(st.booleans())
+    chars = st.sampled_from("ACGTacgt") if clean else residues
+    seqs = [data.draw(st.text(chars, min_size=length, max_size=length)) for _ in range(n)]
+    labels = [f"r{i}" for i in range(n)]
+    try:
+        expected = reference_states(labels, seqs)
+    except DataError as err:
+        with pytest.raises(DataError) as raised:
+            Alignment.from_sequences(labels, seqs)
+        assert str(raised.value) == str(err)
+    else:
+        aln = Alignment.from_sequences(labels, seqs)
+        assert aln.states.dtype == np.int8
+        assert np.array_equal(aln.states, expected)
