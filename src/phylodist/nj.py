@@ -64,20 +64,20 @@ def _prepare(dist):
     return labels, dist.reorder(labels).values.copy()
 
 
-def _select_pair(d):
-    """Row-major argmin of the Q criterion; returns (i, j, q_ij) with i < j."""
-    k = d.shape[0]
-    r = d.sum(axis=1)
-    q = (k - 2) * d - r[:, None] - r[None, :]
-    np.fill_diagonal(q, np.inf)
-    i, j = divmod(int(np.argmin(q)), k)
-    return i, j, float(q[i, j]), r
+def _drop(m, k, j, scratch):
+    """Remove row and column j from the leading k x k block of m, in place.
 
-
-def _branch_lengths(d, r, i, j):
-    k = d.shape[0]
-    li = 0.5 * d[i, j] + (r[i] - r[j]) / (2.0 * (k - 2))
-    return li, d[i, j] - li
+    The trailing rows, then the trailing columns, move up/left by one through
+    the flat scratch buffer (no temporaries), so the block keeps its order.
+    """
+    if j == k - 1:
+        return
+    rows = scratch[: (k - 1 - j) * k].reshape(k - 1 - j, k)
+    np.copyto(rows, m[j + 1 : k, :k])
+    m[j : k - 1, :k] = rows
+    cols = scratch[: (k - 1) * (k - 1 - j)].reshape(k - 1, k - 1 - j)
+    np.copyto(cols, m[: k - 1, j + 1 : k])
+    m[: k - 1, j : k - 1] = cols
 
 
 def _terminate_three(acc, nodes, d, trace):
@@ -89,6 +89,64 @@ def _terminate_three(acc, nodes, d, trace):
     return acc.tree(), JoinTrace(tuple(trace))
 
 
+def _join(dist, weighted):
+    """The n-3 joins of NJ (weighted=False) or BIONJ, then the last three.
+
+    d (and BIONJ's variances v) live in n x n buffers whose leading k x k
+    block is the active matrix; each join rewrites row and column i and drops
+    j.  Q, its row-major argmin, the branch lengths and the reduction are
+    computed with the same operations in the same order as on a fresh k x k
+    copy, so results do not depend on the buffering.
+    """
+    labels, d = _prepare(dist)
+    n = len(labels)
+    v = d.copy() if weighted else None
+    qbuf = np.empty(n * n)
+    rbuf = np.empty(n)
+    acc = _TreeAccumulator(labels)
+    nodes = list(range(n))
+    trace = []
+    for k in range(n, 3, -1):
+        dk = d[:k, :k]
+        r = np.add.reduce(dk, axis=1, out=rbuf[:k])
+        q = qbuf[: k * k].reshape(k, k)
+        np.multiply(k - 2, dk, out=q)
+        np.subtract(q, r[:, None], out=q)
+        np.subtract(q, r[None, :], out=q)
+        qbuf[: k * k : k + 1] = np.inf  # the diagonal
+        i, j = divmod(int(q.argmin()), k)
+        dij = dk[i, j]
+        li = 0.5 * dij + (r[i] - r[j]) / (2.0 * (k - 2))
+        lj = dij - li
+        trace.append(
+            JoinRecord((acc.labels[nodes[i]], acc.labels[nodes[j]]), float(q[i, j]), (li, lj))
+        )
+        nodes[i] = acc.join((nodes[i], nodes[j]), (li, lj))
+        if weighted:
+            vk = v[:k, :k]
+            vij = vk[i, j]
+            if vij > 0:
+                # the m=i and m=j terms of the full-row sum cancel exactly
+                lam = 0.5 + float(np.add.reduce(vk[j, :] - vk[i, :])) / (2.0 * (k - 2) * vij)
+                lam = min(1.0, max(0.0, lam))
+            else:
+                lam = 0.5
+            du = lam * (dk[i, :] - li) + (1.0 - lam) * (dk[j, :] - lj)
+            vu = lam * vk[i, :] + (1.0 - lam) * vk[j, :] - lam * (1.0 - lam) * vij
+            vk[i, :] = vu
+            vk[:, i] = vu
+            vk[i, i] = 0.0
+            _drop(v, k, j, qbuf)
+        else:
+            du = 0.5 * (dk[i, :] + dk[j, :] - dij)
+        dk[i, :] = du
+        dk[:, i] = du
+        dk[i, i] = 0.0
+        _drop(d, k, j, qbuf)
+        nodes.pop(j)
+    return _terminate_three(acc, nodes, d, trace)
+
+
 def neighbor_join(dist, return_trace=False):
     """Canonical neighbor joining (Saitou-Nei / Studier-Keppler form).
 
@@ -96,26 +154,8 @@ def neighbor_join(dist, return_trace=False):
     tree.  Returns an unrooted PhyloTree; with return_trace, also the
     JoinTrace of the n-3 join decisions.
     """
-    labels, d = _prepare(dist)
-    acc = _TreeAccumulator(labels)
-    nodes = list(range(len(labels)))
-    trace = []
-    while d.shape[0] > 3:
-        i, j, q_ij, r = _select_pair(d)
-        li, lj = _branch_lengths(d, r, i, j)
-        trace.append(
-            JoinRecord((acc.labels[nodes[i]], acc.labels[nodes[j]]), q_ij, (li, lj))
-        )
-        new = acc.join((nodes[i], nodes[j]), (li, lj))
-        du = 0.5 * (d[i, :] + d[j, :] - d[i, j])
-        d[i, :] = du
-        d[:, i] = du
-        d[i, i] = 0.0
-        nodes[i] = new
-        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
-        nodes.pop(j)
-    tree, full_trace = _terminate_three(acc, nodes, d, trace)
-    return (tree, full_trace) if return_trace else tree
+    tree, trace = _join(dist, weighted=False)
+    return (tree, trace) if return_trace else tree
 
 
 def bionj(dist, return_trace=False):
@@ -126,36 +166,5 @@ def bionj(dist, return_trace=False):
     clamped to [0, 1].  Pair selection and branch lengths are as in NJ, so
     additive inputs reproduce the NJ topology exactly.
     """
-    labels, d = _prepare(dist)
-    v = d.copy()
-    acc = _TreeAccumulator(labels)
-    nodes = list(range(len(labels)))
-    trace = []
-    while d.shape[0] > 3:
-        k = d.shape[0]
-        i, j, q_ij, r = _select_pair(d)
-        li, lj = _branch_lengths(d, r, i, j)
-        trace.append(
-            JoinRecord((acc.labels[nodes[i]], acc.labels[nodes[j]]), q_ij, (li, lj))
-        )
-        new = acc.join((nodes[i], nodes[j]), (li, lj))
-        if v[i, j] > 0:
-            # the m=i and m=j terms of the full-row sum cancel exactly
-            lam = 0.5 + float(np.sum(v[j, :] - v[i, :])) / (2.0 * (k - 2) * v[i, j])
-            lam = min(1.0, max(0.0, lam))
-        else:
-            lam = 0.5
-        du = lam * (d[i, :] - li) + (1.0 - lam) * (d[j, :] - lj)
-        vu = lam * v[i, :] + (1.0 - lam) * v[j, :] - lam * (1.0 - lam) * v[i, j]
-        d[i, :] = du
-        d[:, i] = du
-        d[i, i] = 0.0
-        v[i, :] = vu
-        v[:, i] = vu
-        v[i, i] = 0.0
-        nodes[i] = new
-        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
-        v = np.delete(np.delete(v, j, axis=0), j, axis=1)
-        nodes.pop(j)
-    tree, full_trace = _terminate_three(acc, nodes, d, trace)
-    return (tree, full_trace) if return_trace else tree
+    tree, trace = _join(dist, weighted=True)
+    return (tree, trace) if return_trace else tree

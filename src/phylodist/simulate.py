@@ -213,12 +213,22 @@ def _spectral(model):
     return u, w, v.T * sq[None, :]
 
 
+def _stochastic_rows(a, decay, wt):
+    """Rows of (a * decay) @ wt, negatives clamped to 0 and each row renormalised.
+
+    With a = U, decay = exp(w t) this is P(t); with a = U[parent states] and an
+    L x 4 decay it is the per-site transition rows under Gamma rates.
+    """
+    p = (a * decay) @ wt
+    p[p < 0] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def transition_probabilities(model, t):
     """Stochastic matrix P(t) = expm(Q t) for one branch duration t >= 0."""
     u, w, wt = _spectral(model)
-    p = (u * np.exp(w * t)) @ wt
-    p[p < 0] = 0.0
-    return p / p.sum(axis=1, keepdims=True)
+    return _stochastic_rows(u, np.exp(w * t), wt)
 
 
 def _sample_categorical(rng, probs):
@@ -229,27 +239,44 @@ def _sample_categorical(rng, probs):
     return (u[:, None] > cdf).sum(axis=1).astype(np.int8)
 
 
+def _sample_rows(rng, p, rows):
+    """One draw per entry of rows, from that row of the 4 x 4 stochastic p.
+
+    Draw for draw equal to _sample_categorical(rng, p[rows]): the same
+    cumulative sums and uniforms, counted with three per-threshold compares
+    (that function's fourth threshold is 1.0, which no uniform in [0, 1)
+    exceeds).
+    """
+    cdf = np.cumsum(p, axis=1)
+    u = rng.random(rows.shape[0])
+    rows = rows.astype(np.intp)
+    out = (u > cdf[:, 0][rows]).view(np.int8)
+    out += u > cdf[:, 1][rows]
+    out += u > cdf[:, 2][rows]
+    return out
+
+
 def evolve_alignment(tree, model, length, seed):
     """Evolve an alignment of the given length down a tree.
 
     The root sequence is drawn from the stationary distribution; each site
     evolves independently with transition matrices expm(r_s * Q * b), where
-    r_s is the per-site Gamma rate (1 when gamma_shape is unset).  Every
+    r_s is the per-site Gamma rate.  Without Gamma rates every site shares
+    the branch's 4 x 4 P(b), so it is computed once per branch.  Every
     branch consumes its own named random stream, so results are deterministic
     per seed regardless of traversal scheduling.
     """
     if length < 1:
         raise ConfigError("alignment length must be >= 1")
-    pi = np.asarray(model.base_freqs)
+    rates = None
     if model.gamma_shape is not None:
         a = model.gamma_shape
         rates = substream(seed, "site-rates").gamma(a, 1.0 / a, size=length)
-    else:
-        rates = np.ones(length)
 
     u, w, wt = _spectral(model)
+    pi = np.asarray(model.base_freqs)[None, :]
     root_rng = substream(seed, "root-seq")
-    states = {tree.root: _sample_categorical(root_rng, np.tile(pi, (length, 1)))}
+    states = {tree.root: _sample_rows(root_rng, pi, np.zeros(length, dtype=np.int8))}
 
     for v in reversed(tree.postorder()):  # preorder: parents before children
         if v == tree.root:
@@ -259,11 +286,12 @@ def evolve_alignment(tree, model, length, seed):
         if t == 0.0:
             states[v] = ps
             continue
-        decay = np.exp(np.outer(rates * t, w))  # L x 4
-        probs = (u[ps, :] * decay) @ wt
-        probs[probs < 0] = 0.0
-        probs /= probs.sum(axis=1, keepdims=True)
-        states[v] = _sample_categorical(substream(seed, "branch", v), probs)
+        rng = substream(seed, "branch", v)
+        if rates is None:
+            states[v] = _sample_rows(rng, _stochastic_rows(u, np.exp(w * t), wt), ps)
+        else:
+            probs = _stochastic_rows(u[ps, :], np.exp(np.outer(rates * t, w)), wt)
+            states[v] = _sample_categorical(rng, probs)
 
     labels = [tree.label(v) for v in tree.leaves]
     return Alignment(labels, np.stack([states[v] for v in tree.leaves]))

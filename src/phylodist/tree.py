@@ -205,30 +205,41 @@ class _Parser:
         return val
 
     def subtree(self):
-        self.skip_ws()
-        node = self.new_node()
-        if self.peek() == "(":
-            self.pos += 1
-            while True:
-                child = self.subtree()
-                self.parent[child] = node
-                self.children[node].append(child)
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                if self.peek() == ")":
-                    self.pos += 1
-                    break
-                self.error("expected ',' or ')'")
-            self.read_label()  # internal labels accepted, ignored
-        else:
+        """Parse one subtree and return its node index.
+
+        Open groups sit on an explicit stack, so nesting depth is bounded by
+        memory rather than by the recursion limit.
+        """
+        open_groups = []
+        while True:
+            self.skip_ws()
+            node = self.new_node()
+            if self.peek() == "(":
+                self.pos += 1
+                open_groups.append(node)
+                continue
             name = self.read_label()
             if not name:
                 self.error("leaf without a label")
             self.label[node] = name
-        self.blen[node] = self.read_length()
-        return node
+            self.blen[node] = self.read_length()
+            while open_groups:  # attach the finished node, closing groups
+                group = open_groups[-1]
+                self.parent[node] = group
+                self.children[group].append(node)
+                self.skip_ws()
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if self.peek() != ")":
+                    self.error("expected ',' or ')'")
+                self.pos += 1
+                open_groups.pop()
+                self.read_label()  # internal labels accepted, ignored
+                self.blen[group] = self.read_length()
+                node = group
+            else:
+                return node
 
     def parse(self):
         root = self.subtree()
@@ -266,17 +277,24 @@ def _quote_label(name):
 
 def serialize_newick(tree):
     """Serialize a PhyloTree to Newick with shortest round-trip float format."""
-
-    def emit(v):
-        if tree.is_leaf(v):
-            core = _quote_label(tree.label(v))
-        else:
-            core = "(" + ",".join(emit(c) for c in tree.children(v)) + ")"
-        if v == tree.root:
-            return core
-        return f"{core}:{tree.branch_length(v)!r}"
-
-    return emit(tree.root) + ";"
+    out = []
+    stack = [tree.root]  # node indices still to emit, and literal closers
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        edge = "" if item == tree.root else f":{tree.branch_length(item)!r}"
+        if tree.is_leaf(item):
+            out.append(_quote_label(tree.label(item)) + edge)
+            continue
+        first, *rest = tree.children(item)
+        out.append("(")
+        stack.append(")" + edge)
+        for c in reversed(rest):
+            stack.extend((c, ","))
+        stack.append(first)
+    return "".join(out) + ";"
 
 
 def read_newick_file(path):
@@ -368,16 +386,20 @@ def unroot(tree):
     parent, children, blen, labels = [], [], [], []
 
     def copy(v, new_parent, length):
-        idx = len(parent)
-        parent.append(new_parent)
-        children.append([])
-        blen.append(length)
-        labels.append(tree.label(v))
-        if new_parent >= 0:
-            children[new_parent].append(idx)
-        for c in tree.children(v):
-            copy(c, idx, tree.branch_length(c))
-        return idx
+        """Append the subtree of v in preorder; returns the index of v's copy."""
+        first = len(parent)
+        stack = [(v, new_parent, length)]
+        while stack:
+            v, new_parent, length = stack.pop()
+            idx = len(parent)
+            parent.append(new_parent)
+            children.append([])
+            blen.append(length)
+            labels.append(tree.label(v))
+            if new_parent >= 0:
+                children[new_parent].append(idx)
+            stack.extend((c, idx, tree.branch_length(c)) for c in reversed(tree.children(v)))
+        return first
 
     new_root = copy(top, -1, 0.0)
     copy(other, new_root, merged)

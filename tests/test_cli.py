@@ -9,9 +9,9 @@ from phylodist.matrices import write_tsv
 from phylodist.net.architectures import build_architecture
 from phylodist.net.reference import build_reference_net
 from phylodist.net.serialize import save_network
-from phylodist.tree import patristic_matrix, read_newick_file
+from phylodist.tree import parse_newick, patristic_matrix, read_newick_file, rf_distance
 
-from util import random_binary_tree
+from util import caterpillar_newick, random_binary_tree
 
 
 def run(*argv):
@@ -241,6 +241,16 @@ def test_infer_from_matrix_tsv(tmp_path):
 
     t = read_newick_file(out / "m0.nwk")[0]
     assert rf_distance(t, src) == 0.0
+
+
+def test_infer_from_deep_caterpillar_matrix(tmp_path):
+    src = parse_newick(caterpillar_newick(400))
+    mdir = tmp_path / "mats"
+    mdir.mkdir()
+    write_tsv(patristic_matrix(src), mdir / "cat.tsv")
+    out = tmp_path / "trees"
+    assert run("infer", "--matrices", mdir, "--out", out) == 0
+    assert rf_distance(read_newick_file(out / "cat.nwk")[0], src) == 0.0
 
 
 def test_eval_gnuplot_output(tmp_path):

@@ -1,0 +1,25 @@
+"""Every Python demo runs to completion against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted(REPO.glob("demos/0[1-4]*.py"))
+
+
+def test_demos_are_present():
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_cleanly(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

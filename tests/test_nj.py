@@ -1,12 +1,15 @@
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
+from phylodist.distances import distance_matrix
 from phylodist.errors import DataError
 from phylodist.matrices import DistanceMatrix
 from phylodist.nj import bionj, neighbor_join
-from phylodist.tree import patristic_matrix, rf_distance, tree_splits
+from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
+from phylodist.tree import patristic_matrix, rf_distance, serialize_newick, tree_splits
 
 from util import random_binary_tree
 
@@ -135,3 +138,48 @@ def test_runtime_scales_cubically():
     run(32)  # warm caches
     t32, t64 = run(32), run(64)
     assert t64 / t32 <= 10.0
+
+
+def golden_matrices():
+    rng = np.random.default_rng(5)
+    d = patristic_matrix(simulate_bd_tree(BDParams(1.0, 0.3, 60), seed=6))
+    noisy = d.values * np.exp(rng.normal(0.0, 0.2, (d.n, d.n)))
+    noisy = (noisy + noisy.T) / 2.0
+    np.fill_diagonal(noisy, 0.0)
+    ties = rng.integers(1, 4, (40, 40)).astype(float)
+    ties = ties + ties.T
+    np.fill_diagonal(ties, 0.0)
+    tree = simulate_bd_tree(BDParams(1.0, 0.3, 50), seed=7)
+    jc = distance_matrix(evolve_alignment(tree, SubstModel("K2P", kappa=2.0), 400, seed=7), "jc")
+    perm = rng.permutation(d.n)
+    return {
+        "noisy": DistanceMatrix(d.labels, noisy),
+        "ties": DistanceMatrix([f"x{i:02d}" for i in range(40)], ties),
+        "jc": jc,
+        "permuted": DistanceMatrix([d.labels[i] for i in perm], noisy[np.ix_(perm, perm)]),
+    }
+
+
+GOLDEN_JOINS = {
+    "noisy": "9e2c7768295a41dd9f3f34b0f31d3ab005b8777d36719dbaf62db99f1a6ead14",
+    "ties": "4ea8be0f16f6b4f21dd01bdefc5065106585b068506d69ae51161f6dfdbbe96d",
+    "jc": "2c808fd1928a4fe809f4a659fae608a81a06a4694f96319581b492f987cfc260",
+    # sorted-label order makes the result independent of the input order
+    "permuted": "9e2c7768295a41dd9f3f34b0f31d3ab005b8777d36719dbaf62db99f1a6ead14",
+}
+
+
+def test_joins_match_golden_digests():
+    # Newick output plus every JoinTrace q-value and branch length in hex,
+    # for NJ and BIONJ, recorded from the np.delete-per-join implementation.
+    found = {}
+    for name, mat in golden_matrices().items():
+        h = hashlib.sha256()
+        for build in (neighbor_join, bionj):
+            tree, trace = build(mat, return_trace=True)
+            h.update(serialize_newick(tree).encode())
+            for rec in trace.records:
+                h.update(repr(rec.pair).encode())
+                h.update(" ".join(float(x).hex() for x in (rec.q_value, *rec.branch_lengths)).encode())
+        found[name] = h.hexdigest()
+    assert found == GOLDEN_JOINS

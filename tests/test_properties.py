@@ -16,9 +16,11 @@ from phylodist.distances import (
 from phylodist.errors import DataError, SaturationError
 from phylodist.embed import measure_distortion
 from phylodist.matrices import DistanceMatrix, inverse_gromov
-from phylodist.tree import covariance_matrix, patristic_matrix
+from phylodist.nj import bionj, neighbor_join
+from phylodist.simulate import _sample_categorical, _sample_rows
+from phylodist.tree import covariance_matrix, patristic_matrix, serialize_newick
 
-from util import random_binary_tree
+from util import random_binary_tree, reference_join
 
 seq = st.lists(st.integers(0, 3), min_size=1, max_size=60)
 
@@ -164,3 +166,46 @@ def test_from_sequences_matches_per_character_reference(n, length, data):
         aln = Alignment.from_sequences(labels, seqs)
         assert aln.states.dtype == np.int8
         assert np.array_equal(aln.states, expected)
+
+
+@st.composite
+def stochastic_4x4(draw):
+    """Row-stochastic 4 x 4 matrices, many with exact zeros (never a zero row)."""
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-12))
+    p = np.array(draw(st.lists(entry, min_size=16, max_size=16))).reshape(4, 4)
+    for i in range(4):
+        if p[i].sum() == 0.0:
+            p[i, draw(st.integers(0, 3))] = 1.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+@given(stochastic_4x4(), st.lists(st.integers(0, 3), min_size=1, max_size=300),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_per_branch_sampler_equals_per_site_sampler(p, rows, seed):
+    rows = np.array(rows, dtype=np.int8)
+    got = _sample_rows(np.random.default_rng(seed), p, rows)
+    want = _sample_categorical(np.random.default_rng(seed), p[rows])
+    assert got.dtype == want.dtype == np.int8
+    assert np.array_equal(got, want)
+
+
+@given(st.integers(4, 40), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_joins_equal_the_copying_reference(n, seed, integer_valued):
+    # integer-valued matrices make ties in Q common, so tie-breaking is exercised
+    rng = np.random.default_rng(seed)
+    if integer_valued:
+        x = rng.integers(1, 4, (n, n)).astype(float)
+    else:
+        x = rng.exponential(1.0, (n, n))
+    x = x + x.T
+    np.fill_diagonal(x, 0.0)
+    labels = [f"s{i:02d}" for i in range(n)]  # already sorted
+    perm = rng.permutation(n)
+    shuffled = DistanceMatrix([labels[i] for i in perm], x[np.ix_(perm, perm)])
+    for build, weighted in ((neighbor_join, False), (bionj, True)):
+        tree, trace = build(shuffled, return_trace=True)
+        got = [(rec.pair, *(float(y).hex() for y in (rec.q_value, *rec.branch_lengths)))
+               for rec in trace.records]
+        assert (serialize_newick(tree), got) == reference_join(labels, x, weighted)

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,3 +178,41 @@ def test_evolution_deterministic_per_seed():
     a2 = evolve_alignment(t, m, 300, seed=44)
     assert a1 == a2
     assert a1 != evolve_alignment(t, m, 300, seed=45)
+
+
+GOLDEN_MODELS = {
+    "JC": SubstModel("JC"),
+    "K2P": SubstModel("K2P", kappa=2.0),
+    "HKY": SubstModel("HKY", kappa=3.0, base_freqs=(0.1, 0.2, 0.3, 0.4)),
+    "HKY+G": SubstModel("HKY", kappa=3.0, base_freqs=(0.1, 0.2, 0.3, 0.4), gamma_shape=0.5),
+}
+GOLDEN_STATES = {
+    "JC": "f17095bd3bf3b64a53f960a0861490ef2950dfea89a81ad26e8cc49fc79a36ab",
+    "K2P": "805830cac8b4dbc3eb23a4e226e2934710ad0e652e3cf0b875554aed305837b5",
+    "HKY": "f42f9cf1af12ca6ceb72c7081f290e666a1b2bedb871ea06616761c006974311",
+    "HKY+G": "8e68a7ddb80c2b8da2ea18b3457a4d721bb77ac9bbdf97ff1c8f8621aa4e376f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_evolved_states_match_golden_digest(name):
+    # Recorded from the per-site implementation (an L x 4 block of transition
+    # rows per branch); one P(t) per branch must draw the same states.
+    tree = simulate_bd_tree(BDParams(1.0, 0.5, 30), seed=11)
+    h = hashlib.sha256()
+    for length in (1, 1000):
+        h.update(evolve_alignment(tree, GOLDEN_MODELS[name], length, seed=12).states.tobytes())
+    assert h.hexdigest() == GOLDEN_STATES[name]
+
+
+def test_evolve_alignment_memory_is_bounded():
+    tree = simulate_bd_tree(BDParams(1.0, 0.5, 16), seed=2)
+    model = SubstModel("K2P", kappa=2.0)
+    evolve_alignment(tree, model, 1000, seed=3)  # warm-up
+    tracemalloc.start()
+    try:
+        evolve_alignment(tree, model, 200_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20

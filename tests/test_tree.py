@@ -17,7 +17,7 @@ from phylodist.tree import (
     unroot,
 )
 
-from util import naive_patristic, naive_splits, random_binary_tree
+from util import caterpillar_newick, naive_patristic, naive_splits, random_binary_tree
 
 BASIC = "((A:1,B:1):1,C:2);"
 
@@ -62,6 +62,16 @@ def test_roundtrip_random_trees():
         assert np.allclose(
             patristic_matrix(t).values, patristic_matrix(t2).values, atol=1e-9
         )
+
+
+def test_deep_caterpillar_round_trips():
+    # nesting far beyond the interpreter's recursion limit
+    text = caterpillar_newick(5000)
+    tree = parse_newick(text)
+    assert tree.n_leaves == 5000 and tree.rooted
+    assert serialize_newick(tree) == text
+    flat = serialize_newick(unroot(tree))
+    assert serialize_newick(parse_newick(flat)) == flat
 
 
 def test_parse_quoted_label():

@@ -41,6 +41,60 @@ def random_binary_tree(rng, n, rooted=True, max_blen=1.0):
     return PhyloTree(parent, children, blen, node_label, rooted=rooted)
 
 
+def caterpillar_newick(n):
+    """Rooted caterpillar ((((t0001,t0002),t0003),...),tn) as Newick text,
+    leaves 1.0 and internal edges 0.5 long; nesting depth n - 1."""
+    labels = [f"t{i + 1:04d}" for i in range(n)]
+    head = "(" * (n - 1) + f"{labels[0]}:1.0,{labels[1]}:1.0)"
+    return head + "".join(f":0.5,{lab}:1.0)" for lab in labels[2:]) + ";"
+
+
+def reference_join(labels, d, weighted):
+    """NJ (weighted=False) or BIONJ that copies the shrinking matrix with
+    np.delete at every join.  labels must be sorted, d ordered to match.
+    Returns (Newick text, [(pair, q, li, lj) per join]) with lengths in hex."""
+    d = np.array(d, dtype=float)
+    v = d.copy()
+    text = list(labels)
+    names = list(labels)
+    trace = []
+    while d.shape[0] > 3:
+        k = d.shape[0]
+        r = d.sum(axis=1)
+        q = (k - 2) * d - r[:, None] - r[None, :]
+        np.fill_diagonal(q, np.inf)
+        i, j = divmod(int(np.argmin(q)), k)
+        li = 0.5 * d[i, j] + (r[i] - r[j]) / (2.0 * (k - 2))
+        lj = d[i, j] - li
+        trace.append(((names[i], names[j]), float(q[i, j]).hex(), float(li).hex(), float(lj).hex()))
+        if weighted:
+            lam = 0.5
+            if v[i, j] > 0:
+                lam = 0.5 + float(np.sum(v[j, :] - v[i, :])) / (2.0 * (k - 2) * v[i, j])
+                lam = min(1.0, max(0.0, lam))
+            du = lam * (d[i, :] - li) + (1.0 - lam) * (d[j, :] - lj)
+            vu = lam * v[i, :] + (1.0 - lam) * v[j, :] - lam * (1.0 - lam) * v[i, j]
+            v[i, :] = vu
+            v[:, i] = vu
+            v[i, i] = 0.0
+        else:
+            du = 0.5 * (d[i, :] + d[j, :] - d[i, j])
+        d[i, :] = du
+        d[:, i] = du
+        d[i, i] = 0.0
+        text[i] = f"({text[i]}:{max(0.0, float(li))!r},{text[j]}:{max(0.0, float(lj))!r})"
+        names[i] = None
+        d = np.delete(np.delete(d, j, axis=0), j, axis=1)
+        v = np.delete(np.delete(v, j, axis=0), j, axis=1)
+        text.pop(j)
+        names.pop(j)
+    la = 0.5 * (d[0, 1] + d[0, 2] - d[1, 2])
+    lb = 0.5 * (d[0, 1] + d[1, 2] - d[0, 2])
+    lc = 0.5 * (d[0, 2] + d[1, 2] - d[0, 1])
+    ends = [f"{t}:{max(0.0, float(x))!r}" for t, x in zip(text, (la, lb, lc))]
+    return "(" + ",".join(ends) + ");", trace
+
+
 def leaf_paths_to_root(tree):
     """node index -> list of nodes from leaf up to the root (inclusive)."""
     paths = {}
