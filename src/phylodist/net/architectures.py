@@ -7,6 +7,13 @@ each pair of sequences jointly, with the pair axis enumerated in sorted-label
 order so input row permutations are bit-neutral, and emit one nonnegative
 scalar per pair.
 
+Networks whose layers never mix taxa (SitesInvariantS, SitesAttentionP and
+the reference nets) depend on an alignment only through its site-pattern
+counts, so they run on weighted pattern tokens instead of L site columns:
+4 state tokens per taxon, weighted by its base composition, and 16 joint
+tokens per pair, weighted by the pair's 4x4 state counts.  Their cost does
+not grow with L.  Networks that mix taxa run on the L site columns.
+
 Templates (channels d, heads H):
   SitesInvariantS   input conv + 2 site-context mix layers
   FullInvariantS    input conv + 2 site+taxa-context mix layers
@@ -21,10 +28,11 @@ import math
 import numpy as np
 
 from .. import autodiff as ad
+from ..alignment import N_STATES
 from ..errors import ConfigError, DataError, NumericError
 from ..matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov
 from ..rng import substream
-from .layers import Attention, ChannelConv, DeepSetsMix, Dense, MeanPoolSites, ScalarMLP
+from .layers import Attention, ChannelConv, DeepSetsMix, Dense, MeanPoolSites, ScalarMLP, SiteWeights
 
 ARCHITECTURES = (
     "SitesInvariantS",
@@ -66,6 +74,11 @@ class NetworkSpec:
     @property
     def is_pair_net(self):
         return self.head == "pair_scalar"
+
+    @property
+    def site_local(self):
+        """True when no layer mixes taxa, so pattern counts determine the output."""
+        return not any(layer.mixes_taxa for layer in self.seq_stack + self.pair_stack)
 
     def named_params(self):
         out = []
@@ -185,21 +198,11 @@ def _check_length(spec, length):
         raise DataError(f"network was built for length {want}, got {length} sites")
 
 
-def _onehot_tensor(aln, spec=None):
-    if spec is not None:
-        _check_length(spec, aln.length)
-    return aln.labels, ad.Tensor(aln.onehot())
-
-
 def _canonical_pairs(labels):
     """(i, j) row-index arrays enumerating pairs in sorted-label order."""
     order = np.argsort(np.asarray(labels))
-    ii, jj = [], []
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            ii.append(order[a])
-            jj.append(order[b])
-    return np.asarray(ii), np.asarray(jj)
+    first, second = np.triu_indices(len(order), k=1)
+    return order[first], order[second]
 
 
 def _scatter_symmetric(values, n, ii, jj):
@@ -209,44 +212,99 @@ def _scatter_symmetric(values, n, ii, jj):
     return ad.take(ad.concat([values, np.zeros(1)]), index)
 
 
-def _run(stack, t, capture=None):
+# Pattern tokens: state token a is the one-hot of state a; pair token
+# 4a + b joins state a of the first member with state b of the second.
+_STATE_TOKENS = np.eye(N_STATES)[None]  # (1, channel, token)
+_FIRST, _SECOND = np.divmod(np.arange(N_STATES * N_STATES), N_STATES)
+_BLOCK_SITES = 512  # sites per block of the one-hot in _joint_counts
+
+
+def _joint_counts(states):
+    """(n, 4, n, 4) counts: [i, a, j, b] = sites where row i has a and row j has b.
+
+    The Gram product of the (4n, L) one-hot, summed over blocks of sites;
+    integer counts below 2^53 are exact in float64.
+    """
+    n, length = states.shape
+    gram = np.zeros((N_STATES * n, N_STATES * n))
+    for start in range(0, length, _BLOCK_SITES):
+        block = states[:, None, start : start + _BLOCK_SITES]
+        x = (block == np.arange(N_STATES)[:, None]).reshape(N_STATES * n, -1).astype(float)
+        gram += x @ x.T
+    return gram.reshape(n, N_STATES, n, N_STATES)
+
+
+def _run(stack, t, weights=None, capture=None):
     for layer in stack:
-        t = layer.forward(t)
+        t = layer.forward(t, weights)
         if capture is not None and t.ndim == 3:
             capture["hidden"] = t
     return t
 
 
-def _pair_tail(spec, pair, capture=None):
+def _state_features(spec, composition, length, capture=None):
+    """Sequence stack on the 4 state tokens, each taxon weighting them by its
+    (taxa, 4) composition -> ((1 or taxa, C, 4) features, SiteWeights).
+    Rows stay 1, shared by all taxa, until a layer reads the weights."""
+    weights = SiteWeights(composition, length)
+    return _run(spec.seq_stack, ad.Tensor(_STATE_TOKENS), weights, capture), weights
+
+
+def _pair_tokens(t, ii, jj):
+    """(1 or taxa, C, 4) state features -> (1 or P, 2C, 16) joint-pattern tokens."""
+    first, second = (t[ii], t[jj]) if t.shape[0] > 1 else (t, t)
+    return ad.concat([first[:, :, _FIRST], second[:, :, _SECOND]], axis=1)
+
+
+def _pair_tail(spec, pair, weights=None, capture=None):
     """Pair-stack input, one row per pair -> (P,) pair values."""
-    pair = _run(spec.pair_stack, pair, capture)
+    pair = _run(spec.pair_stack, pair, weights, capture)
     # reference trunks end in an invariant collapse; others need pooling
-    pooled = spec.pool.forward(pair) if pair.ndim == 3 else pair
+    pooled = spec.pool.forward(pair, weights) if pair.ndim == 3 else pair
     vals = spec.g.forward(pooled)
     if spec.config.get("nonneg") == "softplus":
         vals = ad.softplus(vals)
     return vals
 
 
+def _encode(spec, aln, ii, jj, capture=None):
+    """Sequence stack over aln, then for pair nets the pair values.
+
+    Returns (S-net taxon features or (P,) pair values, their SiteWeights or
+    None).  Site-local nets run on pattern tokens, the others on the one-hot
+    site columns.
+    """
+    if not spec.site_local:
+        t = _run(spec.seq_stack, ad.Tensor(aln.onehot()), None, capture)
+        if spec.is_pair_net:
+            return _pair_tail(spec, ad.concat([t[ii], t[jj]], axis=1), None, capture), None
+        return t, None
+    states = aln.states
+    composition = np.stack([np.count_nonzero(states == a, axis=1) for a in range(N_STATES)], axis=1)
+    t, weights = _state_features(spec, composition, aln.length, capture)
+    if not spec.is_pair_net:
+        return t, weights
+    joint = _joint_counts(states)[ii, :, jj, :]
+    pair_weights = SiteWeights(joint.reshape(len(ii), -1), aln.length)
+    return _pair_tail(spec, _pair_tokens(t, ii, jj), pair_weights, capture), None
+
+
 def forward_matrix(spec, aln, capture=None):
     """Distance (or Gram) matrix as a Tensor, labels in input row order.
 
     For inner_product heads returns the Gram matrix tensor.  ``capture``,
-    when a dict, receives the final site-axis hidden activation under
-    "hidden".
+    when a dict, receives the final hidden activation under "hidden" (one
+    token per site pattern for site-local nets).
     """
-    labels, x = _onehot_tensor(aln, spec)
-    n = len(labels)
-    t = _run(spec.seq_stack, x, capture)
+    _check_length(spec, aln.length)
+    labels, n = aln.labels, aln.n
+    ii, jj = _canonical_pairs(labels)
+    out, weights = _encode(spec, aln, ii, jj, capture)
     if spec.is_pair_net:
-        ii, jj = _canonical_pairs(labels)
-        vals = _pair_tail(spec, ad.concat([t[ii], t[jj]], axis=1), capture)
-        return labels, _scatter_symmetric(vals, n, ii, jj)
-    pooled = spec.pool.forward(t)
-    z = spec.embed.forward(pooled)
+        return labels, _scatter_symmetric(out, n, ii, jj)
+    z = spec.embed.forward(spec.pool.forward(out, weights))
     if spec.head == "inner_product":
         return labels, z @ ad.moveaxis(z, 0, 1)
-    ii, jj = _canonical_pairs(labels)
     diff = z[ii] - z[jj]
     dist = ad.sqrt(ad.tensor_sum(diff * diff, axis=1))
     return labels, _scatter_symmetric(dist, n, ii, jj)
@@ -254,6 +312,8 @@ def forward_matrix(spec, aln, capture=None):
 
 def network_forward(spec, aln):
     """Alignment -> DistanceMatrix under a built network."""
+    if aln.n < 3:
+        raise DataError(f"network distances need >= 3 sequences, got {aln.n}")
     if aln.length < 1:
         raise DataError("empty alignment")
     labels, out = forward_matrix(spec, aln)
@@ -272,9 +332,8 @@ def forward_embedding(spec, aln):
     """Taxon embedding Z (numpy) of an S network, rows in input order."""
     if spec.is_pair_net:
         raise ConfigError("pair networks have no taxon embedding")
-    _, x = _onehot_tensor(aln)
-    t = _run(spec.seq_stack, x)
-    return spec.embed.forward(spec.pool.forward(t)).data
+    t, weights = _encode(spec, aln, None, None)
+    return spec.embed.forward(spec.pool.forward(t, weights)).data
 
 
 def pair_values(spec, x_batch, y_batch):
@@ -285,10 +344,20 @@ def pair_values(spec, x_batch, y_batch):
     if not spec.is_pair_net:
         raise ConfigError("pair_values requires a pair network")
     x = np.asarray(x_batch, float)
+    y = np.asarray(y_batch, float)
     _check_length(spec, x.shape[-1])
-    tx = _run(spec.seq_stack, ad.Tensor(x))
-    ty = _run(spec.seq_stack, ad.Tensor(np.asarray(y_batch, float)))
-    return _pair_tail(spec, ad.concat([tx, ty], axis=1)).data
+    if not spec.site_local:
+        tx = _run(spec.seq_stack, ad.Tensor(x))
+        ty = _run(spec.seq_stack, ad.Tensor(y))
+        return _pair_tail(spec, ad.concat([tx, ty], axis=1)).data
+    both = np.concatenate([x, y]) if x.shape == y.shape else None
+    if both is None or not (np.all((both == 0) | (both == 1)) and np.all(both.sum(axis=1) == 1)):
+        raise DataError("pair_values needs two equally shaped one-hot batches")
+    t, _ = _state_features(spec, both.sum(axis=2), x.shape[-1])
+    b = np.arange(len(x))
+    counts = (x @ np.swapaxes(y, 1, 2)).reshape(len(x), -1)
+    pair = _pair_tokens(t, b, b + len(x))
+    return _pair_tail(spec, pair, SiteWeights(counts, x.shape[-1])).data
 
 
 # -- site-pattern compression ---------------------------------------------------------
@@ -300,6 +369,17 @@ def _unique_columns(mat, tol=1e-6):
     return int(np.unique(cols, axis=0).shape[0])
 
 
+def _site_columns(hidden, states, ii, jj):
+    """Pattern-token activations (rows, C, 4 or 16) -> (taxa or P, C, L),
+    each site reading the token of its state or joint-state pattern."""
+    if hidden.shape[-1] == N_STATES:
+        index = states
+    else:
+        index = N_STATES * states[ii] + states[jj]
+    hidden = np.broadcast_to(hidden, (len(index),) + hidden.shape[1:])
+    return np.take_along_axis(hidden, index[:, None, :].astype(np.intp), axis=2)
+
+
 def site_pattern_compression(spec, aln):
     """Unique site patterns in the final hidden layer / unique input patterns."""
     onehot = aln.onehot()
@@ -308,5 +388,7 @@ def site_pattern_compression(spec, aln):
     capture = {}
     forward_matrix(spec, aln, capture=capture)
     hidden = capture["hidden"].data
+    if spec.site_local:
+        hidden = _site_columns(hidden, aln.states, *_canonical_pairs(aln.labels))
     hidden_patterns = _unique_columns(hidden.reshape(-1, hidden.shape[-1]))
     return hidden_patterns / input_patterns

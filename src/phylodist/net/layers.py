@@ -2,9 +2,16 @@
 
 Layouts: sequence tensors are (taxa, channel, site); pair tensors are
 (pair, channel, site) with the two members of a pair stacked as the first
-and second half of the channel axis.  Site-axis reductions use ordered_sum
-so site permutations are bit-neutral; cross-taxa information flows only
-through attention or explicit mean-context terms.
+and second half of the channel axis.  Cross-taxa information flows only
+through attention or explicit mean-context terms (``mixes_taxa``).
+
+The last axis holds either one column per site or one token per site
+pattern.  With pattern tokens every forward takes a SiteWeights giving how
+many sites each token stands for: site sums weight each token by its count,
+site means divide that sum by the true length L, and site attention adds
+log(count) to the key scores, which is softmax over the repeated keys.
+Without weights, site sums are ordered_sum over the L columns, so site
+permutations are bit-neutral.
 """
 
 import numpy as np
@@ -19,8 +26,36 @@ def _act(name):
     return ad.ACTIVATIONS[name]
 
 
+class SiteWeights:
+    """How many sites each token on the last axis stands for.
+
+    counts: (rows, tokens), each row summing to the alignment length; rows
+    broadcast against the tensor rows.  A zero count marks an absent pattern.
+    """
+
+    def __init__(self, counts, length):
+        self.counts = np.asarray(counts, float)[:, None, :]  # broadcasts over channels
+        with np.errstate(divide="ignore"):
+            self.log_counts = np.log(self.counts)  # -inf keys get no attention
+        self.length = length
+
+
+def _site_sum(t, weights, keepdims=False):
+    """Sum over the last axis, each token counted once per site it stands for."""
+    if weights is not None:
+        t = t * weights.counts
+    return ad.ordered_sum(t, axis=-1, keepdims=keepdims)
+
+
+def _site_mean(t, weights, keepdims=False):
+    length = t.shape[-1] if weights is None else weights.length
+    return _site_sum(t, weights, keepdims) * (1.0 / length)
+
+
 class Layer:
-    """Common surface: forward(tensor), named parameter list."""
+    """Common surface: forward(tensor, weights=None), named parameter list."""
+
+    mixes_taxa = False
 
     def params(self):
         return [(name, getattr(self, name)) for name in self.param_names]
@@ -43,15 +78,15 @@ class EquivariantPair(Layer):
             raise ConfigError("each equivariant head needs 5 weights")
         self.activation = activation
 
-    def forward(self, t):
+    def forward(self, t, weights=None):
         p, c2, length = t.shape
         if c2 % 2:
             raise ConfigError("pair tensor channel axis must be even")
         c = c2 // 2
         pair = ad.reshape(t, (p, 2, c, length))
         x, y = pair[:, 0], pair[:, 1]
-        sx = ad.ordered_sum(x, axis=-1, keepdims=True)
-        sy = ad.ordered_sum(y, axis=-1, keepdims=True)
+        sx = _site_sum(x, weights, keepdims=True)
+        sy = _site_sum(y, weights, keepdims=True)
         act = _act(self.activation)
         blocks_x, blocks_y = [], []
         n_heads = self.weights.shape[0]
@@ -62,8 +97,8 @@ class EquivariantPair(Layer):
             blocks_y.append(act(w1 * y + w2 * x + w3 * sy + w4 * sx + w5))
         out_x = blocks_x[0] if n_heads == 1 else ad.concat(blocks_x, axis=1)
         out_y = blocks_y[0] if n_heads == 1 else ad.concat(blocks_y, axis=1)
-        both = ad.stack([out_x, out_y], axis=1)
-        return ad.reshape(both, (p, 2 * n_heads * c, length))
+        both = ad.stack([out_x, out_y], axis=1)  # weights may broadcast the rows
+        return ad.reshape(both, (both.shape[0], 2 * n_heads * c, length))
 
 
 class InvariantPair(Layer):
@@ -74,11 +109,10 @@ class InvariantPair(Layer):
     def __init__(self, w1, w2):
         self.weights = ad.Tensor(np.array([w1, w2], float), requires_grad=True)
 
-    def forward(self, t):
-        p, c2, length = t.shape
-        c = c2 // 2
-        pair = ad.reshape(t, (p, 2, c, length))
-        per_member = ad.ordered_sum(pair, axis=3)  # (p, 2, c)
+    def forward(self, t, weights=None):
+        per_site = _site_sum(t, weights)  # (p, 2c)
+        p, c2 = per_site.shape
+        per_member = ad.reshape(per_site, (p, 2, c2 // 2))
         total = ad.tensor_sum(per_member, axis=1)  # member order is fixed
         return self.weights[0] * total + self.weights[1]
 
@@ -98,7 +132,7 @@ class ChannelConv(Layer):
         scale = 1.0 / np.sqrt(c_in)
         return cls(rng.normal(0.0, scale, size=(c_out, c_in)), np.zeros(c_out), activation)
 
-    def forward(self, t):
+    def forward(self, t, weights=None):
         moved = ad.moveaxis(t, 1, 2)  # (batch, site, c_in)
         out = ad.moveaxis(moved @ ad.moveaxis(self.weight, 0, 1), 2, 1)
         out = out + ad.reshape(self.bias, (1, -1, 1))
@@ -109,7 +143,7 @@ class PerMemberConv(ChannelConv):
     """ChannelConv applied separately (with shared weights) to each member
     block of a pair tensor, preserving the pair block structure."""
 
-    def forward(self, t):
+    def forward(self, t, weights=None):
         p, c2, length = t.shape
         c = c2 // 2
         folded = ad.reshape(t, (p * 2, c, length))
@@ -131,6 +165,10 @@ class DeepSetsMix(Layer):
         self.use_taxa = use_taxa
         self.activation = activation
 
+    @property
+    def mixes_taxa(self):
+        return self.use_taxa
+
     @classmethod
     def random(cls, c_in, c_out, rng, use_taxa, activation="elu"):
         s = 1.0 / np.sqrt(c_in)
@@ -147,10 +185,9 @@ class DeepSetsMix(Layer):
         moved = ad.moveaxis(t, 1, 2)
         return ad.moveaxis(moved @ ad.moveaxis(w, 0, 1), 2, 1)
 
-    def forward(self, t):
-        length = t.shape[2]
+    def forward(self, t, weights=None):
         out = self._mix(self.w_self, t)
-        site_ctx = ad.ordered_sum(t, axis=2, keepdims=True) * (1.0 / length)
+        site_ctx = _site_mean(t, weights, keepdims=True)
         out = out + self._mix(self.w_site, site_ctx)
         if self.use_taxa:
             taxa_ctx = ad.ordered_sum(t, axis=0, keepdims=True) * (1.0 / t.shape[0])
@@ -195,7 +232,11 @@ class Attention(Layer):
     def heads(self):
         return self.w_q.shape[0]
 
-    def forward(self, t):
+    @property
+    def mixes_taxa(self):
+        return self.axis == "taxa"
+
+    def forward(self, t, weights=None):
         d = t.shape[1]
         if self.axis == "site":
             x = ad.moveaxis(t, 1, 2)  # (rows, site, d): tokens = sites
@@ -208,6 +249,8 @@ class Attention(Layer):
             k = x @ self.w_k[h]
             v = x @ self.w_v[h]
             scores = (q @ ad.moveaxis(k, -1, -2)) * scale
+            if weights is not None:  # pattern tokens: keys repeat count times
+                scores = scores + weights.log_counts
             attn = ad.softmax(scores, axis=-1)
             outs.append(attn @ v)
         update = outs[0] if self.heads == 1 else ad.concat(outs, axis=-1)
@@ -222,8 +265,8 @@ class MeanPoolSites(Layer):
 
     param_names = ()
 
-    def forward(self, t):
-        return ad.ordered_sum(t, axis=2) * (1.0 / t.shape[2])
+    def forward(self, t, weights=None):
+        return _site_mean(t, weights)
 
 
 class Dense(Layer):

@@ -206,19 +206,23 @@ def fit_scalar_head(
 
     pwl_lstsq: single-hidden-layer ReLU map with knots spread over the x
     range and least-squares output weights (deterministic).  adam: an ELU
-    MLP trained full-batch under MAE with cosine decay.
+    MLP trained full-batch under MAE with cosine decay.  Both fit the unique
+    (x, y) samples weighted by their multiplicity, which leaves the least
+    squares and the MAE of the full sample set unchanged.
     """
     x = np.asarray(x, float).reshape(-1)
     y = np.asarray(y, float).reshape(-1)
     if x.size < 2 or x.size != y.size:
         raise ConfigError("need at least two (x, y) samples of equal length")
+    (x, y), counts = np.unique(np.stack([x, y]), axis=1, return_counts=True)
     if method == "pwl_lstsq":
         lo, hi = float(x.min()), float(x.max())
         if hi <= lo:
             raise ConfigError("degenerate sample set: all x identical")
         t = np.linspace(lo, hi, knots, endpoint=False)
         basis = np.concatenate([np.maximum(x[:, None] - t[None, :], 0.0), np.ones((x.size, 1))], axis=1)
-        coeffs, *_ = np.linalg.lstsq(basis, y, rcond=None)
+        root = np.sqrt(counts)
+        coeffs, *_ = np.linalg.lstsq(basis * root[:, None], y * root, rcond=None)
         h = Dense(np.ones((1, knots)), -t, "relu")
         out = Dense(coeffs[:-1][:, None], coeffs[-1:], "identity")
         return ScalarMLP([h, out])
@@ -229,9 +233,10 @@ def fit_scalar_head(
     params = [p for _, p in mlp.params()]
     opt = Adam(params)
     xs = x[:, None]
+    share = counts / counts.sum()
     for step in range(epochs):
         pred = mlp.forward(ad.Tensor(xs))
-        loss = ad.mean(ad.absolute(pred - y))
+        loss = ad.tensor_sum(ad.absolute(pred - y) * share)
         value = float(loss.data)
         if not math.isfinite(value):
             raise TrainingDiverged(step, 0, _param_norm(params))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phylodist import autodiff as ad
 from phylodist.alignment import Alignment
 from phylodist.errors import ConfigError, NumericError
 from phylodist.losses import batch_loss
@@ -17,6 +18,9 @@ from phylodist.net.architectures import (
     site_pattern_compression,
 )
 from phylodist.net.layers import ChannelConv, Dense, ScalarMLP
+from phylodist.net.reference import build_reference_net
+
+from util import naive_site_forward
 
 SMALL = dict(channels=8, heads=2, embed_dim=6, g_hidden=(6,))
 
@@ -120,6 +124,75 @@ def test_pair_scatter_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+# -- site-local networks on pattern tokens ------------------------------------------
+
+
+def oracle_alignments(rng):
+    """Random rows plus inputs that leave site patterns absent."""
+    labels = [f"x{(3 * i) % 5}{i}" for i in range(5)]  # input rows out of label order
+    random_rows = rng.integers(0, 4, size=(5, 9), dtype=np.int8)
+    copied = random_rows.copy()
+    copied[3] = copied[0]
+    copied[4] = copied[0][::-1]  # same composition, other order
+    return [
+        Alignment(labels, random_rows),
+        Alignment(labels, copied),
+        Alignment(labels, np.full((5, 9), 2, dtype=np.int8)),
+        Alignment(labels, rng.integers(0, 4, size=(5, 1), dtype=np.int8)),
+    ]
+
+
+def site_local_specs(length, rng):
+    yield build_small("SitesAttentionP", seed=3)
+    yield build_small("SitesInvariantS", seed=3)
+    yield build_architecture("SitesInvariantS", head="inner_product", seed=3, **SMALL)
+    for target in ("H", "JC", "K2P"):
+        spec = build_reference_net(target, length)
+        for p in spec.parameters():
+            p.data = p.data + rng.normal(0.0, 0.5, size=p.shape)
+        yield spec
+
+
+def test_site_local_nets_match_per_site_oracle():
+    rng = np.random.default_rng(31)
+    for aln in oracle_alignments(rng):
+        for spec in site_local_specs(aln.length, rng):
+            assert spec.site_local
+            probe = rng.normal(size=(aln.n, aln.n))
+            results = []
+            for forward in (lambda: forward_matrix(spec, aln)[1], lambda: naive_site_forward(spec, aln)):
+                out = forward()
+                grads = ad.gradients(ad.tensor_sum(out * probe), spec.parameters())
+                results.append([out.data] + grads)
+            for fast, naive in zip(*results):
+                assert np.all(np.isfinite(fast)), spec.architecture
+                scale = max(1.0, float(np.max(np.abs(naive))))
+                assert np.max(np.abs(fast - naive)) <= 1e-10 * scale, (spec.architecture, aln.length)
+
+
+def test_taxa_mixing_nets_are_not_site_local():
+    for name in ARCHITECTURES:
+        assert build_small(name).site_local == (name in ("SitesInvariantS", "SitesAttentionP"))
+
+
+def test_site_attention_memory_does_not_grow_with_length():
+    # per-site attention held (P, L, L) scores: 577 MB here at L=400
+    spec = build_architecture("SitesAttentionP", channels=8, heads=2, seed=1)
+    rng = np.random.default_rng(12)
+    short, long = (random_alignment(rng, n=4, length=length) for length in (400, 40_000))
+    forward_matrix(spec, short)  # warm-up
+    tracemalloc.start()
+    try:
+        _, out = forward_matrix(spec, short)
+        ad.tensor_sum(out**2).backward()
+        assert tracemalloc.get_traced_memory()[1] < 8e6
+        tracemalloc.reset_peak()
+        forward_matrix(spec, long)  # checked only once L=400 fits
+        assert tracemalloc.get_traced_memory()[1] < 8e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_head_architecture_compatibility():

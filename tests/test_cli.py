@@ -206,6 +206,10 @@ def test_exit_codes(tmp_path):
     newick = tmp_path / "tree.nwk"
     newick.write_text("((a:1,b:1):1,c:1);\n")
     assert run("audit", "--matrix", newick) == 3  # a TSV header naming no taxa
+    one = tmp_path / "one.fasta"
+    one.write_text(">a\nACGTACGTAC\n")
+    save_network(build_reference_net("H", 10), ckpt)
+    assert run("infer", "--alignments", one, "--checkpoint", ckpt, "--out", tmp_path / "z") == 3
 
 
 def test_boolean_flags_and_config_values_turn_off(tmp_path):

@@ -9,6 +9,7 @@ from phylodist.distances import (
     k2p_correct,
     transition_transversion_fractions,
 )
+from phylodist.errors import DataError
 from phylodist.net.architectures import network_forward, pair_values
 from phylodist.net.reference import (
     JC_RANGE,
@@ -45,6 +46,15 @@ def test_hamming_net_exact():
         vals = pair_values(net, onehot(x), onehot(y))
         ref = np.array([d_hamming(a, b) for a, b in zip(x, y)])
         assert np.max(np.abs(vals - ref)) < 1e-6
+
+
+def test_pair_values_rejects_non_onehot_batches():
+    net = build_reference_net("H", 10)
+    x, y = random_pairs(np.random.default_rng(2), 3, 10)
+    soft = onehot(y) * 0.5
+    for bad in (soft, onehot(y)[:2], onehot(y)[:, :, :9]):
+        with pytest.raises(DataError):
+            pair_values(net, onehot(x), bad)
 
 
 def test_jc_net_matches_formula_on_fitted_range():

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from phylodist import autodiff as ad
+from phylodist.net.layers import MeanPoolSites
 from phylodist.tree import PhyloTree
 
 
@@ -158,3 +160,36 @@ def naive_splits(tree):
                 side = taxa - side
             out.add(frozenset(side))
     return frozenset(out)
+
+
+def naive_site_forward(spec, aln):
+    """Per-site forward oracle: every layer runs without site weights on all
+    L one-hot columns, the pair stack on the full (P, 2h, L) tensor of the
+    label-sorted pairs.  Returns the (n, n) output tensor in input row order,
+    scattered through a dense 0/1 matrix."""
+    n = aln.n
+    rows = sorted(range(n), key=lambda i: aln.labels[i])
+    pairs = [(rows[a], rows[b]) for a in range(n) for b in range(a + 1, n)]
+    ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
+    t = ad.Tensor(aln.onehot())
+    for layer in spec.seq_stack:
+        t = layer.forward(t)
+    if spec.is_pair_net:
+        pair = ad.concat([t[ii], t[jj]], axis=1)
+        for layer in spec.pair_stack:
+            pair = layer.forward(pair)
+        if pair.ndim == 3:
+            pair = MeanPoolSites().forward(pair)
+        vals = spec.g.forward(pair)
+        if spec.config.get("nonneg") == "softplus":
+            vals = ad.softplus(vals)
+    else:
+        z = spec.embed.forward(MeanPoolSites().forward(t))
+        if spec.head == "inner_product":
+            return z @ ad.moveaxis(z, 0, 1)
+        diff = z[ii] - z[jj]
+        vals = ad.sqrt(ad.tensor_sum(diff * diff, axis=1))
+    scatter = np.zeros((len(pairs), n * n))
+    for p, (i, j) in enumerate(pairs):
+        scatter[p, i * n + j] = scatter[p, j * n + i] = 1.0
+    return ad.reshape(vals @ scatter, (n, n))
