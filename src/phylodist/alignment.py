@@ -21,6 +21,21 @@ _CODES[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(N_ST
 TRANSITIONS = frozenset({(0, 2), (1, 3)})
 
 
+# Sites per indicator block: pair counts hold O(n * _BLOCK_SITES) floats of
+# indicators next to their O(n^2) count matrices.
+_BLOCK_SITES = 128
+
+
+def indicator_blocks(states):
+    """(n, 4, B) float64 0/1 indicators of an n x L state matrix, for
+    consecutive blocks of at most _BLOCK_SITES sites: [i, a, s] is 1 when row
+    i has state a at site s of the block.  Gram products of these blocks,
+    summed, count state co-occurrences exactly (integers below 2^53)."""
+    for start in range(0, states.shape[1], _BLOCK_SITES):
+        block = states[:, None, start : start + _BLOCK_SITES]
+        yield (block == np.arange(N_STATES)[:, None]).astype(np.float64)
+
+
 class Alignment:
     """Immutable n x L alignment over {A, C, G, T}."""
 

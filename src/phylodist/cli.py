@@ -238,20 +238,7 @@ def cmd_infer(args):
         raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
     net = load_network(cfg["checkpoint"]) if cfg["checkpoint"] else None
 
-    if cfg["matrices"]:
-        paths = _input_paths(cfg["matrices"], ".tsv", "matrices")
-
-        def one_matrix(path):
-            d = read_tsv(path)
-            stem = os.path.join(cfg["out"], os.path.basename(path).split(".")[0])
-            _write_text(f"{stem}.nwk", serialize_newick(build(d)) + "\n")
-
-        _map(one_matrix, paths, cfg["threads"])
-        write_manifest(cfg, "infer", cfg["out"])
-        print(f"inferred {len(paths)} tree(s) from matrices in {cfg['out']}")
-        return 0
-
-    def one(path):
+    def from_alignment(path):
         aln = _read_alignment(path)
         if net is not None:
             d = network_forward(net, aln)
@@ -263,17 +250,25 @@ def cmd_infer(args):
                 f"{path}: degenerate zero distance matrix (all sequences identical; "
                 "any star tree fits equally well)"
             )
-        stem = os.path.join(cfg["out"], os.path.splitext(os.path.basename(path))[0])
-        if cfg["dump_matrix"]:
-            _atomic_write(f"{stem}.dist.tsv", lambda p: write_tsv(d, p))
-        tree = build(d)
-        _write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
-        return stem
+        return d
 
-    paths = _input_paths(cfg["alignments"], ALIGNMENT_EXTENSIONS, "alignments")
+    if cfg["matrices"]:
+        paths = _input_paths(cfg["matrices"], ".tsv", "matrices")
+        distances, source = read_tsv, " from matrices"
+    else:
+        paths = _input_paths(cfg["alignments"], ALIGNMENT_EXTENSIONS, "alignments")
+        distances, source = from_alignment, ""
+
+    def one(path):
+        d = distances(path)
+        stem = os.path.join(cfg["out"], os.path.splitext(os.path.basename(path))[0])
+        if cfg["dump_matrix"] and not cfg["matrices"]:
+            _atomic_write(f"{stem}.dist.tsv", lambda p: write_tsv(d, p))
+        _write_text(f"{stem}.nwk", serialize_newick(build(d)) + "\n")
+
     _map(one, paths, cfg["threads"])
     write_manifest(cfg, "infer", cfg["out"])
-    print(f"inferred {len(paths)} tree(s) in {cfg['out']}")
+    print(f"inferred {len(paths)} tree(s){source} in {cfg['out']}")
     return 0
 
 

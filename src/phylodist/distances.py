@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import N_STATES, TRANSITIONS, Alignment
+from .alignment import TRANSITIONS, Alignment, indicator_blocks
 from .errors import ConfigError, DataError, SaturationError
 from .matrices import DistanceMatrix
 
@@ -99,10 +99,6 @@ def d_k2p(x, y, policy=SaturationPolicy()):
 
 _KINDS = ("hamming", "jc", "k2p")
 
-# Sites per block of the one-hot indicator matrix: distance_matrix holds
-# O(n * _BLOCK_SITES) floats of indicators next to its O(n^2) count matrices.
-_BLOCK_SITES = 128
-
 
 def _pair_counts(states, transitions):
     """Matching and transition counts of every row pair of an n x L state matrix.
@@ -110,14 +106,13 @@ def _pair_counts(states, transitions):
     Row i of X is the 0/1 indicator of its states, laid out as the A, C, G
     and T blocks of sites, so X Xᵀ counts matches.  The A,C half times the
     G,T half counts the A-G and C-T pairs (alignment.TRANSITIONS) in one
-    orientation.  Integer counts below 2^53 are exact in float64.
+    orientation.
     """
-    n, length = states.shape
+    n = states.shape[0]
     matches = np.zeros((n, n))
     ts = np.zeros((n, n)) if transitions else None
-    for start in range(0, length, _BLOCK_SITES):
-        block = states[:, None, start : start + _BLOCK_SITES]
-        x = (block == np.arange(N_STATES)[:, None]).reshape(n, -1).astype(np.float64)
+    for block in indicator_blocks(states):
+        x = block.reshape(n, -1)
         matches += x @ x.T
         if transitions:
             half = x.shape[1] // 2

@@ -12,7 +12,9 @@ the reference nets) depend on an alignment only through its site-pattern
 counts, so they run on weighted pattern tokens instead of L site columns:
 4 state tokens per taxon, weighted by its base composition, and 16 joint
 tokens per pair, weighted by the pair's 4x4 state counts.  Their cost does
-not grow with L.  Networks that mix taxa run on the L site columns.
+not grow with L, and only they give a pair a value of its own, so only they
+run under pair_values on explicit pairs.  Networks that mix taxa run on the
+L site columns of a whole alignment.
 
 Templates (channels d, heads H):
   SitesInvariantS   input conv + 2 site-context mix layers
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from .. import autodiff as ad
-from ..alignment import N_STATES
+from ..alignment import N_STATES, indicator_blocks
 from ..errors import ConfigError, DataError, NumericError
 from ..matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov
 from ..rng import substream
@@ -42,9 +44,6 @@ ARCHITECTURES = (
     "FullAttentionS",
     "FullAttentionSP",
 )
-REFERENCE_ARCHITECTURES = ("ReferenceH", "ReferenceJC", "ReferenceK2P")
-
-HEADS = ("euclidean", "inner_product", "pair_scalar")
 
 
 def default_embed_dim(n_taxa):
@@ -124,9 +123,16 @@ def build_architecture(
 
     S templates accept head "euclidean" (default) or "inner_product"; P
     templates always use the "pair_scalar" head with a softplus output.
+    Every size (channels, heads, embed_dim, g_hidden entries) must be >= 1.
     """
     if name not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture {name!r}; options {ARCHITECTURES}")
+    if embed_dim is None:
+        embed_dim = default_embed_dim(n_taxa) if n_taxa else 16
+    sizes = [("channels", channels), ("heads", heads), ("embed_dim", embed_dim)]
+    for key, value in sizes + [("g_hidden", v) for v in g_hidden]:
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
     rng = substream(seed, "init", name)
     d = channels
     is_pair = name.endswith("P")
@@ -136,8 +142,6 @@ def build_architecture(
         raise ConfigError(f"{name} requires the pair_scalar head")
     if not is_pair and head not in ("euclidean", "inner_product"):
         raise ConfigError(f"{name} requires a euclidean or inner_product head")
-    if embed_dim is None:
-        embed_dim = default_embed_dim(n_taxa) if n_taxa else 16
 
     seq_stack, pair_stack, embed, g = [], [], None, None
     if name == "SitesInvariantS":
@@ -216,20 +220,17 @@ def _scatter_symmetric(values, n, ii, jj):
 # 4a + b joins state a of the first member with state b of the second.
 _STATE_TOKENS = np.eye(N_STATES)[None]  # (1, channel, token)
 _FIRST, _SECOND = np.divmod(np.arange(N_STATES * N_STATES), N_STATES)
-_BLOCK_SITES = 512  # sites per block of the one-hot in _joint_counts
 
 
 def _joint_counts(states):
     """(n, 4, n, 4) counts: [i, a, j, b] = sites where row i has a and row j has b.
 
-    The Gram product of the (4n, L) one-hot, summed over blocks of sites;
-    integer counts below 2^53 are exact in float64.
+    The Gram product of the (4n, L) one-hot, summed over blocks of sites.
     """
-    n, length = states.shape
+    n = states.shape[0]
     gram = np.zeros((N_STATES * n, N_STATES * n))
-    for start in range(0, length, _BLOCK_SITES):
-        block = states[:, None, start : start + _BLOCK_SITES]
-        x = (block == np.arange(N_STATES)[:, None]).reshape(N_STATES * n, -1).astype(float)
+    for block in indicator_blocks(states):
+        x = block.reshape(N_STATES * n, -1)
         gram += x @ x.T
     return gram.reshape(n, N_STATES, n, N_STATES)
 
@@ -337,19 +338,18 @@ def forward_embedding(spec, aln):
 
 
 def pair_values(spec, x_batch, y_batch):
-    """Evaluate a pair network on a batch of explicit one-hot pairs.
+    """Evaluate a site-local pair network on a batch of explicit one-hot pairs.
 
-    x_batch, y_batch: (B, 4, L) arrays; returns (B,) distances.
+    x_batch, y_batch: (B, 4, L) arrays; returns (B,) distances, each pair's
+    independent of the rest of the batch.  A pair network that mixes taxa
+    has no value for a pair on its own (it depends on the whole alignment),
+    so it raises ConfigError.
     """
-    if not spec.is_pair_net:
-        raise ConfigError("pair_values requires a pair network")
+    if not (spec.is_pair_net and spec.site_local):
+        raise ConfigError("pair_values requires a pair network that does not mix taxa")
     x = np.asarray(x_batch, float)
     y = np.asarray(y_batch, float)
     _check_length(spec, x.shape[-1])
-    if not spec.site_local:
-        tx = _run(spec.seq_stack, ad.Tensor(x))
-        ty = _run(spec.seq_stack, ad.Tensor(y))
-        return _pair_tail(spec, ad.concat([tx, ty], axis=1)).data
     both = np.concatenate([x, y]) if x.shape == y.shape else None
     if both is None or not (np.all((both == 0) | (both == 1)) and np.all(both.sum(axis=1) == 1)):
         raise DataError("pair_values needs two equally shaped one-hot batches")

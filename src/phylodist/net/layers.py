@@ -52,6 +52,11 @@ def _site_mean(t, weights, keepdims=False):
     return _site_sum(t, weights, keepdims) * (1.0 / length)
 
 
+def _channel_map(w, t):
+    """(c_out, c_in) weights applied at every site of a (rows, c_in, site) tensor."""
+    return ad.moveaxis(ad.moveaxis(t, 1, 2) @ ad.moveaxis(w, 0, 1), 2, 1)
+
+
 class Layer:
     """Common surface: forward(tensor, weights=None), named parameter list."""
 
@@ -95,8 +100,7 @@ class EquivariantPair(Layer):
             w1, w2, w3, w4, w5 = (w[k] for k in range(5))
             blocks_x.append(act(w1 * x + w2 * y + w3 * sx + w4 * sy + w5))
             blocks_y.append(act(w1 * y + w2 * x + w3 * sy + w4 * sx + w5))
-        out_x = blocks_x[0] if n_heads == 1 else ad.concat(blocks_x, axis=1)
-        out_y = blocks_y[0] if n_heads == 1 else ad.concat(blocks_y, axis=1)
+        out_x, out_y = ad.concat(blocks_x, axis=1), ad.concat(blocks_y, axis=1)
         both = ad.stack([out_x, out_y], axis=1)  # weights may broadcast the rows
         return ad.reshape(both, (both.shape[0], 2 * n_heads * c, length))
 
@@ -133,9 +137,7 @@ class ChannelConv(Layer):
         return cls(rng.normal(0.0, scale, size=(c_out, c_in)), np.zeros(c_out), activation)
 
     def forward(self, t, weights=None):
-        moved = ad.moveaxis(t, 1, 2)  # (batch, site, c_in)
-        out = ad.moveaxis(moved @ ad.moveaxis(self.weight, 0, 1), 2, 1)
-        out = out + ad.reshape(self.bias, (1, -1, 1))
+        out = _channel_map(self.weight, t) + ad.reshape(self.bias, (1, -1, 1))
         return _act(self.activation)(out)
 
 
@@ -181,17 +183,13 @@ class DeepSetsMix(Layer):
             activation,
         )
 
-    def _mix(self, w, t):
-        moved = ad.moveaxis(t, 1, 2)
-        return ad.moveaxis(moved @ ad.moveaxis(w, 0, 1), 2, 1)
-
     def forward(self, t, weights=None):
-        out = self._mix(self.w_self, t)
+        out = _channel_map(self.w_self, t)
         site_ctx = _site_mean(t, weights, keepdims=True)
-        out = out + self._mix(self.w_site, site_ctx)
+        out = out + _channel_map(self.w_site, site_ctx)
         if self.use_taxa:
             taxa_ctx = ad.ordered_sum(t, axis=0, keepdims=True) * (1.0 / t.shape[0])
-            out = out + self._mix(self.w_taxa, taxa_ctx)
+            out = out + _channel_map(self.w_taxa, taxa_ctx)
         out = out + ad.reshape(self.bias, (1, -1, 1))
         return _act(self.activation)(out)
 
@@ -253,8 +251,7 @@ class Attention(Layer):
                 scores = scores + weights.log_counts
             attn = ad.softmax(scores, axis=-1)
             outs.append(attn @ v)
-        update = outs[0] if self.heads == 1 else ad.concat(outs, axis=-1)
-        x = x + update
+        x = x + ad.concat(outs, axis=-1)
         if self.axis == "site":
             return ad.moveaxis(x, 2, 1)
         return ad.moveaxis(x, 0, 2)

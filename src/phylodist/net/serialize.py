@@ -59,10 +59,11 @@ def _field(path, table, key, *types):
 
 
 def _sizes(path, table, key, *types):
-    """A header field holding a positive int, or a list or absence of them."""
+    """A header field holding an int, or a list or absence of them; building
+    the network checks that each is >= 1."""
     value = _field(path, table, key, *types)
     items = value if type(value) is list else [value] if value is not None else []
-    if any(type(v) is not int or v < 1 for v in items):
+    if any(type(v) is not int for v in items):
         raise DataError(f"{path}: weights file header field {key!r} is malformed")
     return value
 

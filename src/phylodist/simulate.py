@@ -15,7 +15,7 @@ import numpy as np
 from .alignment import Alignment, TRANSITIONS
 from .errors import ConfigError
 from .rng import substream
-from .tree import PhyloTree
+from .tree import PhyloTree, scale_branches
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,6 @@ def simulate_bd_tree(params, seed):
     by lambda - mu), keeping typical tree diameters in the low single digits;
     pure-birth trees are unaffected.  Deterministic per seed.
     """
-    from .tree import scale_branches
-
     rng = substream(seed, "bd-tree")
     width = len(str(params.n))
     labels = [f"t{i + 1:0{width}d}" for i in range(params.n)]
@@ -231,21 +229,14 @@ def transition_probabilities(model, t):
     return _stochastic_rows(u, np.exp(w * t), wt)
 
 
-def _sample_categorical(rng, probs):
-    """One draw per row of a stochastic matrix, via inverse CDF."""
-    cdf = np.cumsum(probs, axis=1)
-    cdf[:, -1] = 1.0
-    u = rng.random(probs.shape[0])
-    return (u[:, None] > cdf).sum(axis=1).astype(np.int8)
-
-
 def _sample_rows(rng, p, rows):
-    """One draw per entry of rows, from that row of the 4 x 4 stochastic p.
+    """One draw per entry of rows, by inverse CDF from that row of the
+    stochastic matrix p: the branch's 4 x 4 P(t), or one row per site under
+    Gamma rates (rows = 0..L-1).
 
-    Draw for draw equal to _sample_categorical(rng, p[rows]): the same
-    cumulative sums and uniforms, counted with three per-threshold compares
-    (that function's fourth threshold is 1.0, which no uniform in [0, 1)
-    exceeds).
+    One uniform per draw; the state is the number of the first three
+    cumulative sums of its row that the uniform exceeds.  The fourth is
+    taken as 1.0, which no uniform in [0, 1) exceeds, so it is not compared.
     """
     cdf = np.cumsum(p, axis=1)
     u = rng.random(rows.shape[0])
@@ -291,7 +282,7 @@ def evolve_alignment(tree, model, length, seed):
             states[v] = _sample_rows(rng, _stochastic_rows(u, np.exp(w * t), wt), ps)
         else:
             probs = _stochastic_rows(u[ps, :], np.exp(np.outer(rates * t, w)), wt)
-            states[v] = _sample_categorical(rng, probs)
+            states[v] = _sample_rows(rng, probs, np.arange(length))
 
     labels = [tree.label(v) for v in tree.leaves]
     return Alignment(labels, np.stack([states[v] for v in tree.leaves]))

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from phylodist.net.architectures import (
     forward_embedding,
     forward_matrix,
     network_forward,
+    pair_values,
     site_pattern_compression,
 )
 from phylodist.net.layers import ChannelConv, Dense, ScalarMLP
@@ -126,6 +128,40 @@ def test_pair_scatter_memory_is_bounded():
     assert peak < 100e6
 
 
+# Recorded before the layer and pair_values paths were merged; pins the forward
+# values and gradients of every architecture bit for bit.
+FORWARD_DIGEST = "f72dad581a82ed736d96c0843484eb42102c4d2b4235a7fdb900b87e168c052d"
+
+
+def test_forward_values_match_golden_digest():
+    rng = np.random.default_rng(41)
+    aln = Alignment(["t3", "t1", "t4", "t0", "t2"], rng.integers(0, 4, size=(5, 12), dtype=np.int8))
+    target = rng.uniform(0.1, 2.0, size=(5, 5))
+    target = target + target.T
+    h = hashlib.sha256()
+
+    def add(spec, out):
+        h.update(np.ascontiguousarray(out.data).tobytes())
+        for g in ad.gradients(batch_loss("mae", [(out, target)]), spec.parameters()):
+            h.update(np.ascontiguousarray(g).tobytes())
+
+    for name in ARCHITECTURES:
+        for n_heads in (1, 2):
+            for head in (None,) if name.endswith("P") else ("euclidean", "inner_product"):
+                spec = build_architecture(
+                    name, head=head, channels=8, heads=n_heads, embed_dim=6, g_hidden=(6,), seed=5
+                )
+                add(spec, forward_matrix(spec, aln)[1])
+    x, y = (np.moveaxis(np.eye(4)[rng.integers(0, 4, size=(6, 12))], -1, -2) for _ in range(2))
+    for target_name in ("H", "JC", "K2P"):
+        spec = build_reference_net(target_name, 12)
+        for p in spec.parameters():  # the fitted weights vary with the LAPACK build
+            p.data = rng.normal(0.0, 0.5, size=p.shape)
+        h.update(np.ascontiguousarray(pair_values(spec, x, y)).tobytes())
+        add(spec, forward_matrix(spec, aln)[1])
+    assert h.hexdigest() == FORWARD_DIGEST
+
+
 # -- site-local networks on pattern tokens ------------------------------------------
 
 
@@ -175,6 +211,14 @@ def test_site_local_nets_match_per_site_oracle():
 def test_taxa_mixing_nets_are_not_site_local():
     for name in ARCHITECTURES:
         assert build_small(name).site_local == (name in ("SitesInvariantS", "SitesAttentionP"))
+
+
+@pytest.mark.parametrize("name", ["HybridAttentionSP", "FullAttentionSP"])
+def test_pair_values_rejects_taxa_mixing_nets(name):
+    # taxa attention would mix the unrelated pairs of one batch
+    x = np.moveaxis(np.eye(4)[np.random.default_rng(13).integers(0, 4, size=(3, 10))], -1, -2)
+    with pytest.raises(ConfigError):
+        pair_values(build_small(name), x, x)
 
 
 def test_site_attention_memory_does_not_grow_with_length():

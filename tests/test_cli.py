@@ -210,6 +210,10 @@ def test_exit_codes(tmp_path):
     one.write_text(">a\nACGTACGTAC\n")
     save_network(build_reference_net("H", 10), ckpt)
     assert run("infer", "--alignments", one, "--checkpoint", ckpt, "--out", tmp_path / "z") == 3
+    # network sizes below 1 are configuration errors, not tracebacks
+    for sizes in (["--heads", "0"], ["--arch", "SitesInvariantS", "--channels", "0"],
+                  ["--channels", "-4"]):
+        assert run("train", "--out", tmp_path / "t", *sizes) == 2
 
 
 def test_boolean_flags_and_config_values_turn_off(tmp_path):
@@ -245,6 +249,13 @@ def test_infer_from_matrix_tsv(tmp_path):
 
     t = read_newick_file(out / "m0.nwk")[0]
     assert rf_distance(t, src) == 0.0
+    # a dot before the extension stays in the output name
+    other = random_binary_tree(rng, 8, rooted=False)
+    write_tsv(patristic_matrix(other), mdir / "run.1.tsv")
+    write_tsv(d, mdir / "run.2.tsv")
+    assert run("infer", "--matrices", mdir, "--out", out) == 0
+    assert rf_distance(read_newick_file(out / "run.1.nwk")[0], other) == 0.0
+    assert rf_distance(read_newick_file(out / "run.2.nwk")[0], src) == 0.0
 
 
 def test_infer_from_deep_caterpillar_matrix(tmp_path):

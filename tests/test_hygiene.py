@@ -1,5 +1,6 @@
 """Source hygiene: every name a library module imports is used in it, and
-every function it defines is referenced somewhere in the repository."""
+every function it defines and every name it binds at module level is read
+somewhere in the repository."""
 
 import ast
 from pathlib import Path
@@ -42,10 +43,11 @@ REFERENCING = sorted(
 
 
 def referenced_names(source):
-    """Every name a module mentions: bare names, attributes and import aliases."""
+    """Every name a module reads: bare names not assigned to, attributes and
+    import aliases."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -84,3 +86,42 @@ def test_guard_flags_an_unreferenced_function():
     )
     referenced = referenced_names("from m import used\nC().other()\n")
     assert dead_definitions(source, referenced) == [(3, "unused"), (8, "gone")]
+
+
+def unread_module_names(source, referenced):
+    """(line, name) of each non-dunder name that source binds at module level,
+    by assignment or class statement, and that is not in referenced."""
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            bound += [(node.lineno, n.id) for n in names]
+    return sorted(
+        (line, name)
+        for line, name in bound
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_every_module_level_name_is_read():
+    referenced = set().union(*(referenced_names(p.read_text()) for p in REFERENCING))
+    unread = {
+        str(p.relative_to(PACKAGE)): found
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if (found := unread_module_names(p.read_text(), referenced))
+    }
+    assert unread == {}
+
+
+def test_guard_flags_an_unread_module_name():
+    source = (
+        "USED = 1\nUNUSED = 2\n_A, _B = 3, 4\nSTORED_ONLY: int = 5\n"
+        "class Kept:\n    pass\nclass Gone:\n    pass\n__all__ = []\n"
+    )
+    referenced = referenced_names("from m import USED, Kept\nprint(_A)\nSTORED_ONLY = 6\n")
+    assert unread_module_names(source, referenced) == [
+        (2, "UNUSED"), (3, "_B"), (4, "STORED_ONLY"), (7, "Gone"),
+    ]

@@ -17,10 +17,10 @@ from phylodist.errors import DataError, SaturationError
 from phylodist.embed import measure_distortion
 from phylodist.matrices import DistanceMatrix, inverse_gromov
 from phylodist.nj import bionj, neighbor_join
-from phylodist.simulate import _sample_categorical, _sample_rows
+from phylodist.simulate import _sample_rows
 from phylodist.tree import covariance_matrix, patristic_matrix, serialize_newick
 
-from util import random_binary_tree, reference_join
+from util import random_binary_tree, reference_join, sample_categorical
 
 seq = st.lists(st.integers(0, 3), min_size=1, max_size=60)
 
@@ -184,10 +184,12 @@ def stochastic_4x4(draw):
 @settings(max_examples=200, deadline=None)
 def test_per_branch_sampler_equals_per_site_sampler(p, rows, seed):
     rows = np.array(rows, dtype=np.int8)
-    got = _sample_rows(np.random.default_rng(seed), p, rows)
-    want = _sample_categorical(np.random.default_rng(seed), p[rows])
-    assert got.dtype == want.dtype == np.int8
-    assert np.array_equal(got, want)
+    want = sample_categorical(np.random.default_rng(seed), p[rows])
+    # per branch (4 x 4 P(t)) and per site (one row per site, as under Gamma rates)
+    for probs, index in ((p, rows), (p[rows], np.arange(len(rows)))):
+        got = _sample_rows(np.random.default_rng(seed), probs, index)
+        assert got.dtype == want.dtype == np.int8
+        assert np.array_equal(got, want)
 
 
 @given(st.integers(4, 40), st.integers(0, 2**32 - 1), st.booleans())

@@ -97,6 +97,15 @@ def reference_join(labels, d, weighted):
     return "(" + ",".join(ends) + ");", trace
 
 
+def sample_categorical(rng, probs):
+    """One draw per row of a stochastic matrix, via inverse CDF over all four
+    cumulative sums, the last set to 1.0."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf[:, -1] = 1.0
+    u = rng.random(probs.shape[0])
+    return (u[:, None] > cdf).sum(axis=1).astype(np.int8)
+
+
 def leaf_paths_to_root(tree):
     """node index -> list of nodes from leaf up to the root (inclusive)."""
     paths = {}
