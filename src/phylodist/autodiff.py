@@ -3,13 +3,21 @@
 Every operation appends a node to an implicit tape (the expression graph):
 nodes cache their forward value and know how to push gradients to their
 parents.  ``backward()`` on a scalar fills the ``grad`` buffer of every
-reachable tensor.
+reachable tensor.  Inside ``with no_tape():`` operations compute the same
+values but return parentless tensors, so nothing is kept for a backward
+pass; the switch is a context variable, so each thread has its own.
 
 The op set is exactly what the network layers and losses require; reductions
 that must be invariant to input permutations (site sums in equivariant
 layers, pooling) use ``ordered_sum``, which sorts before summing so the
-result depends only on the multiset of addends.
+result depends only on the multiset of addends.  ``attention`` is one node
+per head: it keeps only the softmax probabilities, not the score
+intermediates, and its backward replays the chain rule of the separate
+matmul, scale, log-count and softmax steps op for op.
 """
+
+import contextvars
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -140,7 +148,22 @@ def parameter(data):
     return Tensor(np.array(data, dtype=float), requires_grad=True)
 
 
+_TAPE = contextvars.ContextVar("phylodist_tape", default=True)
+
+
+@contextmanager
+def no_tape():
+    """Compute forward values only: ops inside record no parents."""
+    token = _TAPE.set(False)
+    try:
+        yield
+    finally:
+        _TAPE.reset(token)
+
+
 def _node(data, parents, push):
+    if not _TAPE.get():
+        return Tensor(data)
     return Tensor(data, _parents=tuple(parents), _push=push)
 
 
@@ -324,16 +347,39 @@ def mean(a, axis=None, keepdims=False):
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def softmax(a, axis=-1):
-    a = as_tensor(a)
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    out_data = e / e.sum(axis=axis, keepdims=True)
+def attention(q, k, v, scale, log_counts=None):
+    """softmax(q @ kᵀ * scale + log_counts) @ v over the last two axes.
+
+    log_counts, when given, broadcasts against the (rows, T, T) scores and
+    may widen their rows; -inf entries give a key no weight.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    kt = np.moveaxis(k.data, -1, -2)
+    p = q.data @ kt
+    p *= scale
+    score_shape = p.shape
+    if log_counts is not None:
+        p = p + log_counts
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = p @ v.data
 
     def push(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - inner))
+        g = np.asarray(g)
+        gp = g @ np.swapaxes(v.data, -1, -2)
+        gv = np.swapaxes(p, -1, -2) @ g
+        gp -= (gp * p).sum(axis=-1, keepdims=True)
+        gp *= p
+        # back to the scores before log_counts widened them, then the scale
+        gs = _unbroadcast(gp, score_shape) * scale
+        gq = gs @ np.swapaxes(kt, -1, -2)
+        gkt = np.swapaxes(q.data, -1, -2) @ gs
+        q._accumulate(_unbroadcast(gq, q.data.shape))
+        k._accumulate(np.moveaxis(_unbroadcast(gkt, kt.shape), -2, -1))
+        v._accumulate(_unbroadcast(gv, v.data.shape))
 
-    return _node(out_data, (a,), push)
+    return _node(out_data, (q, k, v), push)
 
 
 # -- shape ops --------------------------------------------------------------------------

@@ -231,6 +231,8 @@ def cmd_infer(args):
     cfg = resolve_config(args, INFER_DEFAULTS)
     if not (cfg["alignments"] or cfg["matrices"]) or not cfg["out"]:
         raise ConfigError("infer requires --alignments or --matrices, and --out")
+    if cfg["matrices"] and cfg["dump_matrix"]:
+        raise ConfigError("--dump-matrix writes alignment distances; --matrices already has them")
     os.makedirs(cfg["out"], exist_ok=True)
     policy = SaturationPolicy(cfg["saturation"], cfg["ceiling"])
     build = {"nj": neighbor_join, "bionj": bionj}.get(cfg["algorithm"])
@@ -262,7 +264,7 @@ def cmd_infer(args):
     def one(path):
         d = distances(path)
         stem = os.path.join(cfg["out"], os.path.splitext(os.path.basename(path))[0])
-        if cfg["dump_matrix"] and not cfg["matrices"]:
+        if cfg["dump_matrix"]:
             _atomic_write(f"{stem}.dist.tsv", lambda p: write_tsv(d, p))
         _write_text(f"{stem}.nwk", serialize_newick(build(d)) + "\n")
 

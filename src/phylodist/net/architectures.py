@@ -317,7 +317,8 @@ def network_forward(spec, aln):
         raise DataError(f"network distances need >= 3 sequences, got {aln.n}")
     if aln.length < 1:
         raise DataError("empty alignment")
-    labels, out = forward_matrix(spec, aln)
+    with ad.no_tape():
+        labels, out = forward_matrix(spec, aln)
     values = out.data
     if not np.all(np.isfinite(values)):
         raise NumericError(f"{spec.architecture} produced non-finite network output")
@@ -333,8 +334,9 @@ def forward_embedding(spec, aln):
     """Taxon embedding Z (numpy) of an S network, rows in input order."""
     if spec.is_pair_net:
         raise ConfigError("pair networks have no taxon embedding")
-    t, weights = _encode(spec, aln, None, None)
-    return spec.embed.forward(spec.pool.forward(t, weights)).data
+    with ad.no_tape():
+        t, weights = _encode(spec, aln, None, None)
+        return spec.embed.forward(spec.pool.forward(t, weights)).data
 
 
 def pair_values(spec, x_batch, y_batch):
@@ -353,11 +355,12 @@ def pair_values(spec, x_batch, y_batch):
     both = np.concatenate([x, y]) if x.shape == y.shape else None
     if both is None or not (np.all((both == 0) | (both == 1)) and np.all(both.sum(axis=1) == 1)):
         raise DataError("pair_values needs two equally shaped one-hot batches")
-    t, _ = _state_features(spec, both.sum(axis=2), x.shape[-1])
-    b = np.arange(len(x))
-    counts = (x @ np.swapaxes(y, 1, 2)).reshape(len(x), -1)
-    pair = _pair_tokens(t, b, b + len(x))
-    return _pair_tail(spec, pair, SiteWeights(counts, x.shape[-1])).data
+    with ad.no_tape():
+        t, _ = _state_features(spec, both.sum(axis=2), x.shape[-1])
+        b = np.arange(len(x))
+        counts = (x @ np.swapaxes(y, 1, 2)).reshape(len(x), -1)
+        pair = _pair_tokens(t, b, b + len(x))
+        return _pair_tail(spec, pair, SiteWeights(counts, x.shape[-1])).data
 
 
 # -- site-pattern compression ---------------------------------------------------------
@@ -386,7 +389,8 @@ def site_pattern_compression(spec, aln):
     n, k, length = onehot.shape
     input_patterns = _unique_columns(onehot.reshape(n * k, length))
     capture = {}
-    forward_matrix(spec, aln, capture=capture)
+    with ad.no_tape():
+        forward_matrix(spec, aln, capture=capture)
     hidden = capture["hidden"].data
     if spec.site_local:
         hidden = _site_columns(hidden, aln.states, *_canonical_pairs(aln.labels))

@@ -241,16 +241,11 @@ class Attention(Layer):
         else:
             x = ad.moveaxis(t, 2, 0)  # (site, rows, d): tokens = rows
         scale = 1.0 / np.sqrt(d)
+        log_counts = None if weights is None else weights.log_counts  # keys repeat count times
         outs = []
         for h in range(self.heads):
-            q = x @ self.w_q[h]
-            k = x @ self.w_k[h]
-            v = x @ self.w_v[h]
-            scores = (q @ ad.moveaxis(k, -1, -2)) * scale
-            if weights is not None:  # pattern tokens: keys repeat count times
-                scores = scores + weights.log_counts
-            attn = ad.softmax(scores, axis=-1)
-            outs.append(attn @ v)
+            q, k, v = (x @ w[h] for w in (self.w_q, self.w_k, self.w_v))
+            outs.append(ad.attention(q, k, v, scale, log_counts))
         x = x + ad.concat(outs, axis=-1)
         if self.axis == "site":
             return ad.moveaxis(x, 2, 1)

@@ -128,6 +128,39 @@ def test_pair_scatter_memory_is_bounded():
     assert peak < 100e6
 
 
+def test_attention_training_step_memory_is_bounded():
+    # attention as separate ops kept q @ kT, the scaled scores and the
+    # probabilities of every head on the tape: 283 MB here
+    rng = np.random.default_rng(13)
+    spec = build_architecture("FullAttentionSP", channels=16, heads=2, seed=1)
+    aln = random_alignment(rng, n=10, length=100)
+    target = rng.uniform(0.1, 1.0, size=(10, 10))
+    tracemalloc.start()
+    try:
+        _, out = forward_matrix(spec, aln)
+        batch_loss("mae", [(out, target + target.T)]).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
+
+
+def test_inference_keeps_no_tape():
+    # a taped forward of this net holds 306 MB
+    rng = np.random.default_rng(14)
+    spec = build_architecture("FullAttentionS", channels=16, heads=2, n_taxa=20, seed=1)
+    aln = random_alignment(rng, n=20, length=200)
+    tracemalloc.start()
+    try:
+        got = network_forward(spec, aln).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    _, taped = forward_matrix(spec, aln)
+    assert np.array_equal(got, taped.data)
+
+
 # Recorded before the layer and pair_values paths were merged; pins the forward
 # values and gradients of every architecture bit for bit.
 FORWARD_DIGEST = "f72dad581a82ed736d96c0843484eb42102c4d2b4235a7fdb900b87e168c052d"

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,6 @@ def test_grad_accumulates_through_shared_subexpression():
         lambda t: ad.tensor_sum(ad.absolute(t) * t),
         lambda t: ad.tensor_sum(ad.elu(t)),
         lambda t: ad.tensor_sum(ad.softplus(t)),
-        lambda t: ad.tensor_sum(ad.softmax(t, axis=-1) * np.arange(12.0).reshape(3, 4)),
         lambda t: ad.tensor_sum(ad.ordered_sum(t, axis=1) ** 2),
         lambda t: ad.tensor_sum(ad.mean(t, axis=0) ** 3),
         lambda t: ad.tensor_sum(ad.moveaxis(t, 0, 1) @ t),
@@ -106,7 +107,57 @@ def test_ordered_sum_is_permutation_stable():
     assert np.array_equal(s1, s2)
 
 
-def test_softmax_rows_sum_to_one():
+def _log_counts(rng, rows, tokens):
+    """(rows, 1, tokens) log site counts with absent (-inf) keys in some rows."""
+    counts = rng.integers(0, 4, size=(rows, 1, tokens)).astype(float)
+    counts[:, 0, 0] += 1.0  # every row keeps a key
+    counts[0, 0, 1:3] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(counts)
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["scores", "log_counts"])
+def test_attention_matches_finite_differences(counted):
+    rng = np.random.default_rng(6)
+    # pattern-token nets share one row of q, k, v across the rows of log_counts
+    rows, log_counts = (1, _log_counts(rng, 4, 5)) if counted else (2, None)
+    q, k, v = (ad.parameter(rng.normal(size=(rows, 5, 3))) for _ in range(3))
+    probe = rng.normal(size=(4 if counted else rows, 5, 3))
+    worst = ad.finite_difference_check(
+        lambda: ad.tensor_sum(ad.attention(q, k, v, 0.7, log_counts) * probe), [q, k, v]
+    )
+    assert worst < 1e-4
+
+
+def test_attention_probability_rows_sum_to_one():
     rng = np.random.default_rng(5)
-    y = ad.softmax(ad.Tensor(rng.normal(size=(7, 9)) * 10), axis=-1)
-    assert np.allclose(y.data.sum(axis=-1), 1.0, atol=1e-9)
+    q, k = (ad.Tensor(rng.normal(size=(1, 9, 4)) * 10) for _ in range(2))
+    log_counts = _log_counts(rng, 7, 9)
+    p = ad.attention(q, k, np.eye(9)[None], 1.0, log_counts).data  # @ I returns p
+    assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-9)
+    assert np.all(p[0, :, 1:3] == 0.0)  # absent keys get no weight
+
+
+def test_no_tape_is_local_to_its_thread():
+    p = ad.parameter(np.array([1.0, 2.0]))
+    inside, release = threading.Event(), threading.Event()
+
+    def untaped():
+        with ad.no_tape():
+            inside.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=untaped)
+    worker.start()
+    try:
+        assert inside.wait(10)
+        taped = p * p
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert taped.requires_grad
+    with ad.no_tape():
+        untaped_value = p * p
+    assert not untaped_value.requires_grad
+    assert np.array_equal(untaped_value.data, taped.data)

@@ -214,6 +214,10 @@ def test_exit_codes(tmp_path):
     for sizes in (["--heads", "0"], ["--arch", "SitesInvariantS", "--channels", "0"],
                   ["--channels", "-4"]):
         assert run("train", "--out", tmp_path / "t", *sizes) == 2
+    # a matrix input has no alignment distances to dump
+    good_tsv = tmp_path / "good.tsv"
+    write_tsv(patristic_matrix(random_binary_tree(np.random.default_rng(2), 5)), good_tsv)
+    assert run("infer", "--matrices", good_tsv, "--dump-matrix", "--out", tmp_path / "m") == 2
 
 
 def test_boolean_flags_and_config_values_turn_off(tmp_path):
@@ -323,3 +327,13 @@ def test_thread_pool_output_matches_serial(tmp_path):
                    "--out", trees[threads], "--threads", threads) == 0
     assert len(outputs(trees["1"])) == 12
     assert outputs(trees["1"]) == outputs(trees["2"])
+    # network inference switches the autodiff tape off per worker thread
+    ckpt = tmp_path / "hybrid.pdnet"
+    save_network(build_architecture("HybridAttentionSP", channels=8, heads=2, seed=3), ckpt)
+    nets = {}
+    for threads in ("1", "2"):
+        nets[threads] = tmp_path / f"nets{threads}"
+        assert run("infer", "--alignments", sims["1"], "--checkpoint", ckpt,
+                   "--out", nets[threads], "--threads", threads) == 0
+    assert len(outputs(nets["1"])) == 6
+    assert outputs(nets["1"]) == outputs(nets["2"])
