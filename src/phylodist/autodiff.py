@@ -2,8 +2,12 @@
 
 Every operation appends a node to an implicit tape (the expression graph):
 nodes cache their forward value and know how to push gradients to their
-parents.  ``backward()`` on a scalar fills the ``grad`` buffer of every
-reachable tensor.  Inside ``with no_tape():`` operations compute the same
+parents.  ``backward()`` on a scalar adds its gradient into the ``grad`` of
+every reachable leaf that requires one, so backward passes over several
+scalars that share parameters accumulate exactly as one pass over their sum
+would.  Interior gradients are dropped once pushed, and tensors that require
+no gradient receive none.  Leaf grads stay until a caller clears them:
+``gradients`` does so before its pass, ``Adam.step`` after using them.  Inside ``with no_tape():`` operations compute the same
 values but return parentless tensors, so nothing is kept for a backward
 pass; the switch is a context variable, so each thread has its own.
 
@@ -74,20 +78,27 @@ class Tensor:
                 stack.append((p, False))
         return order
 
-    def backward(self):
-        """Reverse-mode gradients of this scalar w.r.t. every reachable tensor."""
+    def backward(self, seed=1.0):
+        """Add the gradient of seed * this scalar into every reachable leaf.
+
+        Leaf grads are added to, not reset, so calling backward on t1 and then
+        on t2 leaves the same grads, bit for bit, as one backward of t1 + t2:
+        that pass walks t1's subgraph and then t2's, in the same order.  Each
+        interior gradient is dropped as soon as it has been pushed.
+        """
         if self.data.size != 1:
             raise NumericError("backward() requires a scalar output")
         order = self._topo()
-        for node in order:
-            node.grad = None
-        self.grad = np.ones_like(self.data)
+        self._accumulate(np.full_like(self.data, seed))
         for node in reversed(order):
             if node._push is None or node.grad is None:
                 continue
-            node._push(node.grad)
+            g, node.grad = node.grad, None
+            node._push(g)
 
     def _accumulate(self, g):
+        if not self.requires_grad:
+            return
         g = np.asarray(g, dtype=float)
         if self.grad is None:
             self.grad = g
@@ -495,7 +506,10 @@ def trace(a):
 
 
 def gradients(loss, params):
-    """Backward pass; returns the gradient arrays of the given parameters."""
+    """Backward pass from cleared grads; returns the gradient arrays of the
+    given parameters."""
+    for p in params:
+        p.grad = None
     loss.backward()
     return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
 

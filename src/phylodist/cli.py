@@ -57,7 +57,11 @@ def _atomic_write(path, writer):
 
 
 def _write_text(path, text):
-    _atomic_write(path, lambda p: open(p, "w").write(text))
+    def write(p):
+        with open(p, "w") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
 
 
 def read_config_file(path):

@@ -53,6 +53,7 @@ class Adam:
         b1, b2, eps = ADAM_B1, ADAM_B2, ADAM_EPS
         for k, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            p.grad = None
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             m_hat = self.m[k] / (1 - b1**self.t)
@@ -104,12 +105,21 @@ def train(spec, train_data, cfg, val_data=None):
     alignment's row order (see training_targets).  val_data: list of
     (Alignment, PhyloTree) scored by RF each epoch.  Deterministic given
     cfg.seed under single-threaded execution.
+
+    A step runs forward, loss and backward for one alignment of the batch at
+    a time, each backward seeded with the term's batch weight (1/len(batch),
+    or 1 for l21), so a step never holds the graphs of the whole batch: only
+    the current alignment's, and the previous one's until the next forward
+    rebinds it.  The parameters receive the same additions in the same order
+    as one backward of batch_loss over the whole batch would give them, so
+    weights and losses are bit-identical to that.
     """
     params = spec.parameters()
     opt = Adam(params)
     order_rng = substream(cfg.seed, "batch-order")
     steps_per_epoch = max(1, math.ceil(len(train_data) / cfg.batch_size))
     horizon = cfg.max_epochs * steps_per_epoch
+    gamma = cfg.gamma if cfg.loss in ("logdet", "vonneumann") and spec.head != "inner_product" else None
     result = TrainResult()
     best_weights = None
     stale = 0
@@ -121,16 +131,19 @@ def train(spec, train_data, cfg, val_data=None):
             batch = [train_data[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
             if not batch:
                 continue
-            pairs = []
+            for p in params:
+                p.grad = None
+            weight = 1.0 if cfg.loss == "l21" else 1.0 / len(batch)
+            total = None
             for aln, target in batch:
                 _, out = forward_matrix(spec, aln)
-                pairs.append((out, target))
-            gamma = cfg.gamma if cfg.loss in ("logdet", "vonneumann") and spec.head != "inner_product" else None
-            loss = batch_loss(cfg.loss, pairs, gamma=gamma)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise TrainingDiverged(epoch, b, _param_norm(params))
-            loss.backward()
+                term = batch_loss(cfg.loss, [(out, target)], gamma=gamma)
+                total = term.data if total is None else total + term.data
+                # a non-finite partial sum stays non-finite, so stop before its backward
+                if not math.isfinite(total):
+                    raise TrainingDiverged(epoch, b, _param_norm(params))
+                term.backward(weight)
+            value = float(total * weight)
             lr = cosine_lr(step, horizon, cfg.learning_rate)
             opt.step(lr)
             step += 1

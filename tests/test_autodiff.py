@@ -36,6 +36,37 @@ def test_grad_accumulates_through_shared_subexpression():
     assert g == pytest.approx(8.0)
 
 
+def test_backward_per_term_accumulates_like_backward_of_sum():
+    # train() backpropagates a batch one term at a time: the shared parameters
+    # must receive the same additions, in the same order, as one backward of
+    # the weighted sum of the terms
+    rng = np.random.default_rng(3)
+    p = ad.parameter(rng.normal(size=(2, 5, 3)))
+    w = ad.parameter(rng.normal(size=(3, 3)))
+    consts = [ad.Tensor(rng.normal(size=(2, 5, 3))) for _ in range(3)]
+
+    def term(c):
+        h = ad.elu((p + c) @ w)
+        return ad.tensor_sum(ad.attention(h, h, p, 0.5) ** 2.0)
+
+    for weight in (1.0, 1.0 / 3.0):
+        summed = ad.gradients((term(consts[0]) + term(consts[1]) + term(consts[2])) * weight, [p, w])
+        for q in (p, w):
+            q.grad = None
+        for c in consts:
+            term(c).backward(weight)
+        for g, q in zip(summed, (p, w)):
+            assert np.array_equal(g, q.grad)
+        assert all(c.grad is None for c in consts)
+
+
+def test_gradients_ignore_stale_grads():
+    p = ad.parameter(np.array([1.0, -2.0, 3.0]))
+    p.grad = np.full(3, 100.0)
+    (g,) = ad.gradients(ad.tensor_sum(p * p), [p])
+    assert np.array_equal(g, 2.0 * p.data)
+
+
 @pytest.mark.parametrize(
     "op",
     [

@@ -1,11 +1,15 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phylodist import autodiff as ad
 from phylodist.errors import TrainingDiverged
-from phylodist.net.architectures import build_architecture
+from phylodist.losses import batch_loss
+from phylodist.net.architectures import build_architecture, forward_matrix
+from phylodist.rng import substream
 from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
 from phylodist.train import (
     Adam,
@@ -41,6 +45,16 @@ def test_adam_fits_linear_model():
         loss.backward()
         opt.step(cosine_lr(step, 800, 0.05))
     assert abs(float(w.data) - 2.0) < 1e-3
+
+
+def test_adam_step_clears_grads():
+    spec = build_architecture("FullAttentionSP", seed=5, **SMALL)
+    aln, target, _ = make_dataset(spec, n_taxa=5, length=30, count=1)[0]
+    _, out = forward_matrix(spec, aln)
+    batch_loss("mae", [(out, target)]).backward()
+    opt = Adam(spec.parameters())
+    opt.step(0.01)
+    assert all(p.grad is None for p in spec.parameters())
 
 
 def test_cosine_schedule_contract():
@@ -94,6 +108,75 @@ def test_nan_loss_aborts_with_diagnostics():
         train(spec, [(a, t) for a, t, _ in data], cfg)
     assert err.value.epoch == 0
     assert "epoch" in str(err.value)
+
+
+def _diverge_on_second_alignment(spec, data):
+    """train() on a batch of two whose second alignment has a NaN target."""
+    cfg = TrainConfig(max_epochs=1, batch_size=2, seed=8)
+    second = substream(cfg.seed, "batch-order").permutation(2)[1]
+    pairs = [(a, np.full_like(t, np.nan) if i == second else t) for i, (a, t, _) in enumerate(data[:2])]
+    with pytest.raises(TrainingDiverged):
+        train(spec, pairs, cfg)
+
+
+def test_nan_target_on_second_alignment_leaves_weights_unchanged():
+    spec = build_architecture("FullAttentionSP", seed=8, **SMALL)
+    data = make_dataset(spec, n_taxa=6, length=40, count=2)
+    before = [p.data.copy() for p in spec.parameters()]
+    _diverge_on_second_alignment(spec, data)
+    # the first alignment's backward ran before the second term raised
+    assert any(p.grad is not None for p in spec.parameters())
+    for p, w in zip(spec.parameters(), before):
+        assert np.array_equal(p.data, w)
+
+
+def test_later_training_matches_a_fresh_copy():
+    # grads left behind by an earlier, diverged train() must not leak into the next
+    cfg = TrainConfig(max_epochs=2, batch_size=3, seed=9)
+    weights = []
+    for diverge_first in (True, False):
+        spec = build_architecture("FullAttentionSP", seed=9, **SMALL)
+        data = make_dataset(spec, n_taxa=6, length=40, count=5)
+        if diverge_first:
+            _diverge_on_second_alignment(spec, data)
+        train(spec, [(a, t) for a, t, _ in data], cfg)
+        weights.append([p.data for p in spec.parameters()])
+    for w1, w2 in zip(*weights):
+        assert np.array_equal(w1, w2)
+
+
+def test_training_epoch_memory_is_bounded():
+    # one backward over the whole batch held the graphs of its four
+    # alignments, and the previous step's graph with them: 701 MB here
+    spec = build_architecture("FullAttentionSP", channels=16, heads=2, seed=1)
+    data = make_dataset(spec, n_taxa=10, length=100, count=8)
+    cfg = TrainConfig(max_epochs=1, batch_size=4, seed=1)
+    tracemalloc.start()
+    try:
+        train(spec, [(a, t) for a, t, _ in data], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250e6
+
+
+# Recorded before train() ran backward one alignment at a time; pins the final
+# weights and history bit for bit, including a partial last batch.
+TRAIN_DIGEST = "96cdbef61afed06e7d3b72e1cf8f085896b0b6362345c4ceafa276645ee4c4dc"
+
+
+def test_training_matches_golden_digest():
+    h = hashlib.sha256()
+    for name in ("FullAttentionSP", "SitesInvariantS"):
+        for loss in ("mae", "l21"):
+            spec = build_architecture(name, seed=6, **SMALL)
+            data = make_dataset(spec, n_taxa=6, length=40, count=7, seed0=20)
+            cfg = TrainConfig(max_epochs=3, batch_size=3, loss=loss, seed=6)
+            result = train(spec, [(a, t) for a, t, _ in data], cfg)
+            for p in spec.parameters():
+                h.update(np.ascontiguousarray(p.data).tobytes())
+            h.update(repr(result.history).encode())
+    assert h.hexdigest() == TRAIN_DIGEST
 
 
 def test_history_csv_roundtrip(tmp_path):
