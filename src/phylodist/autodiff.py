@@ -284,13 +284,13 @@ def relu(a):
     return _node(out_data, (a,), push)
 
 
-def elu(a, alpha=1.0):
+def elu(a):
     a = as_tensor(a)
-    neg = alpha * np.expm1(np.minimum(a.data, 0.0))
+    neg = np.expm1(np.minimum(a.data, 0.0))
     out_data = np.where(a.data > 0.0, a.data, neg)
 
     def push(g):
-        a._accumulate(g * np.where(a.data > 0.0, 1.0, neg + alpha))
+        a._accumulate(g * np.where(a.data > 0.0, 1.0, neg + 1.0))
 
     return _node(out_data, (a,), push)
 
@@ -316,20 +316,21 @@ ACTIVATIONS = {
 # -- reductions ----------------------------------------------------------------------
 
 
-def tensor_sum(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def _sum_push(a, axis, keepdims):
+    """Backward of a sum of a over axis: the gradient broadcast back to a."""
 
     def push(g):
         g = np.asarray(g)
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
-    return _node(out_data, (a,), push)
+    return push
+
+
+def tensor_sum(a, axis=None, keepdims=False):
+    a = as_tensor(a)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), _sum_push(a, axis, keepdims))
 
 
 def ordered_sum(a, axis, keepdims=False):
@@ -341,15 +342,7 @@ def ordered_sum(a, axis, keepdims=False):
     a = as_tensor(a)
     # contiguous layout pins numpy's pairwise-summation blocking
     s = np.ascontiguousarray(np.sort(a.data, axis=axis))
-    out_data = s.sum(axis=axis, keepdims=keepdims)
-
-    def push(g):
-        g = np.asarray(g)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape))
-
-    return _node(out_data, (a,), push)
+    return _node(s.sum(axis=axis, keepdims=keepdims), (a,), _sum_push(a, axis, keepdims))
 
 
 def mean(a, axis=None, keepdims=False):
@@ -514,23 +507,25 @@ def gradients(loss, params):
     return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
 
 
-def finite_difference_check(f, params, h=1e-4):
-    """Compare reverse-mode gradients of f() against central differences.
+def finite_difference_check(f, params):
+    """Compare reverse-mode gradients of f() against central differences
+    with step 1e-4; the perturbed evaluations keep no tape.
 
     Returns the worst relative error max |a-fd| / max(|a|+|fd|, 1e-6) over
     every coordinate of every parameter; raises nothing.
     """
-    loss = f()
-    analytic = gradients(loss, params)
+    h = 1e-4
+    analytic = gradients(f(), params)
     worst = 0.0
     for p, a in zip(params, analytic):
         flat = p.data.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + h
-            up = float(f().data)
-            flat[idx] = orig - h
-            down = float(f().data)
+            with no_tape():
+                flat[idx] = orig + h
+                up = float(f().data)
+                flat[idx] = orig - h
+                down = float(f().data)
             flat[idx] = orig
             fd = (up - down) / (2.0 * h)
             a_i = float(a.reshape(-1)[idx])

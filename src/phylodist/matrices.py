@@ -110,13 +110,7 @@ def inverse_gromov(cov):
     Raises NumericError if any resulting entry is below -1e-9 (the input was
     not PSD); entries in [-1e-9, 0] are clamped to zero.
     """
-    if isinstance(cov, CovarianceMatrix):
-        labels, c = cov.labels, cov.values
-    else:
-        labels, c = cov
-        c = np.asarray(c, dtype=float)
-        if not np.array_equal(c, c.T):
-            raise DataError("inverse_gromov requires a symmetric input")
+    labels, c = cov.labels, cov.values
     diag = np.diag(c)
     d = diag[:, None] + diag[None, :] - 2.0 * c
     if np.any(d < -1e-9):

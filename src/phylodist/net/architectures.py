@@ -36,14 +36,19 @@ from ..matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov
 from ..rng import substream
 from .layers import Attention, ChannelConv, DeepSetsMix, Dense, MeanPoolSites, ScalarMLP, SiteWeights
 
-ARCHITECTURES = (
-    "SitesInvariantS",
-    "FullInvariantS",
-    "SitesAttentionP",
-    "HybridAttentionSP",
-    "FullAttentionS",
-    "FullAttentionSP",
-)
+# name -> (sequence blocks, pair blocks or None for an S net).  A block is
+# "sites" or "taxa", a DeepSetsMix with site or site+taxa context, or a tuple
+# of attention axes: attention along each, then a conv.
+_SITE, _FULL = ("site",), ("site", "taxa")
+_TEMPLATES = {
+    "SitesInvariantS": (["sites"] * 2, None),
+    "FullInvariantS": (["taxa"] * 2, None),
+    "SitesAttentionP": ([], [_SITE] * 6),
+    "HybridAttentionSP": ([_FULL] * 3, [_SITE] * 3),
+    "FullAttentionS": ([_FULL] * 6, None),
+    "FullAttentionSP": ([_FULL] * 3, [_FULL] * 3),
+}
+ARCHITECTURES = tuple(_TEMPLATES)
 
 
 def default_embed_dim(n_taxa):
@@ -80,16 +85,10 @@ class NetworkSpec:
         return not any(layer.mixes_taxa for layer in self.seq_stack + self.pair_stack)
 
     def named_params(self):
-        out = []
-        for i, layer in enumerate(self.seq_stack):
-            out += [(f"seq{i}.{n}", p) for n, p in layer.params()]
-        for i, layer in enumerate(self.pair_stack):
-            out += [(f"pair{i}.{n}", p) for n, p in layer.params()]
-        if self.embed is not None:
-            out += [(f"embed.{n}", p) for n, p in self.embed.params()]
-        if self.g is not None:
-            out += [(f"g.{n}", p) for n, p in self.g.params()]
-        return out
+        prefixed = [(f"seq{i}", layer) for i, layer in enumerate(self.seq_stack)]
+        prefixed += [(f"pair{i}", layer) for i, layer in enumerate(self.pair_stack)]
+        prefixed += [(name, head) for name, head in (("embed", self.embed), ("g", self.g)) if head]
+        return [(f"{prefix}.{n}", p) for prefix, layer in prefixed for n, p in layer.params()]
 
     def parameters(self):
         return [p for _, p in self.named_params()]
@@ -101,12 +100,16 @@ class NetworkSpec:
 # -- construction ------------------------------------------------------------------
 
 
-def _attention_block(d, heads, rng, axes):
-    block = []
-    for axis in axes:
-        block.append(Attention.random(d, heads, rng, axis=axis))
-    block.append(ChannelConv.random(d, d, rng, activation="elu"))
-    return block
+def _layers(blocks, d, heads, rng):
+    """The layers of a template's block list, weights drawn in block order."""
+    out = []
+    for block in blocks:
+        if block in ("sites", "taxa"):
+            out.append(DeepSetsMix.random(d, d, rng, use_taxa=block == "taxa"))
+        else:
+            out += [Attention.random(d, heads, rng, axis=axis) for axis in block]
+            out.append(ChannelConv.random(d, d, rng, activation="elu"))
+    return out
 
 
 def build_architecture(
@@ -135,7 +138,8 @@ def build_architecture(
             raise ConfigError(f"{key} must be >= 1, got {value}")
     rng = substream(seed, "init", name)
     d = channels
-    is_pair = name.endswith("P")
+    seq_blocks, pair_blocks = _TEMPLATES[name]
+    is_pair = pair_blocks is not None
     if head is None:
         head = "pair_scalar" if is_pair else "euclidean"
     if is_pair and head != "pair_scalar":
@@ -143,39 +147,13 @@ def build_architecture(
     if not is_pair and head not in ("euclidean", "inner_product"):
         raise ConfigError(f"{name} requires a euclidean or inner_product head")
 
-    seq_stack, pair_stack, embed, g = [], [], None, None
-    if name == "SitesInvariantS":
-        seq_stack = [ChannelConv.random(4, d, rng, "elu")]
-        seq_stack += [DeepSetsMix.random(d, d, rng, use_taxa=False) for _ in range(2)]
-    elif name == "FullInvariantS":
-        seq_stack = [ChannelConv.random(4, d, rng, "elu")]
-        seq_stack += [DeepSetsMix.random(d, d, rng, use_taxa=True) for _ in range(2)]
-    elif name == "FullAttentionS":
-        seq_stack = [ChannelConv.random(4, d, rng, "elu")]
-        for _ in range(6):
-            seq_stack += _attention_block(d, heads, rng, ("site", "taxa"))
-    elif name == "SitesAttentionP":
-        half = max(2, d // 2)
-        seq_stack = [ChannelConv.random(4, half, rng, "elu")]
-        pair_stack = [ChannelConv.random(2 * half, d, rng, "elu")]
-        for _ in range(6):
-            pair_stack += _attention_block(d, heads, rng, ("site",))
-    elif name == "HybridAttentionSP":
-        seq_stack = [ChannelConv.random(4, d, rng, "elu")]
-        for _ in range(3):
-            seq_stack += _attention_block(d, heads, rng, ("site", "taxa"))
-        pair_stack = [ChannelConv.random(2 * d, d, rng, "elu")]
-        for _ in range(3):
-            pair_stack += _attention_block(d, heads, rng, ("site",))
-    elif name == "FullAttentionSP":
-        seq_stack = [ChannelConv.random(4, d, rng, "elu")]
-        for _ in range(3):
-            seq_stack += _attention_block(d, heads, rng, ("site", "taxa"))
-        pair_stack = [ChannelConv.random(2 * d, d, rng, "elu")]
-        for _ in range(3):
-            pair_stack += _attention_block(d, heads, rng, ("site", "taxa"))
-
+    # a pair net without sequence blocks gives each member half the channels
+    member = max(2, d // 2) if is_pair and not seq_blocks else d
+    seq_stack = [ChannelConv.random(4, member, rng, "elu")] + _layers(seq_blocks, d, heads, rng)
+    pair_stack, embed, g = [], None, None
     if is_pair:
+        pair_stack = [ChannelConv.random(2 * member, d, rng, "elu")]
+        pair_stack += _layers(pair_blocks, d, heads, rng)
         g = ScalarMLP.random(d, g_hidden, rng, activation="elu")
     else:
         embed = Dense.random(d, embed_dim, rng, activation="identity")
@@ -366,9 +344,9 @@ def pair_values(spec, x_batch, y_batch):
 # -- site-pattern compression ---------------------------------------------------------
 
 
-def _unique_columns(mat, tol=1e-6):
-    """Number of distinct columns, coordinates compared at resolution tol."""
-    cols = np.round(np.asarray(mat, float).T / tol).astype(np.int64)
+def _unique_columns(mat):
+    """Number of distinct columns, coordinates compared at resolution 1e-6."""
+    cols = np.round(np.asarray(mat, float).T / 1e-6).astype(np.int64)
     return int(np.unique(cols, axis=0).shape[0])
 
 

@@ -294,11 +294,7 @@ class ScalarMLP(Layer):
         return cls(layers)
 
     def params(self):
-        out = []
-        for i, layer in enumerate(self.dense):
-            for name, p in layer.params():
-                out.append((f"dense{i}.{name}", p))
-        return out
+        return [(f"dense{i}.{n}", p) for i, layer in enumerate(self.dense) for n, p in layer.params()]
 
     def forward(self, t):
         for layer in self.dense:

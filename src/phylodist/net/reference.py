@@ -8,9 +8,10 @@ An invariant collapse with weight 1/(2L) then yields per-channel mismatch
 fractions whose channel sum is exactly the Hamming distance.
 
 The Jukes-Cantor and Kimura scalar corrections are shipped as single-hidden-
-layer ReLU maps whose output weights are fit by least squares on a dense
-grid against the closed-form curves (piecewise-linear interpolation with
-pole-adapted knots), anchored so that identical sequences map to exactly 0.
+layer ReLU maps that interpolate the closed-form curves piecewise linearly
+between pole-adapted knots: each output weight is the change of slope at its
+knot, in closed form, so the weights do not depend on the BLAS build or
+thread count.  The first knot is 0, so identical sequences map to exactly 0.
 """
 
 import numpy as np
@@ -25,24 +26,22 @@ _KNOTS = 160
 _GRID = 4001
 
 
-def _pole_knots(pole, x_max, count):
-    """Knots dense near the pole: geometric spacing of the log argument."""
-    r = np.geomspace(1.0, 1.0 - x_max / pole, count)
-    return pole * (1.0 - r)
+def fit_pwl_coefficients(fn, x_max, pole):
+    """Output weights for the ReLU basis relu(x - t_i) that interpolate fn
+    at the knots t_i.
 
-
-def fit_pwl_coefficients(fn, x_max, pole, count=_KNOTS, grid=_GRID):
-    """Least-squares output weights for the ReLU basis relu(x - t_i).
-
-    Returns (knots, coefficients, sup_error) with fn(0) == 0 reproduced
-    exactly (all knots >= 0, no intercept).
+    Weight i is the change of slope at knot i; the last knot is x_max, so its
+    weight is 0.  Returns (knots, coefficients, sup_error), the sup error
+    taken on a dense grid over [0, x_max].  The first knot is 0 and there is
+    no intercept, so 0 maps to exactly 0.
     """
-    knots = _pole_knots(pole, x_max, count)
-    x = np.linspace(0.0, x_max, grid)
-    basis = np.maximum(x[:, None] - knots[None, :], 0.0)
-    target = fn(x)
-    coeffs, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    sup = float(np.max(np.abs(basis @ coeffs - target)))
+    # dense near the pole: geometric spacing of the log argument
+    knots = pole * (1.0 - np.geomspace(1.0, 1.0 - x_max / pole, _KNOTS))
+    values = fn(knots)
+    slopes = np.diff(values) / np.diff(knots)
+    coeffs = np.diff(slopes, prepend=0.0, append=slopes[-1])
+    x = np.linspace(0.0, x_max, _GRID)
+    sup = float(np.max(np.abs(np.interp(x, knots, values) - fn(x))))
     return knots, coeffs, sup
 
 

@@ -298,17 +298,39 @@ def serialize_newick(tree):
 
 
 def read_newick_file(path):
-    """Read a Newick file with one tree per line."""
-    trees = []
+    """Read a Newick file with one tree per line; DataError if it holds none."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                trees.append(parse_newick(line))
+        trees = [parse_newick(line.strip()) for line in fh if line.strip()]
+    if not trees:
+        raise DataError(f"{path}: no Newick tree in file")
     return trees
 
 
 # -- splits and Robinson-Foulds ---------------------------------------------
+
+
+def _split_masks(tree, collapse_zero):
+    """Non-trivial splits as leaf bitmasks: bit i is the i-th sorted label.
+
+    A node's mask is the sum of its children's masks, which equals their OR
+    since their leaf sets are disjoint.  Each split is normalized to the side
+    holding bit 0.  With collapse_zero, edges of length zero are dropped.
+    """
+    rank = {lab: i for i, lab in enumerate(sorted(tree.leaf_labels))}
+    n = len(rank)
+    full = (1 << n) - 1
+    mask, splits = {}, set()
+    for v in tree.postorder():
+        if tree.is_leaf(v):
+            mask[v] = 1 << rank[tree.label(v)]
+        else:
+            mask[v] = sum(mask.pop(c) for c in tree.children(v))
+        if v == tree.root or (collapse_zero and tree.branch_length(v) <= 0.0):
+            continue
+        side = mask[v]
+        if 2 <= side.bit_count() <= n - 2:
+            splits.add(side if side & 1 else full ^ side)
+    return splits
 
 
 def tree_splits(tree, collapse_zero=False):
@@ -318,29 +340,11 @@ def tree_splits(tree, collapse_zero=False):
     lexicographically smallest taxon.  With collapse_zero, splits from edges
     of length zero are dropped.
     """
-    taxa = set(tree.leaf_labels)
-    smallest = min(taxa)
-    below = {}
-    splits = set()
-    for v in tree.postorder():
-        if tree.is_leaf(v):
-            below[v] = {tree.label(v)}
-        else:
-            s = set()
-            for c in tree.children(v):
-                s |= below[c]
-            below[v] = s
-        if v == tree.root:
-            continue
-        if collapse_zero and tree.branch_length(v) <= 0.0:
-            continue
-        side = below[v]
-        if len(side) < 2 or len(side) > len(taxa) - 2:
-            continue
-        if smallest not in side:
-            side = taxa - side
-        splits.add(frozenset(side))
-    return frozenset(splits)
+    labels = sorted(tree.leaf_labels)
+    return frozenset(
+        frozenset(lab for i, lab in enumerate(labels) if side >> i & 1)
+        for side in _split_masks(tree, collapse_zero)
+    )
 
 
 def rf_distance(t1, t2, collapse_zero=False):
@@ -357,8 +361,8 @@ def rf_distance(t1, t2, collapse_zero=False):
         )
     if len(x1) < 4:
         raise DataError(f"Robinson-Foulds needs >= 4 taxa, got {len(x1)}")
-    s1 = tree_splits(t1, collapse_zero=collapse_zero)
-    s2 = tree_splits(t2, collapse_zero=collapse_zero)
+    s1 = _split_masks(t1, collapse_zero)
+    s2 = _split_masks(t2, collapse_zero)
     union = s1 | s2
     if not union:
         return 0.0
@@ -409,33 +413,31 @@ def unroot(tree):
 # -- distances on trees -------------------------------------------------------
 
 
-def _leaf_rows(tree):
-    """Map node -> sorted-label row index for each leaf."""
-    order = {lab: i for i, lab in enumerate(sorted(tree.leaf_labels))}
-    return {v: order[tree.label(v)] for v in tree.leaves}
-
-
 def _mrca_depths(tree):
-    """(labels, depth-of-MRCA matrix with leaf depths on the diagonal)."""
-    labels = tuple(sorted(tree.leaf_labels))
-    rows = _leaf_rows(tree)
+    """(labels, depth-of-MRCA matrix with leaf depths on the diagonal).
+
+    Leaves are numbered in postorder, where each clade's leaves are
+    contiguous, so an internal node fills one block per pair of its
+    children's leaf ranges.  One permutation then sorts the rows by label.
+    """
     depth = tree.depths()
     n = tree.n_leaves
     m = np.zeros((n, n))
-    group = {}
+    order = []  # leaves in postorder
+    span = {}  # node -> (first, end) of its leaf range
     for v in tree.postorder():
         if tree.is_leaf(v):
-            r = rows[v]
-            group[v] = [r]
-            m[r, r] = depth[v]
-        else:
-            kids = [group[c] for c in tree.children(v)]
-            for i in range(len(kids)):
-                for j in range(i + 1, len(kids)):
-                    m[np.ix_(kids[i], kids[j])] = depth[v]
-                    m[np.ix_(kids[j], kids[i])] = depth[v]
-            group[v] = [r for g in kids for r in g]
-    return labels, m
+            span[v] = (len(order), len(order) + 1)
+            order.append(v)
+            continue
+        ranges = [span.pop(c) for c in tree.children(v)]
+        for i, (a, b) in enumerate(ranges):
+            for c, e in ranges[i + 1 :]:
+                m[a:b, c:e] = m[c:e, a:b] = depth[v]
+        span[v] = (ranges[0][0], ranges[-1][1])
+    m[np.diag_indices(n)] = depth[order]
+    rows = sorted(range(n), key=lambda k: tree.label(order[k]))
+    return tuple(tree.label(order[k]) for k in rows), m[np.ix_(rows, rows)]
 
 
 def patristic_matrix(tree):

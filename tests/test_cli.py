@@ -218,6 +218,12 @@ def test_exit_codes(tmp_path):
     good_tsv = tmp_path / "good.tsv"
     write_tsv(patristic_matrix(random_binary_tree(np.random.default_rng(2), 5)), good_tsv)
     assert run("infer", "--matrices", good_tsv, "--dump-matrix", "--out", tmp_path / "m") == 2
+    # a tree file holding no tree, next to a valid alignment
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "rep.nwk").write_text("\n")
+    (data / "rep.fasta").write_text(fasta.read_text())
+    assert run("eval", "--data", data, "--out", tmp_path / "e") == 3
 
 
 def test_boolean_flags_and_config_values_turn_off(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -107,6 +112,36 @@ def test_pwl_fit_quality():
     knots, coeffs, sup = fit_pwl_coefficients(jc_curve, JC_RANGE, pole=0.75)
     assert sup < 1e-4
     assert knots[0] == 0.0
+
+
+_WEIGHTS_DIGEST = """
+import hashlib
+import numpy as np
+from phylodist.net.architectures import pair_values
+from phylodist.net.reference import build_reference_net
+rng = np.random.default_rng(5)
+x, y = (np.moveaxis(np.eye(4)[rng.integers(0, 4, size=(50, 300))], -1, -2) for _ in range(2))
+h = hashlib.sha256()
+for target in ("H", "JC", "K2P"):
+    net = build_reference_net(target, 300)
+    for p in net.parameters():
+        h.update(p.data.tobytes())
+    h.update(pair_values(net, x, y).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_reference_nets_do_not_depend_on_blas_threads():
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _WEIGHTS_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phylodist.errors import DataError, NewickError
 from phylodist.matrices import inverse_gromov
+from phylodist.simulate import BDParams, simulate_bd_tree
 from phylodist.tree import (
     PhyloTree,
     covariance_matrix,
@@ -190,9 +193,11 @@ def test_inverse_gromov_duplicate_taxa():
 
 def test_inverse_gromov_rejects_non_psd():
     from phylodist.errors import NumericError
+    from phylodist.matrices import CovarianceMatrix
 
+    c = CovarianceMatrix(["A", "B"], np.array([[0.0, 1.0], [1.0, 0.0]]), check_psd=False)
     with pytest.raises(NumericError):
-        inverse_gromov((("A", "B"), np.array([[0.0, 1.0], [1.0, 0.0]])))
+        inverse_gromov(c)
 
 
 # -- splits / RF ----------------------------------------------------------------
@@ -258,6 +263,70 @@ def test_collapse_zero_drops_splits():
     t2 = parse_newick("(((A:1,C:1):0,B:1):1,(D:1,E:1):1);")
     assert rf_distance(t1, t2) > 0.0
     assert rf_distance(t1, t2, collapse_zero=True) == 0.0
+
+
+def test_rf_memory_is_bounded():
+    # per-node label sets peaked at 261 MB here
+    cat = parse_newick(caterpillar_newick(2000))
+    flat = unroot(cat)
+    tracemalloc.start()
+    try:
+        assert rf_distance(cat, flat) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def _rebuild(tree, blen, labels):
+    parent = [-1 if tree.parent(v) is None else tree.parent(v) for v in range(tree.n_nodes)]
+    children = [tree.children(v) for v in range(tree.n_nodes)]
+    return PhyloTree(parent, children, blen, labels, tree.rooted)
+
+
+def _zero_some_edges(tree, rng):
+    blen = [0.0 if rng.random() < 0.2 else tree.branch_length(v) for v in range(tree.n_nodes)]
+    return _rebuild(tree, blen, [tree.label(v) for v in range(tree.n_nodes)])
+
+
+def _shuffle_labels(tree, rng):
+    names = rng.permutation([tree.label(v) for v in tree.leaves])
+    labels = [None] * tree.n_nodes
+    for v, name in zip(tree.leaves, names):
+        labels[v] = str(name)
+    return _rebuild(tree, [tree.branch_length(v) for v in range(tree.n_nodes)], labels)
+
+
+# Recorded before splits became leaf bitmasks and MRCA blocks leaf ranges.
+TREE_DIGEST = "2b79c1561af8ba718630a5a95b2d5d5be104997248ddc935203f452f3901e187"
+
+
+def test_tree_outputs_match_golden_digest():
+    rng = np.random.default_rng(43)
+    pairs = []
+    for k in range(50):
+        n = int(rng.integers(4, 40))
+        pairs.append(
+            [_zero_some_edges(random_binary_tree(rng, n, rooted=bool(k % 2)), rng) for _ in range(2)]
+        )
+    for k in range(50):
+        n = int(rng.integers(4, 60))
+        pairs.append([simulate_bd_tree(BDParams(1.0, 0.5, n), seed=2 * k + s) for s in range(2)])
+    for n in (4, 300):
+        cat = parse_newick(caterpillar_newick(n))
+        pairs.append([cat, _zero_some_edges(_shuffle_labels(cat, rng), rng)])
+    h = hashlib.sha256()
+    for pair in pairs:
+        for t in pair:
+            for mat in [patristic_matrix(t)] + ([covariance_matrix(t)] if t.rooted else []):
+                h.update(repr(mat.labels).encode() + mat.values.tobytes())
+            for collapse in (False, True):
+                splits = sorted(sorted(s) for s in tree_splits(t, collapse_zero=collapse))
+                h.update(repr(splits).encode())
+        a, b = pair
+        rfs = [rf_distance(a, b), rf_distance(b, a, collapse_zero=True), rf_distance(a, unroot(a))]
+        h.update(repr(rfs).encode())
+    assert h.hexdigest() == TREE_DIGEST
 
 
 # -- diameter -------------------------------------------------------------------
