@@ -56,16 +56,16 @@ def audit_metric(matrix, exhaustive=None):
     if exhaustive is None:
         exhaustive = n <= _EXHAUSTIVE_LIMIT
     if exhaustive:
-        # margin[i, j, k] = d_ij - d_ik - d_kj
-        margin = d[:, :, None] - d[:, None, :] - d.T[None, :, :]
-        idx = np.arange(n)
-        margin[idx, idx, :] = -np.inf  # i == j
-        margin[idx, :, idx] = -np.inf  # k == i
-        margin[:, idx, idx] = -np.inf  # k == j
+        # margin[i, j] = d_ij - d_ik - d_kj over i < j, one k at a time
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-        margin = np.where(upper[:, :, None], margin, -np.inf)
-        violations = int(np.count_nonzero(margin > _TOL))
-        worst = float(margin.max()) if n >= 3 else -np.inf
+        violations, worst = 0, -np.inf
+        for k in range(n):
+            margin = d - d[:, k : k + 1] - d[k : k + 1, :]
+            margin[k, :] = margin[:, k] = -np.inf  # k == i or k == j
+            margin = margin[upper]
+            violations += int(np.count_nonzero(margin > _TOL))
+            worst = np.max(margin, initial=worst)
+        worst = float(worst)
         sampled = False
     else:
         rng = substream(0, "triangle-audit")

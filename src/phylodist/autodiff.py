@@ -467,16 +467,12 @@ def symlog(a):
     """Matrix logarithm of a symmetric PSD matrix, eigenvalues floored."""
     a = as_tensor(a)
 
-    def decompose(x):
-        w, v = np.linalg.eigh((x + x.T) / 2.0)
-        return np.maximum(w, _EIG_FLOOR), v
-
-    w, v = decompose(a.data)
-    out_data = (v * np.log(w)) @ v.T
+    w, v = np.linalg.eigh((a.data + a.data.T) / 2.0)
+    w = np.maximum(w, _EIG_FLOOR)
+    lw = np.log(w)
+    out_data = (v * lw) @ v.T
 
     def push(g):
-        w, v = decompose(a.data)
-        lw = np.log(w)
         diff = w[:, None] - w[None, :]
         ratio = np.where(
             np.abs(diff) > 1e-12 * max(1.0, w.max()),

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or data error,
 import argparse
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,6 +23,7 @@ from .distances import DEFAULT_CEILING, SaturationPolicy, distance_matrix
 from .embed import embedding_distortion, llr_embed
 from .errors import ConfigError, DataError, NumericError, PhylodistError
 from .evaluate import evaluate_pipeline, write_instances_csv, write_report_csv
+from .files import atomic_write, write_text
 from .matrices import read_tsv, write_tsv
 from .net.architectures import ARCHITECTURES, build_architecture, network_forward
 from .net.serialize import load_network, save_network
@@ -44,24 +46,6 @@ ALIGNMENT_EXTENSIONS = _FASTA_EXTENSIONS + (".phy", ".phylip")
 
 
 # -- plumbing -----------------------------------------------------------------------
-
-
-def _atomic_write(path, writer):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _write_text(path, text):
-    def write(p):
-        with open(p, "w") as fh:
-            fh.write(text)
-
-    _atomic_write(path, write)
 
 
 def read_config_file(path):
@@ -114,7 +98,7 @@ def resolve_config(args, defaults):
 def write_manifest(cfg, command, out_dir):
     lines = [f"command={command}"]
     lines += [f"{k}={cfg[k]}" for k in sorted(cfg)]
-    _write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
+    write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _map(fn, items, threads):
@@ -204,8 +188,8 @@ def cmd_simulate(args):
     def one(rep):
         tree, aln = _simulate_replicate(cfg, params, "replicate", rep)
         stem = os.path.join(cfg["out"], f"rep_{rep:04d}")
-        _write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
-        _atomic_write(f"{stem}.{ext}", lambda p: writer(aln, p))
+        write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
+        atomic_write(f"{stem}.{ext}", lambda p: writer(aln, p))
         return stem
 
     _map(one, range(cfg["replicates"]), cfg["threads"])
@@ -215,6 +199,11 @@ def cmd_simulate(args):
 
 
 # -- infer --------------------------------------------------------------------------
+
+
+def _stem(path):
+    """The name of an input file without its directory and extension."""
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 INFER_DEFAULTS = {
@@ -264,13 +253,16 @@ def cmd_infer(args):
     else:
         paths = _input_paths(cfg["alignments"], ALIGNMENT_EXTENSIONS, "alignments")
         distances, source = from_alignment, ""
+    stems = Counter(_stem(p) for p in paths)
+    if shared := sorted(s for s, k in stems.items() if k > 1):
+        raise ConfigError(f"inputs would write the same output: {', '.join(shared)}")
 
     def one(path):
         d = distances(path)
-        stem = os.path.join(cfg["out"], os.path.splitext(os.path.basename(path))[0])
+        stem = os.path.join(cfg["out"], _stem(path))
         if cfg["dump_matrix"]:
-            _atomic_write(f"{stem}.dist.tsv", lambda p: write_tsv(d, p))
-        _write_text(f"{stem}.nwk", serialize_newick(build(d)) + "\n")
+            atomic_write(f"{stem}.dist.tsv", lambda p: write_tsv(d, p))
+        write_text(f"{stem}.nwk", serialize_newick(build(d)) + "\n")
 
     _map(one, paths, cfg["threads"])
     write_manifest(cfg, "infer", cfg["out"])
@@ -356,7 +348,7 @@ def cmd_train(args):
     offset = old[-1]["epoch"] + 1 if old else 0
     for row in result.history:
         row["epoch"] += offset
-    _atomic_write(history_path, lambda p: write_history_csv(old + result.history, p))
+    atomic_write(history_path, lambda p: write_history_csv(old + result.history, p))
     ckpt = os.path.join(cfg["out"], "checkpoint.pdnet")
     save_network(spec, ckpt)
     write_manifest(cfg, "train", cfg["out"])
@@ -420,8 +412,8 @@ def cmd_eval(args):
         )
 
     reports = _map(one, methods, cfg["threads"])
-    _atomic_write(os.path.join(cfg["out"], "report.csv"), lambda p: write_report_csv(reports, p))
-    _atomic_write(
+    atomic_write(os.path.join(cfg["out"], "report.csv"), lambda p: write_report_csv(reports, p))
+    atomic_write(
         os.path.join(cfg["out"], "instances.csv"), lambda p: write_instances_csv(reports, p)
     )
     if cfg["gnuplot"]:
@@ -429,7 +421,7 @@ def cmd_eval(args):
         for rep in reports:
             lo, hi = rep.iqr
             rows.append(f"{rep.method} {rep.count} {rep.mean!r} {rep.median!r} {lo!r} {hi!r}")
-        _write_text(os.path.join(cfg["out"], "report.dat"), "\n".join(rows) + "\n")
+        write_text(os.path.join(cfg["out"], "report.dat"), "\n".join(rows) + "\n")
     write_manifest(cfg, "eval", cfg["out"])
     for rep in reports:
         print(f"{rep.method}: mean RF {rep.mean:.4f} median {rep.median:.4f} over {rep.count}")
@@ -440,6 +432,11 @@ def cmd_eval(args):
 
 
 AUDIT_DEFAULTS = {"matrix": "", "exhaustive": False, "out": ""}
+# The MetricAudit attributes audit prints, in order.
+_AUDIT_FIELDS = (
+    "is_symmetric", "zero_diagonal", "nonnegative", "is_dissimilarity",
+    "triangle_violations", "worst_margin", "sampled", "is_metric",
+)
 
 
 def cmd_audit(args):
@@ -448,21 +445,11 @@ def cmd_audit(args):
         raise ConfigError("audit requires --matrix")
     d = read_tsv(cfg["matrix"])
     a = audit_metric(d, exhaustive=cfg["exhaustive"] or None)
-    lines = [
-        f"matrix={cfg['matrix']}",
-        f"is_symmetric={a.is_symmetric}",
-        f"zero_diagonal={a.zero_diagonal}",
-        f"nonnegative={a.nonnegative}",
-        f"is_dissimilarity={a.is_dissimilarity}",
-        f"triangle_violations={a.triangle_violations}",
-        f"worst_margin={a.worst_margin}",
-        f"sampled={a.sampled}",
-        f"is_metric={a.is_metric}",
-    ]
+    lines = [f"matrix={cfg['matrix']}"] + [f"{key}={getattr(a, key)}" for key in _AUDIT_FIELDS]
     text = "\n".join(lines)
     print(text)
     if cfg["out"]:
-        _write_text(cfg["out"], text + "\n")
+        write_text(cfg["out"], text + "\n")
     return 0
 
 
@@ -494,7 +481,7 @@ def cmd_embed(args):
             for lab, row in zip(d.labels, emb):
                 fh.write(lab + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
 
-    _atomic_write(cfg["out"], write_embedding)
+    atomic_write(cfg["out"], write_embedding)
     print(
         f"embedded {d.n} points into R^{emb.shape[1]} (seed {seed}): "
         f"distortion {report.rho:.4f}, scale {report.r:.4f}"

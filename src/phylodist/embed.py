@@ -71,20 +71,20 @@ def measure_distortion(d1, d2):
     iu = np.triu_indices(n, k=1)
     a = d1.values[iu]
     b = d2.values[iu]
+
+    def pair(k):
+        return d1.labels[iu[0][k]], d1.labels[iu[1][k]]
+
     if np.any(a <= 0):
         k = int(np.argmax(a <= 0))
-        raise DataError(
-            f"d1 has a zero off-diagonal entry for pair "
-            f"({d1.labels[iu[0][k]]}, {d1.labels[iu[1][k]]})"
-        )
-    pairs = [(d1.labels[i], d1.labels[j]) for i, j in zip(*iu)]
+        raise DataError(f"d1 has a zero off-diagonal entry for pair ({', '.join(pair(k))})")
     ratios = b / a
     lo = int(np.argmin(ratios))
     hi = int(np.argmax(ratios))
     r = float(ratios[lo])
     if r == 0.0:
-        return DistortionReport(math.inf, 0.0, pairs[hi], pairs[lo])
-    return DistortionReport(float(ratios[hi] / r), r, pairs[hi], pairs[lo])
+        return DistortionReport(math.inf, 0.0, pair(hi), pair(lo))
+    return DistortionReport(float(ratios[hi] / r), r, pair(hi), pair(lo))
 
 
 def embedding_distortion(dist, seed):

@@ -16,8 +16,10 @@ LOSS_KINDS = ("mae", "mse", "l21", "logdet", "vonneumann")
 _PD_TOL = 1e-12
 
 
-def _upper_mask(n):
-    return np.triu(np.ones((n, n)), k=1)
+def _upper_mean(errors, n):
+    """Mean of an (n, n) elementwise error tensor over the strict upper triangle."""
+    mask = np.triu(np.ones((n, n)), k=1)
+    return ad.tensor_sum(errors * mask) * (1.0 / mask.sum())
 
 
 def _check_spd(name, values):
@@ -41,16 +43,12 @@ def exp_transform(matrix, gamma):
 
 def mae(predicted, target):
     predicted, target = ad.as_tensor(predicted), np.asarray(target, float)
-    mask = _upper_mask(target.shape[0])
-    diff = ad.absolute(predicted - ad.Tensor(target)) * mask
-    return ad.tensor_sum(diff) * (1.0 / mask.sum())
+    return _upper_mean(ad.absolute(predicted - ad.Tensor(target)), target.shape[0])
 
 
 def mse(predicted, target):
     predicted, target = ad.as_tensor(predicted), np.asarray(target, float)
-    mask = _upper_mask(target.shape[0])
-    diff = ((predicted - ad.Tensor(target)) ** 2.0) * mask
-    return ad.tensor_sum(diff) * (1.0 / mask.sum())
+    return _upper_mean((predicted - ad.Tensor(target)) ** 2.0, target.shape[0])
 
 
 def logdet_divergence(x, y):

@@ -12,39 +12,37 @@ from .errors import DataError, NumericError
 _PSD_TOL = 1e-8
 
 
-def _check_labels(labels, n):
+def _validated(kind, labels, values):
+    """(labels, frozen values) of a labeled square matrix after the checks
+    shared by both matrix kinds: square, one distinct label per row, finite
+    and exactly symmetric."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise DataError(f"{kind} matrix must be square")
+    n = values.shape[0]
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
         raise DataError(f"expected {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
         raise DataError("duplicate labels")
-    return labels
-
-
-def _frozen(values):
-    values = np.array(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{kind} matrix contains non-finite entries")
+    if not np.array_equal(values, values.T):
+        raise DataError(f"{kind} matrix is not exactly symmetric")
+    values = np.array(values)
     values.setflags(write=False)
-    return values
+    return labels, values
 
 
 class DistanceMatrix:
     """Symmetric nonnegative matrix with zero diagonal, labeled by taxon."""
 
     def __init__(self, labels, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise DataError("distance matrix must be square")
-        n = values.shape[0]
-        self.labels = _check_labels(labels, n)
-        if not np.all(np.isfinite(values)):
-            raise DataError("distance matrix contains non-finite entries")
-        if not np.array_equal(values, values.T):
-            raise DataError("distance matrix is not exactly symmetric")
-        if np.any(np.diag(values) != 0.0):
+        self.labels, self.values = _validated("distance", labels, values)
+        if np.any(np.diag(self.values) != 0.0):
             raise DataError("distance matrix diagonal must be exactly zero")
-        if np.any(values < 0.0):
+        if np.any(self.values < 0.0):
             raise DataError("distance matrix has negative entries")
-        self.values = _frozen(values)
 
     @property
     def n(self):
@@ -76,22 +74,13 @@ class CovarianceMatrix:
     """Symmetric PSD matrix of shared root-to-MRCA path lengths."""
 
     def __init__(self, labels, values, check_psd=True):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise DataError("covariance matrix must be square")
-        n = values.shape[0]
-        self.labels = _check_labels(labels, n)
-        if not np.all(np.isfinite(values)):
-            raise DataError("covariance matrix contains non-finite entries")
-        if not np.array_equal(values, values.T):
-            raise DataError("covariance matrix is not exactly symmetric")
+        self.labels, self.values = _validated("covariance", labels, values)
         if check_psd:
-            w = np.linalg.eigvalsh(values)
+            w = np.linalg.eigvalsh(self.values)
             if w.size and w[0] < -_PSD_TOL:
                 raise DataError(
                     f"covariance matrix is not PSD (min eigenvalue {w[0]:.3e})"
                 )
-        self.values = _frozen(values)
 
     @property
     def n(self):

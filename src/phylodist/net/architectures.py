@@ -302,10 +302,11 @@ def network_forward(spec, aln):
         raise NumericError(f"{spec.architecture} produced non-finite network output")
     if spec.head == "inner_product":
         return inverse_gromov(CovarianceMatrix(labels, values, check_psd=False))
+    # _scatter_symmetric gave an exactly symmetric matrix with a +0.0
+    # diagonal; a loaded checkpoint can still emit negative distances
     values = np.array(values)
-    values[values < 0] = 0.0  # guard against -0.0 and rounding dust
-    np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(labels, np.maximum(values, values.T))
+    values[values < 0] = 0.0
+    return DistanceMatrix(labels, values)
 
 
 def forward_embedding(spec, aln):

@@ -11,13 +11,15 @@ import struct
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..files import atomic_write, write_text
 
 MAGIC = b"PDNET\x00"
 VERSION = 1
 
 
 def save_network(spec, path):
-    """Write weights + header to path and a manifest to path.manifest.txt."""
+    """Write weights + header to path and a manifest to path.manifest.txt,
+    each atomically."""
     named = spec.named_params()
     header = {
         "config": spec.config,
@@ -25,12 +27,16 @@ def save_network(spec, path):
         "param_count": spec.param_count(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(blob)))
-        fh.write(blob)
-        for _, p in named:
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(blob)))
+            fh.write(blob)
+            for _, p in named:
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+
+    atomic_write(path, write)
     manifest = [
         f"architecture: {spec.architecture}",
         f"head: {spec.config['head']}",
@@ -44,8 +50,7 @@ def save_network(spec, path):
             manifest.append(f"{key}: {spec.config[key]}")
     manifest.append("parameters:")
     manifest += [f"  {n}  {tuple(p.data.shape)}" for n, p in named]
-    with open(str(path) + ".manifest.txt", "w") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    write_text(f"{path}.manifest.txt", "\n".join(manifest) + "\n")
     return str(path)
 
 

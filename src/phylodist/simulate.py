@@ -53,13 +53,10 @@ class SubstModel:
             raise ConfigError("base frequencies must be 4 positive values summing to 1")
         if not self.kappa > 0:
             raise ConfigError("kappa must be positive")
-        if self.kind == "JC":
-            if self.kappa != 1.0:
-                raise ConfigError("JC forces kappa = 1")
-            if not np.allclose(pi, 0.25, atol=0):
-                raise ConfigError("JC forces uniform base frequencies")
-        if self.kind == "K2P" and not np.allclose(pi, 0.25, atol=0):
-            raise ConfigError("K2P forces uniform base frequencies")
+        if self.kind == "JC" and self.kappa != 1.0:
+            raise ConfigError("JC forces kappa = 1")
+        if self.kind != "HKY" and not np.allclose(pi, 0.25, atol=0):
+            raise ConfigError(f"{self.kind} forces uniform base frequencies")
         if self.gamma_shape is not None and not self.gamma_shape > 0:
             raise ConfigError("gamma_shape must be positive")
         object.__setattr__(self, "base_freqs", tuple(float(x) for x in pi))
@@ -78,15 +75,11 @@ def rate_matrix(model):
     JC and K2P arise as restrictions.  Rows sum to zero and pi Q = 0.
     """
     pi = np.asarray(model.base_freqs)
-    q = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            rate = pi[j]
-            if tuple(sorted((i, j))) in TRANSITIONS:
-                rate *= model.kappa
-            q[i, j] = rate
+    q = np.tile(pi, (4, 1))
+    for i, j in TRANSITIONS:
+        q[i, j] *= model.kappa
+        q[j, i] *= model.kappa
+    np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
     scale = -float(pi @ np.diag(q))
     return q / scale

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .errors import ConfigError, DataError, TrainingDiverged
 from .losses import batch_loss
 from .net.architectures import forward_matrix, network_forward
-from .net.layers import Dense, ScalarMLP
+from .net.layers import ScalarMLP
 from .nj import neighbor_join
 from .rng import substream
 from .tree import covariance_matrix, patristic_matrix, rf_distance
@@ -205,42 +205,18 @@ def read_history_csv(path):
 # -- scalar-map fitting ----------------------------------------------------------
 
 
-def fit_scalar_head(
-    x,
-    y,
-    method="pwl_lstsq",
-    knots=64,
-    hidden=(16, 16, 16, 16),
-    epochs=400,
-    learning_rate=0.01,
-    seed=0,
-):
+def fit_scalar_head(x, y, hidden=(16, 16, 16, 16), epochs=400, learning_rate=0.01, seed=0):
     """Fit a scalar map to samples (x, y); returns a ScalarMLP.
 
-    pwl_lstsq: single-hidden-layer ReLU map with knots spread over the x
-    range and least-squares output weights (deterministic).  adam: an ELU
-    MLP trained full-batch under MAE with cosine decay.  Both fit the unique
-    (x, y) samples weighted by their multiplicity, which leaves the least
-    squares and the MAE of the full sample set unchanged.
+    An ELU MLP trained full-batch under MAE with cosine decay.  It fits the
+    unique (x, y) samples weighted by their multiplicity, which leaves the
+    MAE of the full sample set unchanged.
     """
     x = np.asarray(x, float).reshape(-1)
     y = np.asarray(y, float).reshape(-1)
     if x.size < 2 or x.size != y.size:
         raise ConfigError("need at least two (x, y) samples of equal length")
     (x, y), counts = np.unique(np.stack([x, y]), axis=1, return_counts=True)
-    if method == "pwl_lstsq":
-        lo, hi = float(x.min()), float(x.max())
-        if hi <= lo:
-            raise ConfigError("degenerate sample set: all x identical")
-        t = np.linspace(lo, hi, knots, endpoint=False)
-        basis = np.concatenate([np.maximum(x[:, None] - t[None, :], 0.0), np.ones((x.size, 1))], axis=1)
-        root = np.sqrt(counts)
-        coeffs, *_ = np.linalg.lstsq(basis * root[:, None], y * root, rcond=None)
-        h = Dense(np.ones((1, knots)), -t, "relu")
-        out = Dense(coeffs[:-1][:, None], coeffs[-1:], "identity")
-        return ScalarMLP([h, out])
-    if method != "adam":
-        raise ConfigError(f"unknown fit method {method!r}")
     rng = substream(seed, "scalar-head")
     mlp = ScalarMLP.random(1, hidden, rng, activation="elu")
     params = [p for _, p in mlp.params()]

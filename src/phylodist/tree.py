@@ -442,11 +442,14 @@ def _mrca_depths(tree):
 
 def patristic_matrix(tree):
     """Pairwise path-length (patristic) distance matrix, labels sorted."""
-    labels, m = _mrca_depths(tree)
-    leaf_depth = np.diag(m).copy()
-    d = leaf_depth[:, None] + leaf_depth[None, :] - 2.0 * m
+    labels, d = _mrca_depths(tree)
+    leaf_depth = np.diag(d).copy()
+    # d_ij = depth_i + depth_j - 2 * mrca_ij over the MRCA matrix, 256 rows at a time
+    for r in range(0, len(labels), 256):
+        block = d[r : r + 256]
+        block[...] = leaf_depth[r : r + 256, None] + leaf_depth[None, :] - 2.0 * block
+        block[block < 0] = 0.0  # guard against rounding; keeps -0.0
     np.fill_diagonal(d, 0.0)
-    d[d < 0] = 0.0  # guard against -0.0 scale rounding
     return DistanceMatrix(labels, d)
 
 

@@ -214,7 +214,7 @@ def test_a5_learned_jc_correction_with_plateau():
                         xs.append(x)
                         ys.append(jc_correct(x, policy))
         mlp = fit_scalar_head(
-            np.array(xs), np.array(ys), method="adam",
+            np.array(xs), np.array(ys),
             hidden=(16, 16, 16, 16), epochs=4000, learning_rate=0.015, seed=0,
         )
         assert mlp.n_params() < 1000

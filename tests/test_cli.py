@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from phylodist.alignment import read_fasta, write_fasta, write_phylip
 from phylodist.cli import main
 from phylodist.matrices import write_tsv
 from phylodist.net.architectures import build_architecture
@@ -29,8 +30,6 @@ def test_simulate_writes_consistent_pairs(tmp_path):
                "--length", "40", "--seed", "5") == 0
     for rep in range(3):
         tree = read_newick_file(out / f"rep_{rep:04d}.nwk")[0]
-        from phylodist.alignment import read_fasta
-
         aln = read_fasta(out / f"rep_{rep:04d}.fasta")
         assert set(aln.labels) == set(tree.leaf_labels)
         assert aln.length == 40
@@ -156,7 +155,7 @@ def test_embed_command(tmp_path):
     assert rows[0].startswith("taxon\tc0")
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run("simulate") == 2  # missing --out
     assert run("infer", "--alignments", tmp_path / "missing_dir",
                "--out", tmp_path / "x") == 3
@@ -224,6 +223,16 @@ def test_exit_codes(tmp_path):
     (data / "rep.nwk").write_text("\n")
     (data / "rep.fasta").write_text(fasta.read_text())
     assert run("eval", "--data", data, "--out", tmp_path / "e") == 3
+    # two inputs that would both write rep_0000.nwk
+    both = tmp_path / "both"
+    both.mkdir()
+    aln = read_fasta(fasta)
+    write_fasta(aln, both / "rep_0000.fasta")
+    write_phylip(aln, both / "rep_0000.phy")
+    capsys.readouterr()
+    assert run("infer", "--alignments", both, "--out", tmp_path / "w") == 2
+    assert "rep_0000" in capsys.readouterr().err
+    assert not list((tmp_path / "w").glob("*.nwk"))
 
 
 def test_boolean_flags_and_config_values_turn_off(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ def test_audit_sampled_mode_matches_exhaustive_flag():
     b = audit_metric(d.values, exhaustive=True)
     assert not b.sampled
     assert b.is_metric
+
+
+def test_exhaustive_audit_memory_and_counts():
+    # counts recorded with the n x n x n margin tensor, which peaked at 432 MB traced
+    d = np.triu(np.random.default_rng(7).uniform(0.5, 2.0, (300, 300)), 1)
+    d = d + d.T
+    tracemalloc.start()
+    try:
+        a = audit_metric(d, exhaustive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (a.triangle_violations, a.worst_margin) == (662558, 0.9932128219155065)
+    assert peak < 20e6
 
 
 def test_audit_rejects_nonsquare():

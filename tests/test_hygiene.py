@@ -3,6 +3,7 @@ every function it defines and every name it binds at module level is read
 somewhere in the repository."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,19 @@ def test_guard_flags_an_unread_module_name():
     assert unread_module_names(source, referenced) == [
         (2, "UNUSED"), (3, "_B"), (4, "STORED_ONLY"), (7, "Gone"),
     ]
+
+
+def test_tracer_bindings_resolve():
+    """Every library attribute the bench tracer rebinds still exists, so a
+    rename in src/ cannot silently break a traced bench run."""
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = tracing.bindings()
+    assert bindings
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _, _ in bindings
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []

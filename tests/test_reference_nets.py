@@ -160,6 +160,18 @@ def test_serialization_roundtrip(tmp_path):
         assert f"Reference{target}" in manifest
 
 
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path):
+    path = tmp_path / "net.pdnet"
+    save_network(build_reference_net("H", 10), path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    net = build_reference_net("H", 10)
+    _, last = net.named_params()[-1]
+    last.data = np.full(last.data.shape, "x", dtype=object)  # raises once written
+    with pytest.raises(ValueError):
+        save_network(net, path)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
 def test_trained_architecture_serialization_roundtrip(tmp_path):
     from phylodist.net.architectures import build_architecture
 

@@ -204,33 +204,11 @@ def test_inner_product_targets_are_covariances():
 # -- scalar-map fitting -------------------------------------------------------------
 
 
-def test_fit_identity_function():
-    x = np.linspace(0, 1, 500)
-    mlp = fit_scalar_head(x, x, method="pwl_lstsq")
-    pred = mlp.forward(ad.Tensor(x[:, None])).data
-    assert np.max(np.abs(pred - x)) < 1e-3
-
-
-def test_fit_jc_curve():
-    x = np.linspace(0, 0.7, 2000)
-    y = -0.75 * np.log1p(-4 * x / 3)
-    mlp = fit_scalar_head(x, y, method="pwl_lstsq", knots=160)
-    pred = mlp.forward(ad.Tensor(x[:, None])).data
-    assert np.max(np.abs(pred - y)) < 1e-3
-
-
 def test_fit_adam_learns_linear_map():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, 400)
     y = 3.0 * x + 0.5
-    mlp = fit_scalar_head(x, y, method="adam", hidden=(8, 8), epochs=500, seed=5)
+    mlp = fit_scalar_head(x, y, hidden=(8, 8), epochs=500, seed=5)
     grid = np.linspace(0.1, 0.9, 50)
     pred = mlp.forward(ad.Tensor(grid[:, None])).data
     assert np.max(np.abs(pred - (3.0 * grid + 0.5))) < 0.1
-
-
-def test_degenerate_samples_rejected():
-    from phylodist.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        fit_scalar_head(np.ones(10), np.ones(10), method="pwl_lstsq")

@@ -278,6 +278,18 @@ def test_rf_memory_is_bounded():
     assert peak < 20e6
 
 
+def test_patristic_memory_is_bounded():
+    # the full-matrix broadcast sum and its temporaries peaked at 96 MB traced
+    cat = parse_newick(caterpillar_newick(2000))
+    tracemalloc.start()
+    try:
+        d = patristic_matrix(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * d.values.nbytes
+
+
 def _rebuild(tree, blen, labels):
     parent = [-1 if tree.parent(v) is None else tree.parent(v) for v in range(tree.n_nodes)]
     children = [tree.children(v) for v in range(tree.n_nodes)]
