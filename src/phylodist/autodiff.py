@@ -7,16 +7,17 @@ every reachable leaf that requires one, so backward passes over several
 scalars that share parameters accumulate exactly as one pass over their sum
 would.  Interior gradients are dropped once pushed, and tensors that require
 no gradient receive none.  Leaf grads stay until a caller clears them:
-``gradients`` does so before its pass, ``Adam.step`` after using them.  Inside ``with no_tape():`` operations compute the same
-values but return parentless tensors, so nothing is kept for a backward
-pass; the switch is a context variable, so each thread has its own.
+``gradients`` does so before its pass, ``Adam.step`` after using them.
+Inside ``with no_tape():`` operations compute the same values but return
+parentless tensors, so nothing is kept for a backward pass; the switch is a
+context variable, so each thread has its own.
 
-The op set is exactly what the network layers and losses require; reductions
-that must be invariant to input permutations (site sums in equivariant
-layers, pooling) use ``ordered_sum``, which sorts before summing so the
-result depends only on the multiset of addends.  ``attention`` is one node
-per head: it keeps only the softmax probabilities, not the score
-intermediates, and its backward replays the chain rule of the separate
+The op set is exactly what the network layers and losses run: ``+``, ``*``,
+binary ``-``, ``**``, indexing, ``@`` on operands with 2 or more dimensions,
+six activations, two sums, ``attention``, four shape ops and four matrix
+ops.  ``ordered_sum`` sorts before summing, so its value depends only on the
+multiset of addends.  ``attention`` is one node per head that keeps only the
+softmax probabilities; its backward replays the chain rule of the separate
 matmul, scale, log-count and softmax steps op for op.
 """
 
@@ -120,17 +121,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -140,23 +130,12 @@ class Tensor:
     def __getitem__(self, idx):
         return take(self, idx)
 
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def parameter(data):
-    """Trainable tensor holding a copy of data."""
-    return Tensor(np.array(data, dtype=float), requires_grad=True)
 
 
 _TAPE = contextvars.ContextVar("phylodist_tape", default=True)
@@ -215,25 +194,15 @@ def power(a, k):
 
 
 def matmul(a, b):
+    """a @ b for operands with 2 or more dimensions."""
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data @ b.data
 
     def push(g):
         g = np.asarray(g)
         x, y = a.data, b.data
-        if x.ndim == 1 and y.ndim == 1:
-            ga, gb = g * y, g * x
-        elif x.ndim == 1:
-            ga = g @ np.swapaxes(y, -1, -2)
-            gb = x[:, None] * g[..., None, :]
-        elif y.ndim == 1:
-            ga = g[..., :, None] * y[None, :]
-            gb = np.swapaxes(x, -1, -2) @ g
-        else:
-            ga = g @ np.swapaxes(y, -1, -2)
-            gb = np.swapaxes(x, -1, -2) @ g
-        a._accumulate(_unbroadcast(np.asarray(ga), x.shape))
-        b._accumulate(_unbroadcast(np.asarray(gb), y.shape))
+        a._accumulate(_unbroadcast(g @ np.swapaxes(y, -1, -2), x.shape))
+        b._accumulate(_unbroadcast(np.swapaxes(x, -1, -2) @ g, y.shape))
 
     return _node(out_data, (a, b), push)
 
@@ -343,12 +312,6 @@ def ordered_sum(a, axis, keepdims=False):
     # contiguous layout pins numpy's pairwise-summation blocking
     s = np.ascontiguousarray(np.sort(a.data, axis=axis))
     return _node(s.sum(axis=axis, keepdims=keepdims), (a,), _sum_push(a, axis, keepdims))
-
-
-def mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def attention(q, k, v, scale, log_counts=None):

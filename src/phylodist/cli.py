@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError, NumericError, PhylodistError
 from .evaluate import evaluate_pipeline, write_instances_csv, write_report_csv
 from .files import atomic_write, write_text
 from .matrices import read_tsv, write_tsv
-from .net.architectures import ARCHITECTURES, build_architecture, network_forward
+from .net.architectures import build_architecture, network_forward
 from .net.serialize import load_network, save_network
 from .nj import bionj, neighbor_join
 from .rng import derive_seed
@@ -63,6 +63,8 @@ def read_config_file(path):
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# The least value of each count key, for every command that has the key.
+_MINIMUMS = {"replicates": 1, "threads": 1, "sweep": 1, "train_size": 1, "val_size": 0, "patience": 0}
 
 
 def resolve_config(args, defaults):
@@ -92,6 +94,9 @@ def resolve_config(args, defaults):
         val = getattr(args, key, None)
         if val is not None:
             resolved[key] = val
+    for key, low in _MINIMUMS.items():
+        if resolved.get(key, low) < low:
+            raise ConfigError(f"{key} must be >= {low}, got {resolved[key]}")
     return resolved
 
 
@@ -102,7 +107,7 @@ def write_manifest(cfg, command, out_dir):
 
 
 def _map(fn, items, threads):
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -309,10 +314,11 @@ def cmd_train(args):
     if not cfg["out"]:
         raise ConfigError("train requires --out")
     os.makedirs(cfg["out"], exist_ok=True)
-    if cfg["arch"] not in ARCHITECTURES:
-        raise ConfigError(f"unknown architecture {cfg['arch']!r}; options {ARCHITECTURES}")
     if cfg["resume"]:
         spec = load_network(cfg["resume"])
+        # the summary and manifest name the network trained, not the defaults
+        cfg["arch"], cfg["head"] = spec.architecture, spec.head
+        cfg.update({k: spec.config.get(k) or 0 for k in ("channels", "heads", "embed_dim")})
     else:
         spec = build_architecture(
             cfg["arch"],
@@ -377,15 +383,11 @@ def _load_pairs(data_dir):
     pairs = []
     for tree_path in _list_dir(data_dir, ".nwk", ".nwk files"):
         stem = os.path.splitext(tree_path)[0]
-        aln_path = None
-        for ext in ALIGNMENT_EXTENSIONS:
-            if os.path.exists(stem + ext):
-                aln_path = stem + ext
-                break
-        if aln_path is None:
+        found = [stem + ext for ext in ALIGNMENT_EXTENSIONS if os.path.exists(stem + ext)]
+        if not found:
             raise DataError(f"{data_dir}: no alignment found for {os.path.basename(tree_path)}")
         tree = read_newick_file(tree_path)[0]
-        aln = _read_alignment(aln_path)
+        aln = _read_alignment(found[0])
         if set(aln.labels) != set(tree.leaf_labels):
             raise DataError(f"{stem}: tree and alignment have different taxa")
         pairs.append((aln, tree))
@@ -464,13 +466,9 @@ def cmd_embed(args):
     if not cfg["matrix"] or not cfg["out"]:
         raise ConfigError("embed requires --matrix and --out")
     d = read_tsv(cfg["matrix"])
-    best = None
-    for k in range(max(1, cfg["sweep"])):
-        seed = derive_seed(cfg["seed"], "sweep", k) if cfg["sweep"] > 1 else cfg["seed"]
-        rep = embedding_distortion(d, seed)
-        if best is None or rep.rho < best[1].rho:
-            best = (seed, rep)
-    seed, report = best
+    sweep = [derive_seed(cfg["seed"], "sweep", k) for k in range(cfg["sweep"])]
+    runs = [(s, embedding_distortion(d, s)) for s in (sweep if len(sweep) > 1 else [cfg["seed"]])]
+    seed, report = min(runs, key=lambda run: run[1].rho)  # ties keep the earlier seed
 
     emb = llr_embed(d, seed)
 

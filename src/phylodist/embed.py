@@ -15,6 +15,8 @@ from .errors import DataError
 from .matrices import DistanceMatrix
 from .rng import substream
 
+_ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class DistortionReport:
@@ -50,11 +52,14 @@ def llr_embed(dist, seed):
 
 
 def euclidean_matrix(labels, points):
-    """Pairwise Euclidean distances of embedded points as a DistanceMatrix."""
+    """Pairwise Euclidean distances of embedded points as a DistanceMatrix,
+    _ROW_BLOCK rows at a time (O(n²) memory, not O(n²k)).  Each pair sums its k
+    squares along one contiguous axis: exactly symmetric, whatever the block."""
     points = np.asarray(points, float)
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.sqrt((diff**2).sum(axis=-1))
-    d = np.maximum(d, np.swapaxes(d, 0, 1))
+    d = np.empty((len(points), len(points)))
+    for lo in range(0, len(points), _ROW_BLOCK):
+        diff = points[lo : lo + _ROW_BLOCK, None, :] - points[None, :, :]
+        d[lo : lo + _ROW_BLOCK] = np.sqrt((diff**2).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(labels, d)
 

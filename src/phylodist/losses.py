@@ -100,9 +100,5 @@ def batch_loss(kind, pairs, gamma=None):
     L_{2,1} sums per-tree RMS errors; every other kind averages.
     """
     terms = [matrix_loss(kind, p, t, gamma=gamma) for p, t in pairs]
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    if kind == "l21":
-        return total
-    return total * (1.0 / len(terms))
+    total = sum(terms[1:], terms[0])
+    return total if kind == "l21" else total * (1.0 / len(terms))

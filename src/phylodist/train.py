@@ -114,10 +114,12 @@ def train(spec, train_data, cfg, val_data=None):
     as one backward of batch_loss over the whole batch would give them, so
     weights and losses are bit-identical to that.
     """
+    if not train_data:
+        raise ConfigError("train needs at least one training alignment")
     params = spec.parameters()
     opt = Adam(params)
     order_rng = substream(cfg.seed, "batch-order")
-    steps_per_epoch = max(1, math.ceil(len(train_data) / cfg.batch_size))
+    steps_per_epoch = math.ceil(len(train_data) / cfg.batch_size)
     horizon = cfg.max_epochs * steps_per_epoch
     gamma = cfg.gamma if cfg.loss in ("logdet", "vonneumann") and spec.head != "inner_product" else None
     result = TrainResult()
@@ -129,8 +131,6 @@ def train(spec, train_data, cfg, val_data=None):
         epoch_losses = []
         for b in range(steps_per_epoch):
             batch = [train_data[i] for i in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-            if not batch:
-                continue
             for p in params:
                 p.grad = None
             weight = 1.0 if cfg.loss == "l21" else 1.0 / len(batch)

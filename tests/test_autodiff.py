@@ -7,15 +7,19 @@ from phylodist import autodiff as ad
 from phylodist.errors import NumericError
 
 
+def _param(data):
+    return ad.Tensor(np.array(data, float), requires_grad=True)
+
+
 def test_sum_of_squares_gradient_analytic():
-    p = ad.parameter(np.array([1.0, -2.0, 3.0]))
+    p = _param(np.array([1.0, -2.0, 3.0]))
     loss = ad.tensor_sum(p * p)
     (g,) = ad.gradients(loss, [p])
     assert np.allclose(g, 2.0 * p.data, atol=0)
 
 
 def test_constant_loss_zero_gradients():
-    p = ad.parameter(np.array([1.0, 2.0]))
+    p = _param(np.array([1.0, 2.0]))
     loss = ad.Tensor(5.0)
     loss_total = loss + 0.0 * ad.tensor_sum(p)
     (g,) = ad.gradients(loss_total, [p])
@@ -23,13 +27,13 @@ def test_constant_loss_zero_gradients():
 
 
 def test_backward_rejects_non_scalar():
-    p = ad.parameter(np.array([1.0, 2.0]))
+    p = _param(np.array([1.0, 2.0]))
     with pytest.raises(NumericError):
         (p * p).backward()
 
 
 def test_grad_accumulates_through_shared_subexpression():
-    p = ad.parameter(np.array(2.0))
+    p = _param(np.array(2.0))
     y = p * p  # used twice below
     loss = y + y
     (g,) = ad.gradients(loss, [p])
@@ -41,8 +45,8 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
     # must receive the same additions, in the same order, as one backward of
     # the weighted sum of the terms
     rng = np.random.default_rng(3)
-    p = ad.parameter(rng.normal(size=(2, 5, 3)))
-    w = ad.parameter(rng.normal(size=(3, 3)))
+    p = _param(rng.normal(size=(2, 5, 3)))
+    w = _param(rng.normal(size=(3, 3)))
     consts = [ad.Tensor(rng.normal(size=(2, 5, 3))) for _ in range(3)]
 
     def term(c):
@@ -61,7 +65,7 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
 
 
 def test_gradients_ignore_stale_grads():
-    p = ad.parameter(np.array([1.0, -2.0, 3.0]))
+    p = _param(np.array([1.0, -2.0, 3.0]))
     p.grad = np.full(3, 100.0)
     (g,) = ad.gradients(ad.tensor_sum(p * p), [p])
     assert np.array_equal(g, 2.0 * p.data)
@@ -76,7 +80,7 @@ def test_gradients_ignore_stale_grads():
         lambda t: ad.tensor_sum(ad.elu(t)),
         lambda t: ad.tensor_sum(ad.softplus(t)),
         lambda t: ad.tensor_sum(ad.ordered_sum(t, axis=1) ** 2),
-        lambda t: ad.tensor_sum(ad.mean(t, axis=0) ** 3),
+        lambda t: ad.tensor_sum(ad.tensor_sum(t, axis=0) ** 3),
         lambda t: ad.tensor_sum(ad.moveaxis(t, 0, 1) @ t),
         lambda t: ad.tensor_sum(ad.reshape(t, (4, 3))[1:3, :] ** 2),
         lambda t: ad.tensor_sum(ad.concat([t, t * 2.0], axis=0)),
@@ -86,7 +90,7 @@ def test_gradients_ignore_stale_grads():
 )
 def test_elementwise_ops_match_finite_differences(op):
     rng = np.random.default_rng(0)
-    p = ad.parameter(rng.normal(size=(3, 4)) + 0.1)
+    p = _param(rng.normal(size=(3, 4)) + 0.1)
     worst = ad.finite_difference_check(lambda: op(p), [p])
     assert worst < 1e-4
 
@@ -97,13 +101,10 @@ def test_matmul_shapes_match_finite_differences():
         ((3, 4), (4, 2)),
         ((5, 3, 4), (4, 2)),
         ((5, 3, 4), (5, 4, 2)),
-        ((4,), (4, 2)),
-        ((3, 4), (4,)),
-        ((4,), (4,)),
     ]
     for sa, sb in cases:
-        a = ad.parameter(rng.normal(size=sa))
-        b = ad.parameter(rng.normal(size=sb))
+        a = _param(rng.normal(size=sa))
+        b = _param(rng.normal(size=sb))
         worst = ad.finite_difference_check(lambda: ad.tensor_sum((a @ b) ** 2), [a, b])
         assert worst < 1e-4, (sa, sb, worst)
 
@@ -115,13 +116,13 @@ def _random_spd(rng, n, jitter=0.0):
 
 def test_matrix_ops_match_finite_differences():
     rng = np.random.default_rng(2)
-    a = ad.parameter(_random_spd(rng, 4))
+    a = _param(_random_spd(rng, 4))
     worst = ad.finite_difference_check(lambda: ad.logdet(a), [a])
     assert worst < 1e-4
-    b = ad.parameter(_random_spd(rng, 4))
+    b = _param(_random_spd(rng, 4))
     worst = ad.finite_difference_check(lambda: ad.trace(ad.inv(b)), [b])
     assert worst < 1e-4
-    c = ad.parameter(_random_spd(rng, 4))
+    c = _param(_random_spd(rng, 4))
     target = _random_spd(rng, 4)
     worst = ad.finite_difference_check(
         lambda: ad.tensor_sum(ad.symlog(c) * target), [c]
@@ -152,7 +153,7 @@ def test_attention_matches_finite_differences(counted):
     rng = np.random.default_rng(6)
     # pattern-token nets share one row of q, k, v across the rows of log_counts
     rows, log_counts = (1, _log_counts(rng, 4, 5)) if counted else (2, None)
-    q, k, v = (ad.parameter(rng.normal(size=(rows, 5, 3))) for _ in range(3))
+    q, k, v = (_param(rng.normal(size=(rows, 5, 3))) for _ in range(3))
     probe = rng.normal(size=(4 if counted else rows, 5, 3))
     worst = ad.finite_difference_check(
         lambda: ad.tensor_sum(ad.attention(q, k, v, 0.7, log_counts) * probe), [q, k, v]
@@ -170,7 +171,7 @@ def test_attention_probability_rows_sum_to_one():
 
 
 def test_no_tape_is_local_to_its_thread():
-    p = ad.parameter(np.array([1.0, 2.0]))
+    p = _param(np.array([1.0, 2.0]))
     inside, release = threading.Event(), threading.Event()
 
     def untaped():

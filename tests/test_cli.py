@@ -117,6 +117,24 @@ def test_train_writes_checkpoint_history_and_resumes(tmp_path):
     assert rows[-1].split(",")[0] == "2"  # epoch numbering continues
 
 
+def test_resume_records_the_checkpoint_network(tmp_path, capsys):
+    out = tmp_path / "run"
+    common = ["train", "--out", out, "--n", "5", "--length", "40", "--train-size", "2",
+              "--val-size", "1", "--epochs", "1", "--seed", "2"]
+    assert run(*common, "--arch", "SitesInvariantS", "--channels", "8", "--heads", "2",
+               "--embed-dim", "6") == 0
+    capsys.readouterr()
+    # no network flags: the defaults name HybridAttentionSP with 64 channels
+    assert run(*common, "--resume", out / "checkpoint.pdnet") == 0
+    assert capsys.readouterr().out.startswith("trained SitesInvariantS:")
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    for line in ("arch=SitesInvariantS", "head=euclidean", "channels=8", "heads=2",
+                 "embed_dim=6"):
+        assert line in manifest
+    # the manifest replays
+    assert run("train", "--config", out / "manifest.txt", "--out", tmp_path / "again") == 0
+
+
 def test_eval_truth_gives_zero_and_two_methods(tmp_path):
     sims = tmp_path / "sims"
     run("simulate", "--out", sims, "--replicates", "3", "--n", "6",
@@ -233,6 +251,45 @@ def test_exit_codes(tmp_path, capsys):
     assert run("infer", "--alignments", both, "--out", tmp_path / "w") == 2
     assert "rep_0000" in capsys.readouterr().err
     assert not list((tmp_path / "w").glob("*.nwk"))
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A directory of two simulated replicates and one distance matrix."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run("simulate", "--out", root / "sims", "--replicates", "2", "--n", "5",
+               "--length", "40", "--seed", "4") == 0
+    write_tsv(patristic_matrix(random_binary_tree(np.random.default_rng(3), 6)), root / "d.tsv")
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--train-size", "0"],
+        ["train", "--val-size", "-1"],
+        ["train", "--patience", "-5"],
+        ["simulate", "--replicates", "-2"],
+        ["simulate", "--threads", "0"],
+        ["infer", "--alignments", "{sims}", "--threads", "0"],
+        ["eval", "--data", "{sims}", "--threads", "0"],
+        ["embed", "--matrix", "{root}/d.tsv", "--sweep", "-3"],
+    ],
+    ids=["train-size", "val-size", "patience", "replicates", "simulate-threads", "infer-threads",
+         "eval-threads", "sweep"],
+)
+def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys):
+    train_small = ["--n", "5", "--length", "20", "--channels", "4", "--heads", "1",
+                   "--epochs", "1", "--train-size", "1", "--val-size", "1"]
+    argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv[1:1] = train_small  # the flags under test come later and win
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_boolean_flags_and_config_values_turn_off(tmp_path):

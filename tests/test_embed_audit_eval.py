@@ -108,6 +108,32 @@ def test_collision_reported_as_infinite():
     assert set(rep.worst_contracting) == {"a", "b"}
 
 
+def test_euclidean_matrix_matches_broadcast_formula():
+    # three row blocks, the last one partial, and k >= 9 so numpy's pairwise
+    # summation of the k squares is not a plain left-to-right loop
+    rng = np.random.default_rng(8)
+    for n, k in ((150, 9), (130, 20)):
+        pts = rng.normal(size=(n, k)) * rng.uniform(0.1, 100.0, size=k)
+        want = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+        np.fill_diagonal(want, 0.0)
+        got = euclidean_matrix([f"t{i}" for i in range(n)], pts)
+        assert np.array_equal(got.values, want)
+
+
+def test_euclidean_matrix_memory_is_bounded():
+    # one n x n x k difference tensor and its square peaked at 672 MB here
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(2000, 10))
+    labels = [f"t{i}" for i in range(2000)]
+    tracemalloc.start()
+    try:
+        euclidean_matrix(labels, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
+
+
 def test_zero_off_diagonal_input_rejected():
     labels = ("a", "b", "c")
     vals = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0.0]])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phylodist import autodiff as ad
-from phylodist.errors import TrainingDiverged
+from phylodist.errors import ConfigError, TrainingDiverged
 from phylodist.losses import batch_loss
 from phylodist.net.architectures import build_architecture, forward_matrix
 from phylodist.rng import substream
@@ -41,10 +41,16 @@ def test_adam_fits_linear_model():
     opt = Adam([w])
     for step in range(800):
         pred = w * x
-        loss = ad.mean((pred - 2.0 * x) ** 2.0)
+        loss = ad.tensor_sum((pred - 2.0 * x) ** 2.0) * (1.0 / x.size)
         loss.backward()
         opt.step(cosine_lr(step, 800, 0.05))
     assert abs(float(w.data) - 2.0) < 1e-3
+
+
+def test_train_rejects_empty_training_set():
+    spec = build_architecture("SitesInvariantS", seed=5, **SMALL)
+    with pytest.raises(ConfigError):
+        train(spec, [], TrainConfig(max_epochs=1))
 
 
 def test_adam_step_clears_grads():

@@ -201,4 +201,4 @@ def naive_site_forward(spec, aln):
     scatter = np.zeros((len(pairs), n * n))
     for p, (i, j) in enumerate(pairs):
         scatter[p, i * n + j] = scatter[p, j * n + i] = 1.0
-    return ad.reshape(vals @ scatter, (n, n))
+    return ad.reshape(ad.reshape(vals, (1, -1)) @ scatter, (n, n))
