@@ -21,19 +21,27 @@ _CODES[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(N_ST
 TRANSITIONS = frozenset({(0, 2), (1, 3)})
 
 
-# Sites per indicator block: pair counts hold O(n * _BLOCK_SITES) floats of
-# indicators next to their O(n^2) count matrices.
-_BLOCK_SITES = 128
+# Entries per indicator block: an n-row block spans B sites with
+# n * 4 * B <= _BLOCK_ENTRIES, so pair counts hold 1 MB of float32 indicators
+# next to their O(n^2) count matrices.
+_BLOCK_ENTRIES = 2**18
 
 
 def indicator_blocks(states):
-    """(n, 4, B) float64 0/1 indicators of an n x L state matrix, for
-    consecutive blocks of at most _BLOCK_SITES sites: [i, a, s] is 1 when row
-    i has state a at site s of the block.  Gram products of these blocks,
-    summed, count state co-occurrences exactly (integers below 2^53)."""
-    for start in range(0, states.shape[1], _BLOCK_SITES):
-        block = states[:, None, start : start + _BLOCK_SITES]
-        yield (block == np.arange(N_STATES)[:, None]).astype(np.float64)
+    """(n, 4, B) float32 0/1 indicators of an n x L state matrix, for
+    consecutive blocks of B = max(1, _BLOCK_ENTRIES // 4n) sites: [i, a, s] is
+    1 when row i has state a at site s of the block.
+
+    Gram products of these blocks, summed in float64, count state
+    co-occurrences exactly: a block's count is an integer of at most
+    B <= 2^16 < 2^24, so float32 GEMM gets it exactly in any summation order
+    and on any BLAS thread count."""
+    sites = max(1, _BLOCK_ENTRIES // (N_STATES * max(1, states.shape[0])))
+    # int8 like the states, so the comparison does not widen them first
+    codes = np.arange(N_STATES, dtype=np.int8)[:, None]
+    for start in range(0, states.shape[1], sites):
+        block = states[:, None, start : start + sites]
+        yield (block == codes).astype(np.float32)
 
 
 class Alignment:

@@ -1,9 +1,10 @@
 """Command-line surface: simulate, infer, train, eval, audit, embed.
 
-Every command resolves its configuration (defaults < --config file < flags),
-runs deterministically from one top-level seed via named sub-streams, writes
-outputs atomically, and emits a manifest.txt whose key=value lines can be
-fed back through --config to reproduce the run byte-for-byte.
+Every command resolves its configuration (defaults < --config file < flags)
+and checks it before it creates any output, runs deterministically from one
+top-level seed via named sub-streams, writes outputs atomically, and emits a
+manifest.txt whose key=value lines can be fed back through --config to
+reproduce the run byte-for-byte.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or data error,
 4 numeric failure.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .alignment import read_fasta, read_phylip, write_fasta, write_phylip
 from .audit import audit_metric
-from .distances import DEFAULT_CEILING, SaturationPolicy, distance_matrix
+from .distances import DEFAULT_CEILING, SaturationPolicy, check_kind, distance_matrix
 from .embed import embedding_distortion, llr_embed
 from .errors import ConfigError, DataError, NumericError, PhylodistError
 from .evaluate import evaluate_pipeline, write_instances_csv, write_report_csv
@@ -64,7 +65,10 @@ def read_config_file(path):
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 # The least value of each count key, for every command that has the key.
-_MINIMUMS = {"replicates": 1, "threads": 1, "sweep": 1, "train_size": 1, "val_size": 0, "patience": 0}
+_MINIMUMS = {
+    "replicates": 1, "threads": 1, "sweep": 1, "train_size": 1, "val_size": 0, "patience": 0,
+    "length": 1,
+}
 
 
 def resolve_config(args, defaults):
@@ -183,12 +187,13 @@ def cmd_simulate(args):
     cfg = resolve_config(args, SIM_DEFAULTS)
     if not cfg["out"]:
         raise ConfigError("simulate requires --out")
-    os.makedirs(cfg["out"], exist_ok=True)
     params = BDParams(cfg["lam"], cfg["mu"], cfg["n"])
+    _build_model(cfg, cfg["seed"])  # checks the model before --out exists
     ext = {"fasta": "fasta", "phylip": "phy"}.get(cfg["format"])
     if ext is None:
         raise ConfigError(f"unknown format {cfg['format']!r}")
     writer = write_fasta if ext == "fasta" else write_phylip
+    os.makedirs(cfg["out"], exist_ok=True)
 
     def one(rep):
         tree, aln = _simulate_replicate(cfg, params, "replicate", rep)
@@ -231,12 +236,13 @@ def cmd_infer(args):
         raise ConfigError("infer requires --alignments or --matrices, and --out")
     if cfg["matrices"] and cfg["dump_matrix"]:
         raise ConfigError("--dump-matrix writes alignment distances; --matrices already has them")
-    os.makedirs(cfg["out"], exist_ok=True)
     policy = SaturationPolicy(cfg["saturation"], cfg["ceiling"])
     build = {"nj": neighbor_join, "bionj": bionj}.get(cfg["algorithm"])
     if build is None:
         raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
     net = load_network(cfg["checkpoint"]) if cfg["checkpoint"] else None
+    if net is None and not cfg["matrices"]:
+        check_kind(cfg["method"])
 
     def from_alignment(path):
         aln = _read_alignment(path)
@@ -261,6 +267,7 @@ def cmd_infer(args):
     stems = Counter(_stem(p) for p in paths)
     if shared := sorted(s for s, k in stems.items() if k > 1):
         raise ConfigError(f"inputs would write the same output: {', '.join(shared)}")
+    os.makedirs(cfg["out"], exist_ok=True)
 
     def one(path):
         d = distances(path)
@@ -313,7 +320,20 @@ def cmd_train(args):
     cfg = resolve_config(args, TRAIN_DEFAULTS)
     if not cfg["out"]:
         raise ConfigError("train requires --out")
-    os.makedirs(cfg["out"], exist_ok=True)
+    tc = TrainConfig(
+        learning_rate=cfg["lr"],
+        max_epochs=cfg["epochs"],
+        patience=cfg["patience"],
+        batch_size=cfg["batch_size"],
+        loss=cfg["loss"],
+        gamma=cfg["gamma"],
+        seed=cfg["seed"],
+    )
+    val_n = cfg["val_n"] or cfg["n"]
+    # the simulation settings are checked before --out exists
+    for n_taxa in (cfg["n"], val_n) if cfg["val_size"] else (cfg["n"],):
+        BDParams(cfg["lam"], cfg["mu"], n_taxa)
+    _build_model(cfg, cfg["seed"])
     if cfg["resume"]:
         spec = load_network(cfg["resume"])
         # the summary and manifest name the network trained, not the defaults
@@ -329,18 +349,9 @@ def cmd_train(args):
             n_taxa=cfg["n"],
             seed=cfg["seed"],
         )
+    os.makedirs(cfg["out"], exist_ok=True)
     train_set = _simulate_set(cfg, cfg["train_size"], cfg["n"], "train", spec)
-    val_n = cfg["val_n"] or cfg["n"]
     val_set = _simulate_set(cfg, cfg["val_size"], val_n, "validation")
-    tc = TrainConfig(
-        learning_rate=cfg["lr"],
-        max_epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        batch_size=cfg["batch_size"],
-        loss=cfg["loss"],
-        gamma=cfg["gamma"],
-        seed=cfg["seed"],
-    )
     result = train(
         spec,
         [(a, t) for a, t, _ in train_set],
@@ -398,10 +409,15 @@ def cmd_eval(args):
     cfg = resolve_config(args, EVAL_DEFAULTS)
     if not cfg["data"] or not cfg["out"]:
         raise ConfigError("eval requires --data and --out")
-    os.makedirs(cfg["out"], exist_ok=True)
-    pairs = _load_pairs(cfg["data"])
     policy = SaturationPolicy(cfg["saturation"], cfg["ceiling"])
+    if cfg["algorithm"] not in ("nj", "bionj"):
+        raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
     methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
+    for method in methods:
+        if method != "truth" and not os.path.exists(method):
+            check_kind(method)
+    pairs = _load_pairs(cfg["data"])
+    os.makedirs(cfg["out"], exist_ok=True)
 
     def one(method):
         chosen = load_network(method) if os.path.exists(method) else method

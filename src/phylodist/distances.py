@@ -100,6 +100,12 @@ def d_k2p(x, y, policy=SaturationPolicy()):
 _KINDS = ("hamming", "jc", "k2p")
 
 
+def check_kind(kind):
+    """Raise ConfigError unless kind names an analytic estimator."""
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown distance kind {kind!r}; options {sorted(_KINDS)}")
+
+
 def _pair_counts(states, transitions):
     """Matching and transition counts of every row pair of an n x L state matrix.
 
@@ -122,16 +128,24 @@ def _pair_counts(states, transitions):
     return matches, ts
 
 
+def _upper_mask(n):
+    """n x n boolean mask of the pairs i < j; row-major order is pair order."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 def distance_matrix(aln, kind="jc", policy=SaturationPolicy()):
     """All-pairs distance matrix under one analytic estimator.
 
-    Labels come out in sorted (canonical) order.  Saturation errors are
-    re-raised with the offending pair named.  The counts of all pairs come
-    from BLAS; each pair is corrected by the scalar jc_correct/k2p_correct in
-    row-major order, so entries equal those of d_hamming/d_jc/d_k2p bit for bit.
+    Labels come out in sorted (canonical) order.  The counts of all pairs come
+    from BLAS.  A pair's distance depends only on its integer counts at fixed
+    L, so the matrix makes one scalar correction per distinct count: the key
+    of a pair is m (L + 1) + t for k2p and m for jc and hamming (m mismatches,
+    t transitions), and the scalar jc_correct/k2p_correct runs once per
+    distinct key.  Entries therefore equal those of d_hamming/d_jc/d_k2p bit
+    for bit.  Keys are corrected in the order of their first pair in
+    row-major order, so a saturation error names the first saturated pair.
     """
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown distance kind {kind!r}; options {sorted(_KINDS)}")
+    check_kind(kind)
     if aln.n < 3:
         raise DataError(f"distance matrix needs >= 3 sequences, got {aln.n}")
     length = aln.length
@@ -140,24 +154,44 @@ def distance_matrix(aln, kind="jc", policy=SaturationPolicy()):
     labels = tuple(sorted(aln.labels))
     row_of = {lab: i for i, lab in enumerate(aln.labels)}
     states = aln.states[[row_of[lab] for lab in labels]]
-    matches, ts = _pair_counts(states, kind == "k2p")
     n = len(labels)
-    d = np.zeros((n, n))
-    for i in range(n - 1):
-        mismatches = (length - matches[i, i + 1 :]).tolist()
-        # transitions are read only for k2p
-        transitions = ts[i, i + 1 :].tolist() if kind == "k2p" else mismatches
-        row = []
+    # keys are built in the matches buffer: integers below (L + 1)^2, exact
+    # in float64
+    keys, ts = _pair_counts(states, kind == "k2p")
+    np.subtract(length, keys, out=keys)
+    if kind == "k2p":
+        keys *= length + 1
+        keys += ts
+    del ts
+    # the mask is made again for the scatter below, so it is not held
+    # through np.unique's peak
+    pair_keys = keys[_upper_mask(n)]
+    del keys
+    distinct, inverse = np.unique(pair_keys, return_inverse=True)
+    del pair_keys
+    # the first pair of each key in row-major order (a stable sort in
+    # np.unique's return_index costs several times this)
+    first = np.full(distinct.size, inverse.size)
+    np.minimum.at(first, inverse, np.arange(inverse.size))
+    counts = distinct.astype(np.int64).tolist()
+    values = [0.0] * len(counts)
+    for k in np.argsort(first).tolist():
+        m, t = divmod(counts[k], length + 1) if kind == "k2p" else (counts[k], 0)
         try:
-            for j, (m, t) in enumerate(zip(mismatches, transitions), i + 1):
-                if kind == "hamming":
-                    row.append(m / length)
-                elif kind == "jc":
-                    row.append(jc_correct(m / length, policy))
-                else:
-                    row.append(k2p_correct(t / length, (m - t) / length, policy))
+            if kind == "hamming":
+                values[k] = m / length
+            elif kind == "jc":
+                values[k] = jc_correct(m / length, policy)
+            else:
+                values[k] = k2p_correct(t / length, (m - t) / length, policy)
         except SaturationError as err:
+            i, j = divmod(int(np.flatnonzero(_upper_mask(n))[first[k]]), n)
             raise SaturationError(f"pair ({labels[i]}, {labels[j]}): {err}") from None
-        d[i, i + 1 :] = row
-        d[i + 1 :, i] = row
+    d = np.zeros((n, n))
+    values = np.array(values)[inverse]
+    del inverse
+    upper = _upper_mask(n)
+    d[upper] = values
+    d.T[upper] = values
+    del values
     return DistanceMatrix(labels, d)

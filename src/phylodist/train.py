@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, TrainingDiverged
-from .losses import batch_loss
+from .losses import LOSS_KINDS, batch_loss
 from .net.architectures import forward_matrix, network_forward
 from .net.layers import ScalarMLP
 from .nj import neighbor_join
@@ -39,6 +39,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ConfigError("max_epochs and batch_size must be >= 1")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if self.loss not in LOSS_KINDS:
+            raise ConfigError(f"unknown loss kind {self.loss!r}; options {LOSS_KINDS}")
 
 
 class Adam:

@@ -253,6 +253,19 @@ def test_exit_codes(tmp_path, capsys):
     assert not list((tmp_path / "w").glob("*.nwk"))
 
 
+def assert_configuration_error_leaves_no_out(argv, out, capsys):
+    if argv[0] == "train":
+        # a one-epoch run on one tiny alignment; the flags under test come
+        # later and win
+        argv[1:1] = ["--n", "5", "--length", "20", "--channels", "4", "--heads", "1",
+                     "--epochs", "1", "--train-size", "1", "--val-size", "1"]
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_inputs(tmp_path_factory):
     """A directory of two simulated replicates and one distance matrix."""
@@ -279,17 +292,36 @@ def small_inputs(tmp_path_factory):
          "eval-threads", "sweep"],
 )
 def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys):
-    train_small = ["--n", "5", "--length", "20", "--channels", "4", "--heads", "1",
-                   "--epochs", "1", "--train-size", "1", "--val-size", "1"]
     argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]
-    out = tmp_path / "out"
-    if argv[0] == "train":
-        argv[1:1] = train_small  # the flags under test come later and win
-    capsys.readouterr()
-    assert run(*argv, "--out", out) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "Traceback" not in err
-    assert not out.exists()
+    assert_configuration_error_leaves_no_out(argv, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--length", "0"],
+        ["simulate", "--n", "2"],
+        ["simulate", "--format", "nexus"],
+        ["simulate", "--model", "gtr"],
+        ["infer", "--alignments", "{sims}", "--ceiling", "-1"],
+        ["infer", "--alignments", "{sims}", "--saturation", "clip"],
+        ["infer", "--alignments", "{sims}", "--algorithm", "upgma"],
+        ["infer", "--alignments", "{sims}", "--method", "hky"],
+        ["train", "--lr", "-1"],
+        ["train", "--loss", "huber"],
+        ["train", "--arch", "Transformer"],
+        ["train", "--length", "0"],
+        ["eval", "--data", "{sims}", "--algorithm", "upgma"],
+        ["eval", "--data", "{sims}", "--methods", "jc,hky"],
+        ["eval", "--data", "{sims}", "--ceiling", "0"],
+    ],
+    ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model", "infer-ceiling",
+         "infer-saturation", "infer-algorithm", "infer-method", "train-lr", "train-loss",
+         "train-arch", "train-length", "eval-algorithm", "eval-method", "eval-ceiling"],
+)
+def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
+    argv = [a.format(sims=small_inputs / "sims") for a in argv]
+    assert_configuration_error_leaves_no_out(argv, tmp_path / "out", capsys)
 
 
 def test_boolean_flags_and_config_values_turn_off(tmp_path):

@@ -1,13 +1,19 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from phylodist import distances
 from phylodist.distances import (
     SaturationPolicy,
+    _pair_counts,
     d_hamming,
     d_jc,
     d_k2p,
@@ -18,6 +24,7 @@ from phylodist.distances import (
 )
 from phylodist.alignment import Alignment
 from phylodist.errors import ConfigError, DataError, SaturationError
+from phylodist.net.architectures import _joint_counts
 from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
 from phylodist.tree import parse_newick
 
@@ -195,6 +202,76 @@ def test_saturated_pair_named_in_error():
     assert "u" in str(err.value) and "v" in str(err.value)
 
 
+def test_saturation_error_names_the_first_pair_in_row_major_order():
+    # (t0, t1) is all transitions (p=1, q=0), (t0, t2) and (t1, t2) all
+    # transversions (p=0, q=1); the transversion key m (L + 1) + t sorts first
+    a = Alignment.from_sequences(["t0", "t1", "t2"], ["AAAA", "GGGG", "CCCC"])
+    with pytest.raises(SaturationError) as err:
+        distance_matrix(a, "k2p", SaturationPolicy("error"))
+    assert str(err.value) == "pair (t0, t1): K2P correction at (p=1.0, q=0.0) is saturated"
+
+
+@pytest.mark.parametrize("kind", ["jc", "k2p"])
+def test_one_correction_per_distinct_count(kind, monkeypatch):
+    tree = simulate_bd_tree(BDParams(1.0, 0.5, 40), seed=6)
+    aln = evolve_alignment(tree, SubstModel("K2P", kappa=2.0), 300, seed=6)
+    pairs = [(aln.states[i], aln.states[j]) for i in range(aln.n) for j in range(i + 1, aln.n)]
+    if kind == "jc":
+        distinct = {d_hamming(x, y) for x, y in pairs}
+    else:
+        distinct = {transition_transversion_fractions(x, y) for x, y in pairs}
+    name = f"{kind}_correct"
+    calls = []
+    scalar = getattr(distances, name)
+    monkeypatch.setattr(distances, name, lambda *args: calls.append(args) or scalar(*args))
+    distance_matrix(aln, kind)
+    assert len(calls) == len(distinct) < len(pairs)
+
+
+def _state_counts(states):
+    """(n, 4, n, 4) int64 co-occurrence counts, from an int64 einsum."""
+    onehot = (states[:, None, :] == np.arange(4)[:, None]).astype(np.int64)
+    return np.einsum("iax,jbx->iajb", onehot, onehot)
+
+
+@pytest.mark.parametrize("n, length", [(200, 1000), (3, 50_000)], ids=["many-blocks", "widest-block"])
+def test_pair_counts_are_exact_across_blocks(n, length):
+    states = np.random.default_rng(n).integers(0, 4, (n, length), dtype=np.int8)
+    exact = _state_counts(states)
+    matches, ts = _pair_counts(states, transitions=True)
+    assert np.array_equal(matches, np.einsum("iaja->ij", exact))
+    one_way = exact[:, 0, :, 2] + exact[:, 1, :, 3]  # A-G and C-T
+    assert np.array_equal(ts, one_way + one_way.T)
+    assert np.array_equal(_joint_counts(states), exact)
+
+
+_BLAS_DIGEST = """
+import hashlib
+import numpy as np
+from phylodist.distances import distance_matrix
+from phylodist.net.architectures import _joint_counts
+from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
+tree = simulate_bd_tree(BDParams(1.0, 0.5, 200), seed=8)
+aln = evolve_alignment(tree, SubstModel("K2P", kappa=2.0, gamma_shape=0.5), 1000, seed=8)
+h = hashlib.sha256(distance_matrix(aln, "k2p").values.tobytes())
+h.update(_joint_counts(np.random.default_rng(8).integers(0, 4, (64, 200))).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_counts_and_distances_do_not_depend_on_blas_threads():
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _BLAS_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.add(done.stdout)
+    assert len(digests) == 1
+
+
 def test_unknown_kind_rejected():
     a = Alignment.from_sequences(["x", "y", "z"], ["ACGT", "ACGT", "ACGT"])
     with pytest.raises(ConfigError):
@@ -213,6 +290,16 @@ def test_distance_matrix_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+    # many taxa: the n x n count, key and result matrices dominate
+    aln = Alignment([f"t{i:04d}" for i in range(2000)],
+                    rng.integers(0, 4, (2000, 200), dtype=np.int8))
+    tracemalloc.start()
+    try:
+        distance_matrix(aln, "k2p")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 130 * 2**20
 
 
 def test_distance_matrices_match_golden_digest():

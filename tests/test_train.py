@@ -53,6 +53,17 @@ def test_train_rejects_empty_training_set():
         train(spec, [], TrainConfig(max_epochs=1))
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, math.nan, math.inf])
+def test_train_config_rejects_a_learning_rate_that_is_not_positive_and_finite(lr):
+    with pytest.raises(ConfigError, match="learning rate"):
+        TrainConfig(learning_rate=lr)
+
+
+def test_train_config_rejects_an_unknown_loss():
+    with pytest.raises(ConfigError, match="loss"):
+        TrainConfig(loss="huber")
+
+
 def test_adam_step_clears_grads():
     spec = build_architecture("FullAttentionSP", seed=5, **SMALL)
     aln, target, _ = make_dataset(spec, n_taxa=5, length=30, count=1)[0]
