@@ -6,7 +6,10 @@ parents.  ``backward()`` on a scalar adds its gradient into the ``grad`` of
 every reachable leaf that requires one, so backward passes over several
 scalars that share parameters accumulate exactly as one pass over their sum
 would.  Interior gradients are dropped once pushed, and tensors that require
-no gradient receive none.  Leaf grads stay until a caller clears them:
+no gradient receive none.  Each node frees what its backward saved (attention's
+probabilities, say) as soon as it has pushed, so a graph backpropagates once: a
+second pass through a consumed node raises ``NumericError``.  Node values and
+parents stay.  Leaf grads stay until a caller clears them:
 ``gradients`` does so before its pass, ``Adam.step`` after using them.
 Inside ``with no_tape():`` operations compute the same values but return
 parentless tensors, so nothing is kept for a backward pass; the switch is a
@@ -85,7 +88,10 @@ class Tensor:
         Leaf grads are added to, not reset, so calling backward on t1 and then
         on t2 leaves the same grads, bit for bit, as one backward of t1 + t2:
         that pass walks t1's subgraph and then t2's, in the same order.  Each
-        interior gradient is dropped as soon as it has been pushed.
+        interior gradient is dropped as soon as it has been pushed, and each
+        node gives up its push, with the arrays it saved, once it has pushed:
+        a graph backpropagates once, and a second backward through a node
+        already pushed raises NumericError.
         """
         if self.data.size != 1:
             raise NumericError("backward() requires a scalar output")
@@ -95,7 +101,8 @@ class Tensor:
             if node._push is None or node.grad is None:
                 continue
             g, node.grad = node.grad, None
-            node._push(g)
+            push, node._push = node._push, _consumed
+            push(g)
 
     def _accumulate(self, g):
         if not self.requires_grad:
@@ -132,6 +139,10 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g):
+    raise NumericError("backward() through a graph that was already backpropagated")
 
 
 def as_tensor(x):
@@ -259,7 +270,8 @@ def elu(a):
     out_data = np.where(a.data > 0.0, a.data, neg)
 
     def push(g):
-        a._accumulate(g * np.where(a.data > 0.0, 1.0, neg + 1.0))
+        # out_data equals neg wherever a <= 0
+        a._accumulate(g * np.where(a.data > 0.0, 1.0, out_data + 1.0))
 
     return _node(out_data, (a,), push)
 
@@ -339,7 +351,8 @@ def attention(q, k, v, scale, log_counts=None):
         gp -= (gp * p).sum(axis=-1, keepdims=True)
         gp *= p
         # back to the scores before log_counts widened them, then the scale
-        gs = _unbroadcast(gp, score_shape) * scale
+        gs = _unbroadcast(gp, score_shape)
+        gs *= scale
         gq = gs @ np.swapaxes(kt, -1, -2)
         gkt = np.swapaxes(q.data, -1, -2) @ gs
         q._accumulate(_unbroadcast(gq, q.data.shape))

@@ -37,7 +37,14 @@ from .simulate import (
     sample_hky_frequencies,
     simulate_bd_tree,
 )
-from .train import TrainConfig, read_history_csv, train, training_targets, write_history_csv
+from .train import (
+    TrainConfig,
+    matrix_loss_gamma,
+    read_history_csv,
+    train,
+    training_targets,
+    write_history_csv,
+)
 from .tree import read_newick_file, serialize_newick
 
 EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC = 2, 3, 4
@@ -349,6 +356,8 @@ def cmd_train(args):
             n_taxa=cfg["n"],
             seed=cfg["seed"],
         )
+    # gamma depends on the head, so it is checked once spec exists, before --out
+    matrix_loss_gamma(spec, tc)
     os.makedirs(cfg["out"], exist_ok=True)
     train_set = _simulate_set(cfg, cfg["train_size"], cfg["n"], "train", spec)
     val_set = _simulate_set(cfg, cfg["val_size"], val_n, "validation")

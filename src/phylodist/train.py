@@ -89,6 +89,17 @@ def training_targets(spec, tree, labels):
     return mat.values
 
 
+def matrix_loss_gamma(spec, cfg):
+    """The gamma of exp(-gamma D) that a run's loss applies to the network's
+    distances: None for inner_product heads, whose covariances are already
+    PSD, and for losses that are not matrix divergences."""
+    if cfg.loss not in ("logdet", "vonneumann") or spec.head == "inner_product":
+        return None
+    if not cfg.gamma > 0:
+        raise ConfigError(f"gamma must be positive for the {cfg.loss} loss, got {cfg.gamma}")
+    return cfg.gamma
+
+
 def _param_norm(params):
     return math.sqrt(sum(float(np.sum(p.data**2)) for p in params))
 
@@ -113,10 +124,11 @@ def train(spec, train_data, cfg, val_data=None):
     A step runs forward, loss and backward for one alignment of the batch at
     a time, each backward seeded with the term's batch weight (1/len(batch),
     or 1 for l21), so a step never holds the graphs of the whole batch: only
-    the current alignment's, and the previous one's until the next forward
-    rebinds it.  The parameters receive the same additions in the same order
-    as one backward of batch_loss over the whole batch would give them, so
-    weights and losses are bit-identical to that.
+    the current alignment's, and the previous one's, stripped of the arrays
+    its backward saved, until the next forward rebinds it.  The parameters
+    receive the same additions in the same order as one backward of
+    batch_loss over the whole batch would give them, so weights and losses
+    are bit-identical to that.
     """
     if not train_data:
         raise ConfigError("train needs at least one training alignment")
@@ -125,7 +137,7 @@ def train(spec, train_data, cfg, val_data=None):
     order_rng = substream(cfg.seed, "batch-order")
     steps_per_epoch = math.ceil(len(train_data) / cfg.batch_size)
     horizon = cfg.max_epochs * steps_per_epoch
-    gamma = cfg.gamma if cfg.loss in ("logdet", "vonneumann") and spec.head != "inner_product" else None
+    gamma = matrix_loss_gamma(spec, cfg)
     result = TrainResult()
     best_weights = None
     stale = 0
@@ -140,6 +152,13 @@ def train(spec, train_data, cfg, val_data=None):
             weight = 1.0 if cfg.loss == "l21" else 1.0 / len(batch)
             total = None
             for aln, target in batch:
+                # out and term keep the previous alignment's graph alive until
+                # this forward rebinds them.  Its backward already freed what
+                # its nodes saved; dropping the graph itself too (del, or
+                # clearing _parents) lowers peak RSS further but lets glibc
+                # return the top of the heap, which the next forward faults
+                # back in: 2.5-4x the minor faults on the train bench, and no
+                # more steps per second.
                 _, out = forward_matrix(spec, aln)
                 term = batch_loss(cfg.loss, [(out, target)], gamma=gamma)
                 total = term.data if total is None else total + term.data

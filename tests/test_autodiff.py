@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,35 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
         for g, q in zip(summed, (p, w)):
             assert np.array_equal(g, q.grad)
         assert all(c.grad is None for c in consts)
+
+
+def test_a_graph_backpropagates_once():
+    rng = np.random.default_rng(4)
+    p = _param(rng.normal(size=(2, 5, 3)))
+    loss = ad.tensor_sum(ad.attention(ad.elu(p), p, p, 0.5) ** 2.0)
+    loss.backward()
+    first = p.grad.copy()
+    with pytest.raises(NumericError):
+        loss.backward()
+    assert np.array_equal(p.grad, first)
+
+
+def test_backward_frees_the_attention_probabilities():
+    # each (rows, T, T) probability array is score-sized; q, k and v are not
+    rng = np.random.default_rng(5)
+    rows, t, d = 4, 200, 4
+    q, k, v = (_param(rng.normal(size=(rows, t, d))) for _ in range(3))
+    tracemalloc.start()
+    try:
+        loss = ad.tensor_sum(ad.attention(q, k, v, 0.5) + ad.attention(q, k, v, 0.25))
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        for leaf in (q, k, v):
+            leaf.grad = None
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed >= 2 * rows * t * t * 8
 
 
 def test_gradients_ignore_stale_grads():

@@ -311,13 +311,16 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["train", "--loss", "huber"],
         ["train", "--arch", "Transformer"],
         ["train", "--length", "0"],
+        ["train", "--loss", "logdet", "--gamma", "0", "--arch", "SitesInvariantS"],
+        ["train", "--loss", "vonneumann", "--gamma", "-1", "--arch", "SitesAttentionP"],
         ["eval", "--data", "{sims}", "--algorithm", "upgma"],
         ["eval", "--data", "{sims}", "--methods", "jc,hky"],
         ["eval", "--data", "{sims}", "--ceiling", "0"],
     ],
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model", "infer-ceiling",
          "infer-saturation", "infer-algorithm", "infer-method", "train-lr", "train-loss",
-         "train-arch", "train-length", "eval-algorithm", "eval-method", "eval-ceiling"],
+         "train-arch", "train-length", "train-logdet-gamma", "train-vonneumann-gamma",
+         "eval-algorithm", "eval-method", "eval-ceiling"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(sims=small_inputs / "sims") for a in argv]
