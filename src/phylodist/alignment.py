@@ -8,6 +8,7 @@ ALPHABET order, with a one-hot n x 4 x L view for the networks.
 import numpy as np
 
 from .errors import DataError
+from .files import atomic_open
 
 ALPHABET = "ACGT"
 N_STATES = 4
@@ -119,7 +120,7 @@ _FASTA_WIDTH = 70
 
 
 def write_fasta(aln, path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for i, lab in enumerate(aln.labels):
             fh.write(f">{lab}\n")
             seq = aln.sequence(i)
@@ -151,7 +152,7 @@ def read_fasta(path):
 
 
 def write_phylip(aln, path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(f" {aln.n} {aln.length}\n")
         for i, lab in enumerate(aln.labels):
             fh.write(f"{lab}  {aln.sequence(i)}\n")

@@ -11,20 +11,19 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or data error,
 """
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from .alignment import read_fasta, read_phylip, write_fasta, write_phylip
 from .audit import audit_metric
 from .distances import DEFAULT_CEILING, SaturationPolicy, check_kind, distance_matrix
 from .embed import embedding_distortion, llr_embed
 from .errors import ConfigError, DataError, NumericError, PhylodistError
-from .evaluate import evaluate_pipeline, write_instances_csv, write_report_csv
-from .files import atomic_write, write_text
+from .evaluate import evaluate_pipeline, report_table, write_instances_csv, write_report_csv
+from .files import write_table, write_text
 from .matrices import read_tsv, write_tsv
 from .net.architectures import build_architecture, network_forward
 from .net.serialize import load_network, save_network
@@ -71,10 +70,11 @@ def read_config_file(path):
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-# The least value of each count key, for every command that has the key.
+# The least value of each count key, and of gamma_shape (0: no Gamma rates),
+# for every command that has the key.
 _MINIMUMS = {
     "replicates": 1, "threads": 1, "sweep": 1, "train_size": 1, "val_size": 0, "patience": 0,
-    "length": 1,
+    "length": 1, "gamma_shape": 0,
 }
 
 
@@ -105,6 +105,9 @@ def resolve_config(args, defaults):
         val = getattr(args, key, None)
         if val is not None:
             resolved[key] = val
+    for key, val in resolved.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val}")
     for key, low in _MINIMUMS.items():
         if resolved.get(key, low) < low:
             raise ConfigError(f"{key} must be >= {low}, got {resolved[key]}")
@@ -206,7 +209,7 @@ def cmd_simulate(args):
         tree, aln = _simulate_replicate(cfg, params, "replicate", rep)
         stem = os.path.join(cfg["out"], f"rep_{rep:04d}")
         write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
-        atomic_write(f"{stem}.{ext}", lambda p: writer(aln, p))
+        writer(aln, f"{stem}.{ext}")
         return stem
 
     _map(one, range(cfg["replicates"]), cfg["threads"])
@@ -257,8 +260,7 @@ def cmd_infer(args):
             d = network_forward(net, aln)
         else:
             d = distance_matrix(aln, cfg["method"], policy)
-        off = d.values[~np.eye(d.n, dtype=bool)]
-        if np.all(off == 0.0):
+        if not d.values.any():  # the diagonal is exactly zero
             raise NumericError(
                 f"{path}: degenerate zero distance matrix (all sequences identical; "
                 "any star tree fits equally well)"
@@ -280,7 +282,7 @@ def cmd_infer(args):
         d = distances(path)
         stem = os.path.join(cfg["out"], _stem(path))
         if cfg["dump_matrix"]:
-            atomic_write(f"{stem}.dist.tsv", lambda p: write_tsv(d, p))
+            write_tsv(d, f"{stem}.dist.tsv")
         write_text(f"{stem}.nwk", serialize_newick(build(d)) + "\n")
 
     _map(one, paths, cfg["threads"])
@@ -374,7 +376,7 @@ def cmd_train(args):
     offset = old[-1]["epoch"] + 1 if old else 0
     for row in result.history:
         row["epoch"] += offset
-    atomic_write(history_path, lambda p: write_history_csv(old + result.history, p))
+    write_history_csv(old + result.history, history_path)
     ckpt = os.path.join(cfg["out"], "checkpoint.pdnet")
     save_network(spec, ckpt)
     write_manifest(cfg, "train", cfg["out"])
@@ -439,16 +441,11 @@ def cmd_eval(args):
         )
 
     reports = _map(one, methods, cfg["threads"])
-    atomic_write(os.path.join(cfg["out"], "report.csv"), lambda p: write_report_csv(reports, p))
-    atomic_write(
-        os.path.join(cfg["out"], "instances.csv"), lambda p: write_instances_csv(reports, p)
-    )
+    write_report_csv(reports, os.path.join(cfg["out"], "report.csv"))
+    write_instances_csv(reports, os.path.join(cfg["out"], "instances.csv"))
     if cfg["gnuplot"]:
-        rows = ["# method count mean_rf median_rf iqr25 iqr75"]
-        for rep in reports:
-            lo, hi = rep.iqr
-            rows.append(f"{rep.method} {rep.count} {rep.mean!r} {rep.median!r} {lo!r} {hi!r}")
-        write_text(os.path.join(cfg["out"], "report.dat"), "\n".join(rows) + "\n")
+        header, rows = report_table(reports)
+        write_table(os.path.join(cfg["out"], "report.dat"), ("#",) + header, rows, sep=" ")
     write_manifest(cfg, "eval", cfg["out"])
     for rep in reports:
         print(f"{rep.method}: mean RF {rep.mean:.4f} median {rep.median:.4f} over {rep.count}")
@@ -496,15 +493,8 @@ def cmd_embed(args):
     seed, report = min(runs, key=lambda run: run[1].rho)  # ties keep the earlier seed
 
     emb = llr_embed(d, seed)
-
-    def write_embedding(path):
-        with open(path, "w") as fh:
-            dims = "\t".join(f"c{k}" for k in range(emb.shape[1]))
-            fh.write("taxon\t" + dims + "\n")
-            for lab, row in zip(d.labels, emb):
-                fh.write(lab + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
-
-    atomic_write(cfg["out"], write_embedding)
+    header = ("taxon", *(f"c{k}" for k in range(emb.shape[1])))
+    write_table(cfg["out"], header, ([lab, *row] for lab, row in zip(d.labels, emb.tolist())))
     print(
         f"embedded {d.n} points into R^{emb.shape[1]} (seed {seed}): "
         f"distortion {report.rho:.4f}, scale {report.r:.4f}"

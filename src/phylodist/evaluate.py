@@ -6,6 +6,7 @@ import numpy as np
 
 from .distances import SaturationPolicy, distance_matrix
 from .errors import ConfigError
+from .files import write_table
 from .net.architectures import NetworkSpec, network_forward
 from .nj import bionj, neighbor_join
 from .tree import patristic_matrix, rf_distance
@@ -70,21 +71,17 @@ def evaluate_pipeline(
     return report
 
 
+def report_table(reports):
+    """Header and per-method rows: method, count, mean, median, IQR bounds."""
+    rows = [[rep.method, rep.count, rep.mean, rep.median, *rep.iqr] for rep in reports]
+    return ("method", "count", "mean_rf", "median_rf", "iqr25", "iqr75"), rows
+
+
 def write_report_csv(reports, path):
-    """Aggregate per-method rows: method, count, mean, median, IQR bounds."""
-    with open(path, "w") as fh:
-        fh.write("method,count,mean_rf,median_rf,iqr25,iqr75\n")
-        for rep in reports:
-            lo, hi = rep.iqr
-            fh.write(
-                f"{rep.method},{rep.count},{rep.mean!r},{rep.median!r},{lo!r},{hi!r}\n"
-            )
+    write_table(path, *report_table(reports), sep=",")
 
 
 def write_instances_csv(reports, path):
     """Per-instance rows: method, instance index, rf."""
-    with open(path, "w") as fh:
-        fh.write("method,instance,rf\n")
-        for rep in reports:
-            for i, rf in enumerate(rep.rf_values):
-                fh.write(f"{rep.method},{i},{rf!r}\n")
+    rows = ([rep.method, i, rf] for rep in reports for i, rf in enumerate(rep.rf_values))
+    write_table(path, ("method", "instance", "rf"), rows, sep=",")

@@ -1,14 +1,17 @@
-"""Atomic file writes: a reader of the target path sees either its previous
-bytes or the complete new file, never a partial one."""
+"""Every file the library writes goes through here: a reader of the target
+path sees either its previous bytes or the complete new file, never a partial one."""
 
 import os
+from contextlib import contextmanager
 
 
-def atomic_write(path, writer):
-    """Run writer(tmp) on a temporary name beside path, then move it onto path."""
+@contextmanager
+def atomic_open(path, mode="w"):
+    """Write to a temporary name beside path, moved onto path if the block succeeds."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        writer(tmp)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -16,8 +19,13 @@ def atomic_write(path, writer):
 
 
 def write_text(path, text):
-    def write(p):
-        with open(p, "w") as fh:
-            fh.write(text)
+    with atomic_open(path) as fh:
+        fh.write(text)
 
-    atomic_write(path, write)
+
+def write_table(path, header, rows, sep="\t"):
+    """A header line, then a line per row, cells joined by sep and written with
+    str (a Python float's str is its repr, so pass arrays through tolist())."""
+    with atomic_open(path) as fh:
+        fh.write(sep.join(header) + "\n")
+        fh.writelines(sep.join(map(str, row)) + "\n" for row in rows)

@@ -8,6 +8,7 @@ the distance matrix d_ij = C_ii + C_jj - 2*C_ij.
 import numpy as np
 
 from .errors import DataError, NumericError
+from .files import write_table
 
 _PSD_TOL = 1e-8
 
@@ -116,11 +117,8 @@ def inverse_gromov(cov):
 
 def write_tsv(mat, path):
     """Write a labeled square matrix as TSV with a header row of labels."""
-    labels, values = mat.labels, mat.values
-    with open(path, "w") as fh:
-        fh.write("\t".join(("",) + labels) + "\n")
-        for i, lab in enumerate(labels):
-            fh.write(lab + "\t" + "\t".join(repr(float(v)) for v in values[i]) + "\n")
+    rows = ([lab, *row.tolist()] for lab, row in zip(mat.labels, mat.values))
+    write_table(path, ("",) + mat.labels, rows)
 
 
 def read_tsv(path):

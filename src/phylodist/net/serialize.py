@@ -6,12 +6,14 @@ parameter as raw little-endian float64 in C order.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..files import atomic_write, write_text
+from ..files import atomic_open, write_text
 
 MAGIC = b"PDNET\x00"
 VERSION = 1
@@ -27,16 +29,12 @@ def save_network(spec, path):
         "param_count": spec.param_count(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-
-    def write(tmp):
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(blob)))
-            fh.write(blob)
-            for _, p in named:
-                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-
-    atomic_write(path, write)
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(blob)))
+        fh.write(blob)
+        for _, p in named:
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     manifest = [
         f"architecture: {spec.architecture}",
         f"head: {spec.config['head']}",
@@ -76,8 +74,9 @@ def _sizes(path, table, key, *types):
 def load_network(path):
     """Rebuild a NetworkSpec from a weights file.
 
-    Raises DataError when a header field is missing or of the wrong type, or
-    when a stored parameter's name or shape differs from the architecture's.
+    Raises DataError when a header field is missing or of the wrong type, when
+    the parameter table does not promise exactly the bytes after the header,
+    or when a stored parameter's name or shape differs from the architecture's.
     """
     from .architectures import ARCHITECTURES, build_architecture
     from .reference import build_reference_net
@@ -98,10 +97,13 @@ def load_network(path):
         cfg = _field(path, header, "config", dict)
         table = _field(path, header, "params", list)
         name = _field(path, cfg, "architecture", str)
+        shapes = [_sizes(path, meta, "shape", list) for meta in table]
+        total = sum(math.prod(shape) for shape in shapes)
+        if total * 8 != os.fstat(fh.fileno()).st_size - fh.tell():
+            raise DataError(f"{path}: parameter table does not match the weights file size")
         try:
             if name in ARCHITECTURES:
-                spec = build_architecture(
-                    name,
+                kw = dict(
                     head=_field(path, cfg, "head", str),
                     channels=_sizes(path, cfg, "channels", int),
                     heads=_sizes(path, cfg, "heads", int),
@@ -109,6 +111,13 @@ def load_network(path):
                     g_hidden=tuple(_sizes(path, cfg, "g_hidden", list, type(None)) or ()),
                     seed=_field(path, cfg, "seed", int, type(None)) or 0,
                 )
+                # every template has a channels x channels weight, then a head through
+                # these widths; refuse sizes the table cannot hold before they are drawn
+                widths = kw["g_hidden"] if kw["head"] == "pair_scalar" else (kw["embed_dim"],)
+                dims = (kw["channels"],) * 2 + widths
+                if any(a * b > total for a, b in zip(dims, dims[1:])):
+                    raise DataError(f"{path}: header sizes exceed the parameter table")
+                spec = build_architecture(name, **kw)
             elif name.startswith("Reference"):
                 length = _sizes(path, cfg, "ref_length", int)
                 spec = build_reference_net(name[len("Reference") :], length)
@@ -119,16 +128,13 @@ def load_network(path):
         named = spec.named_params()
         if [n for n, _ in named] != [_field(path, meta, "name", str) for meta in table]:
             raise DataError(f"{path}: parameter table does not match architecture")
-        for (n, p), meta in zip(named, table):
-            shape = _field(path, meta, "shape", list)
+        for (n, p), shape in zip(named, shapes):
             if shape != list(p.data.shape):
                 raise DataError(
                     f"{path}: parameter {n} has shape {shape}, "
                     f"the architecture's is {list(p.data.shape)}"
                 )
             raw = fh.read(p.data.size * 8)
-            if len(raw) != p.data.size * 8:
-                raise DataError(f"{path}: truncated weights file")
             p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape).astype(float)
         spec.config = cfg
     return spec

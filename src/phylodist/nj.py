@@ -60,8 +60,9 @@ def _prepare(dist):
         raise DataError("expected a DistanceMatrix")
     if dist.n < 4:
         raise DataError(f"neighbor joining needs >= 4 taxa, got {dist.n}")
-    labels = tuple(sorted(dist.labels))
-    return labels, dist.reorder(labels).values.copy()
+    order = sorted(range(dist.n), key=dist.labels.__getitem__)
+    # index arrays copy, so the joins may overwrite the result in place
+    return tuple(dist.labels[i] for i in order), dist.values[np.ix_(order, order)]
 
 
 def _drop(m, k, j, scratch):

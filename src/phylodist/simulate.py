@@ -8,6 +8,7 @@ probabilities are exact matrix exponentials obtained from the eigendecomposed
 reversible generator.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ class BDParams:
     n: int
 
     def __post_init__(self):
-        if not self.lam > self.mu >= 0:
-            raise ConfigError(f"need lambda > mu >= 0, got ({self.lam}, {self.mu})")
+        # the sum is the event rate; where it overflows every event is a death
+        if not (math.isfinite(self.lam + self.mu) and self.lam > self.mu >= 0):
+            raise ConfigError(f"need finite lambda > mu >= 0, got ({self.lam}, {self.mu})")
         if self.n < 3:
             raise ConfigError(f"need n >= 3 leaves, got {self.n}")
 
@@ -51,14 +53,14 @@ class SubstModel:
         pi = np.asarray(self.base_freqs, dtype=float)
         if pi.shape != (4,) or np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ConfigError("base frequencies must be 4 positive values summing to 1")
-        if not self.kappa > 0:
-            raise ConfigError("kappa must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ConfigError("kappa must be positive and finite")
         if self.kind == "JC" and self.kappa != 1.0:
             raise ConfigError("JC forces kappa = 1")
         if self.kind != "HKY" and not np.allclose(pi, 0.25, atol=0):
             raise ConfigError(f"{self.kind} forces uniform base frequencies")
-        if self.gamma_shape is not None and not self.gamma_shape > 0:
-            raise ConfigError("gamma_shape must be positive")
+        if self.gamma_shape is not None and not 0 < self.gamma_shape < math.inf:
+            raise ConfigError("gamma_shape must be positive and finite")
         object.__setattr__(self, "base_freqs", tuple(float(x) for x in pi))
 
 

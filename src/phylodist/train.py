@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, TrainingDiverged
+from .files import write_table
 from .losses import LOSS_KINDS, batch_loss
 from .net.architectures import forward_matrix, network_forward
 from .net.layers import ScalarMLP
@@ -95,8 +96,8 @@ def matrix_loss_gamma(spec, cfg):
     PSD, and for losses that are not matrix divergences."""
     if cfg.loss not in ("logdet", "vonneumann") or spec.head == "inner_product":
         return None
-    if not cfg.gamma > 0:
-        raise ConfigError(f"gamma must be positive for the {cfg.loss} loss, got {cfg.gamma}")
+    if not 0 < cfg.gamma < math.inf:
+        raise ConfigError(f"the {cfg.loss} loss needs a positive finite gamma, got {cfg.gamma}")
     return cfg.gamma
 
 
@@ -197,11 +198,12 @@ def train(spec, train_data, cfg, val_data=None):
     return result
 
 
+_HISTORY_COLUMNS = ("epoch", "train_loss", "val_rf", "lr")
+
+
 def write_history_csv(history, path):
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,val_rf,lr\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_rf']!r},{row['lr']!r}\n")
+    rows = ([row[key] for key in _HISTORY_COLUMNS] for row in history)
+    write_table(path, _HISTORY_COLUMNS, rows, sep=",")
 
 
 def read_history_csv(path):
@@ -212,16 +214,10 @@ def read_history_csv(path):
         for line in fh:
             try:
                 epoch, train_loss, val_rf, lr = line.split(",")
-                history.append(
-                    {
-                        "epoch": int(epoch),
-                        "train_loss": float(train_loss),
-                        "val_rf": float(val_rf),
-                        "lr": float(lr),
-                    }
-                )
+                values = int(epoch), float(train_loss), float(val_rf), float(lr)
             except ValueError:
                 raise DataError(f"{path}: malformed history row {line!r}") from None
+            history.append(dict(zip(_HISTORY_COLUMNS, values)))
     return history
 
 

@@ -16,6 +16,27 @@ def random_alignment(rng, n, length):
     return Alignment(labels, rng.integers(0, 4, size=(n, length), dtype=np.int8))
 
 
+@pytest.mark.parametrize("write", [write_fasta, write_phylip])
+def test_interrupted_write_keeps_the_previous_file(write, tmp_path):
+    rng = np.random.default_rng(6)
+    path = tmp_path / "a.aln"
+    write(random_alignment(rng, 4, 30), path)
+    before = path.read_bytes()
+    aln = random_alignment(rng, 4, 30)
+    sequence = aln.sequence
+
+    def fails_second(i):
+        if i == 1:
+            raise RuntimeError("interrupted")
+        return sequence(i)
+
+    aln.sequence = fails_second
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write(aln, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.aln"]
+    assert path.read_bytes() == before
+
+
 def test_onehot_columns_sum_to_one():
     rng = np.random.default_rng(0)
     a = random_alignment(rng, 5, 40)

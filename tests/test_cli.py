@@ -1,15 +1,21 @@
+import json
 import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phylodist.alignment import read_fasta, write_fasta, write_phylip
 from phylodist.cli import main
+from phylodist.errors import DataError
 from phylodist.matrices import write_tsv
 from phylodist.net.architectures import build_architecture
 from phylodist.net.reference import build_reference_net
-from phylodist.net.serialize import save_network
+from phylodist.net.serialize import MAGIC, load_network, save_network
 from phylodist.tree import parse_newick, patristic_matrix, read_newick_file, rf_distance
 
 from util import caterpillar_newick, random_binary_tree
@@ -303,6 +309,10 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["simulate", "--n", "2"],
         ["simulate", "--format", "nexus"],
         ["simulate", "--model", "gtr"],
+        ["simulate", "--model", "k2p", "--kappa", "inf"],
+        ["simulate", "--gamma-shape", "inf"],
+        ["simulate", "--gamma-shape", "nan"],
+        ["simulate", "--gamma-shape", "-1"],
         ["infer", "--alignments", "{sims}", "--ceiling", "-1"],
         ["infer", "--alignments", "{sims}", "--saturation", "clip"],
         ["infer", "--alignments", "{sims}", "--algorithm", "upgma"],
@@ -313,18 +323,84 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["train", "--length", "0"],
         ["train", "--loss", "logdet", "--gamma", "0", "--arch", "SitesInvariantS"],
         ["train", "--loss", "vonneumann", "--gamma", "-1", "--arch", "SitesAttentionP"],
+        ["train", "--loss", "logdet", "--gamma", "inf", "--arch", "SitesInvariantS"],
         ["eval", "--data", "{sims}", "--algorithm", "upgma"],
         ["eval", "--data", "{sims}", "--methods", "jc,hky"],
         ["eval", "--data", "{sims}", "--ceiling", "0"],
     ],
-    ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model", "infer-ceiling",
-         "infer-saturation", "infer-algorithm", "infer-method", "train-lr", "train-loss",
-         "train-arch", "train-length", "train-logdet-gamma", "train-vonneumann-gamma",
+    ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
+         "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
+         "simulate-gamma-shape-negative", "infer-ceiling", "infer-saturation", "infer-algorithm",
+         "infer-method", "train-lr", "train-loss", "train-arch", "train-length",
+         "train-logdet-gamma", "train-vonneumann-gamma", "train-logdet-gamma-inf",
          "eval-algorithm", "eval-method", "eval-ceiling"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(sims=small_inputs / "sims") for a in argv]
     assert_configuration_error_leaves_no_out(argv, tmp_path / "out", capsys)
+
+
+def with_header_config(blob, **fields):
+    """The bytes of a weights file with fields of its header's config replaced."""
+    start = len(MAGIC) + 8
+    version, size = struct.unpack("<II", blob[len(MAGIC) : start])
+    header = json.loads(blob[start : start + size])
+    header["config"].update(fields)
+    new = json.dumps(header).encode()
+    return blob[: len(MAGIC)] + struct.pack("<II", version, len(new)) + new + blob[start + size :]
+
+
+@pytest.mark.parametrize(
+    "arch, fields",
+    [
+        ("SitesInvariantS", {"channels": 10**9}),
+        ("SitesInvariantS", {"embed_dim": 10**9}),
+        ("SitesAttentionP", {"channels": 10**9}),
+        ("SitesAttentionP", {"g_hidden": [4, 10**9]}),
+    ],
+    ids=["s-channels", "embed-dim", "p-channels", "g-hidden"],
+)
+def test_oversized_header_sizes_exit_3_before_allocating(arch, fields, tmp_path, capsys):
+    ckpt = tmp_path / "net.pdnet"
+    save_network(build_architecture(arch, channels=4, heads=2, embed_dim=4, g_hidden=(4,)), ckpt)
+    ckpt.write_bytes(with_header_config(read_bytes(ckpt), **fields))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="exceed the parameter table"):
+            load_network(ckpt)
+        code = run("infer", "--alignments", tmp_path, "--checkpoint", ckpt, "--out", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 10e6
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weights_file_must_hold_exactly_its_table(tmp_path):
+    ckpt = tmp_path / "h.pdnet"
+    save_network(build_reference_net("H", 10), ckpt)
+    blob = read_bytes(ckpt)
+    for bad in (blob[:-1], blob + b"\0"):
+        ckpt.write_bytes(bad)
+        with pytest.raises(DataError, match="file size"):
+            load_network(ckpt)
+
+
+def test_infinite_birth_rate_exits_2(tmp_path):
+    """lambda = inf once made every event a death, so the extinction-rejection
+    loop never returned: run in a subprocess that a timeout can stop."""
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "phylodist.cli", "simulate", "--lam", "inf", "--mu", "0",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("configuration error:") and "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def test_boolean_flags_and_config_values_turn_off(tmp_path):
@@ -392,7 +468,6 @@ def test_eval_gnuplot_output(tmp_path):
 
 
 def test_reference_checkpoint_rejects_wrong_length(tmp_path):
-    from phylodist.errors import DataError
     from phylodist.net.architectures import network_forward
     from phylodist.alignment import Alignment
 

@@ -1,6 +1,7 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every function it defines and every name it binds at module level is read
-somewhere in the repository."""
+"""Source hygiene: every name a library module imports is used in it, every
+function it defines and every name it binds at module level is read
+somewhere in the repository, and only phylodist.files opens files for
+writing."""
 
 import ast
 import importlib.util
@@ -33,6 +34,41 @@ def test_guard_flags_an_unused_import():
     assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
         (1, "os"),
         (2, "tau"),
+    ]
+
+
+def write_opens(source):
+    """(line, mode) of each open() call whose mode may write: one that is not
+    a string constant, or one with w, a, x or +."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) != "open":
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        for mode in modes:
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                found.append((node.lineno, ast.unparse(mode)))
+    return found
+
+
+def test_only_files_opens_for_writing():
+    """Every output goes through phylodist.files, whose writes are atomic."""
+    found = {
+        str(p.relative_to(PACKAGE)): modes
+        for p in MODULES
+        if p.name != "files.py" and (modes := write_opens(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_a_write_open():
+    source = (
+        'open(p)\nopen(p, "rb")\nopen(p, "w")\nio.open(p, mode="ab")\nopen(p, m)\n'
+        'open(p, "r+")\nopen(p, encoding="utf-8")\nopen(p, "x")\n'
+    )
+    assert write_opens(source) == [
+        (3, "'w'"), (4, "'ab'"), (5, "m"), (6, "'r+'"), (8, "'x'"),
     ]
 
 

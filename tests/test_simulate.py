@@ -28,6 +28,11 @@ def test_bd_params_validation():
         BDParams(0.5, 1.0, 10)
     with pytest.raises(ConfigError):
         BDParams(1.0, 0.5, 2)
+    # where lambda + mu is not finite every event was a death, so the
+    # resimulation after each extinction never ended
+    for lam, mu in ((float("inf"), 0.0), (float("nan"), 0.0), (1.7e308, 1e308)):
+        with pytest.raises(ConfigError):
+            BDParams(lam, mu, 5)
 
 
 def test_subst_model_validation():
@@ -37,6 +42,11 @@ def test_subst_model_validation():
         SubstModel("K2P", kappa=2.0, base_freqs=(0.4, 0.2, 0.2, 0.2))
     with pytest.raises(ConfigError):
         SubstModel("HKY", base_freqs=(0.5, 0.5, 0.25, -0.25))
+    for bad in (float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ConfigError):
+            SubstModel("K2P", kappa=bad)
+        with pytest.raises(ConfigError):
+            SubstModel("JC", gamma_shape=bad)
     SubstModel("HKY", kappa=3.0, base_freqs=(0.1, 0.2, 0.3, 0.4))
 
 

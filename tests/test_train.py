@@ -71,7 +71,7 @@ def test_matrix_loss_gamma_is_checked_only_where_a_loss_applies_it():
     assert matrix_loss_gamma(dist, TrainConfig(loss="mae", gamma=0.0)) is None
     assert matrix_loss_gamma(cov, TrainConfig(loss="logdet", gamma=0.0)) is None
     assert matrix_loss_gamma(dist, TrainConfig(loss="vonneumann", gamma=0.5)) == 0.5
-    for gamma in (0.0, -1.0, math.nan):
+    for gamma in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             matrix_loss_gamma(dist, TrainConfig(loss="logdet", gamma=gamma))
 
