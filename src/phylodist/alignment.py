@@ -13,9 +13,10 @@ from .files import atomic_open
 ALPHABET = "ACGT"
 N_STATES = 4
 
-# byte -> state index, -1 for every byte outside ALPHABET
+# state index -> byte, and byte -> state index (-1 for every byte outside ALPHABET)
+_LETTERS = np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)
 _CODES = np.full(256, -1, dtype=np.int8)
-_CODES[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(N_STATES)
+_CODES[_LETTERS] = np.arange(N_STATES)
 
 # index pairs (i, j) with i<j that are transitions (purine<->purine,
 # pyrimidine<->pyrimidine): A<->G and C<->T
@@ -95,7 +96,7 @@ class Alignment:
         return self.states.shape[1]
 
     def sequence(self, i):
-        return "".join(ALPHABET[s] for s in self.states[i])
+        return _LETTERS[self.states[i]].tobytes().decode("ascii")
 
     def row(self, label):
         return self.states[self.labels.index(label)]

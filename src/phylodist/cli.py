@@ -6,11 +6,12 @@ top-level seed via named sub-streams, writes outputs atomically, and emits a
 manifest.txt whose key=value lines can be fed back through --config to
 reproduce the run byte-for-byte.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O or data error,
-4 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 I/O or data error (an input
+too large for memory included), 4 numeric failure.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -519,6 +520,7 @@ def _add_common(sub, defaults):
             sub.add_argument(flag, type=str, default=None)
 
 
+@functools.cache  # one parser per process: building it costs milliseconds a call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="phylodist",
@@ -550,6 +552,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except (DataError, OSError, UnicodeDecodeError) as err:
         print(f"I/O error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as err:
+        print(f"out of memory: {err or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)

@@ -121,30 +121,44 @@ def write_tsv(mat, path):
     write_table(path, ("",) + mat.labels, rows)
 
 
+def _parse_values(rows, n):
+    """The n values after the label of each row, parsed by numpy's C reader to
+    the doubles float() gives.  comments=None: the default "#" would cut a row
+    short wherever one appears."""
+    return np.loadtxt(rows, delimiter="\t", usecols=range(1, n + 1), comments=None, ndmin=2)
+
+
 def read_tsv(path):
-    """Read a labeled distance matrix from TSV (see write_tsv)."""
+    """Read a labeled distance matrix from TSV (see write_tsv).
+
+    Values take Python's float syntax, surrounded by any whitespace, without
+    "_" separators or non-ASCII digits."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty matrix file")
-    header = lines[0].split("\t")
-    labels = header[1:]
+    labels = lines[0].split("\t")[1:]
     n = len(labels)
     if not n:
         raise DataError(f"{path}: header row names no taxa")
-    if len(lines) != n + 1:
-        raise DataError(f"{path}: expected {n} data rows, found {len(lines) - 1}")
-    values = np.zeros((n, n))
-    for i, line in enumerate(lines[1:]):
-        parts = line.split("\t")
-        if len(parts) != n + 1:
-            raise DataError(f"{path}: row {i + 1} has {len(parts) - 1} values")
-        if parts[0] != labels[i]:
-            raise DataError(
-                f"{path}: row label {parts[0]!r} does not match header {labels[i]!r}"
-            )
-        try:
-            values[i] = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise DataError(f"{path}: row {i + 1} has a non-numeric value") from None
+    rows = lines[1:]
+    if len(rows) != n:
+        raise DataError(f"{path}: expected {n} data rows, found {len(rows)}")
+    for i, (label, row) in enumerate(zip(labels, rows)):
+        tabs = row.count("\t")
+        if tabs != n:
+            raise DataError(f"{path}: row {i + 1} has {tabs} values")
+        if not row.startswith(label + "\t"):
+            got = row.split("\t", 1)[0]
+            raise DataError(f"{path}: row label {got!r} does not match header {label!r}")
+    try:
+        values = _parse_values(rows, n)
+    except ValueError:
+        # only a malformed file pays for finding its first bad row
+        for i, row in enumerate(rows):
+            try:
+                _parse_values([row], n)
+            except ValueError:
+                raise DataError(f"{path}: row {i + 1} has a non-numeric value") from None
+        raise
     return DistanceMatrix(labels, values)

@@ -9,6 +9,7 @@ reversible generator.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ class BDParams:
             raise ConfigError(f"need finite lambda > mu >= 0, got ({self.lam}, {self.mu})")
         if self.n < 3:
             raise ConfigError(f"need n >= 3 leaves, got {self.n}")
+        # n lineages wait for the next event at rate (lambda + mu) * n; where
+        # that overflows every waiting time, so every branch, is zero
+        if not self.n <= sys.float_info.max / (self.lam + self.mu):
+            raise ConfigError(f"(lambda + mu) * n overflows for ({self.lam}, {self.mu}, {self.n})")
 
 
 @dataclass(frozen=True)

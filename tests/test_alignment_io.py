@@ -10,6 +10,8 @@ from phylodist.alignment import (
 )
 from phylodist.errors import DataError
 
+from util import naive_sequence
+
 
 def random_alignment(rng, n, length):
     labels = [f"s{i}" for i in range(n)]
@@ -43,6 +45,18 @@ def test_onehot_columns_sum_to_one():
     oh = a.onehot()
     assert oh.shape == (5, 4, 40)
     assert np.array_equal(oh.sum(axis=1), np.ones((5, 40)))
+
+
+def test_sequence_matches_per_character_oracle():
+    rng = np.random.default_rng(7)
+    for n, length in ((1, 0), (1, 1), (3, 70), (6, 141)):
+        aln = random_alignment(rng, n, length)
+        for i in range(n):
+            assert aln.sequence(i) == naive_sequence(aln, i)
+    # a view of a wider matrix, as evolve_alignment's rows may be
+    wide = rng.integers(0, 4, size=(4, 50), dtype=np.int8)
+    aln = Alignment(["a", "b", "c", "d"], wide[:, ::3])
+    assert [aln.sequence(i) for i in range(4)] == [naive_sequence(aln, i) for i in range(4)]
 
 
 def test_fasta_roundtrip(tmp_path):

@@ -313,6 +313,7 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["simulate", "--gamma-shape", "inf"],
         ["simulate", "--gamma-shape", "nan"],
         ["simulate", "--gamma-shape", "-1"],
+        ["simulate", "--lam", "1e308", "--mu", "0", "--n", "5", "--length", "12"],
         ["infer", "--alignments", "{sims}", "--ceiling", "-1"],
         ["infer", "--alignments", "{sims}", "--saturation", "clip"],
         ["infer", "--alignments", "{sims}", "--algorithm", "upgma"],
@@ -330,10 +331,10 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
     ],
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
          "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
-         "simulate-gamma-shape-negative", "infer-ceiling", "infer-saturation", "infer-algorithm",
-         "infer-method", "train-lr", "train-loss", "train-arch", "train-length",
-         "train-logdet-gamma", "train-vonneumann-gamma", "train-logdet-gamma-inf",
-         "eval-algorithm", "eval-method", "eval-ceiling"],
+         "simulate-gamma-shape-negative", "simulate-rate-overflow", "infer-ceiling",
+         "infer-saturation", "infer-algorithm", "infer-method", "train-lr", "train-loss",
+         "train-arch", "train-length", "train-logdet-gamma", "train-vonneumann-gamma",
+         "train-logdet-gamma-inf", "eval-algorithm", "eval-method", "eval-ceiling"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(sims=small_inputs / "sims") for a in argv]
@@ -488,6 +489,93 @@ def test_matrix_tsv_roundtrip(tmp_path):
     back = read_tsv(path)
     assert back.labels == d.labels
     assert np.array_equal(back.values, d.values)
+
+
+GOOD_TSV = "\ta\tb\tc\na\t0.0\t0.5\t1.0\nb\t0.5\t0.0\t1.5\nc\t1.0\t1.5\t0.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (GOOD_TSV.replace("c\t1.0\t1.5\t0.0\n", ""), "expected 3 data rows, found 2"),
+        (GOOD_TSV + "d\t1.0\t1.5\t0.0\n", "expected 3 data rows, found 4"),
+        (GOOD_TSV.replace("b\t0.5\t0.0\t1.5", "b\t0.5\t0.0"), "row 2 has 2 values"),
+        (GOOD_TSV.replace("\nb\t", "\nx\t"), "row label 'x' does not match header 'b'"),
+        (GOOD_TSV.replace("b\t0.5\t0.0\t1.5", "b\t0.5\t\t1.5"), "row 2 has a non-numeric value"),
+        (GOOD_TSV.replace("c\t1.0\t1.5", "c\tfoo\t1.5"), "row 3 has a non-numeric value"),
+        (GOOD_TSV.replace("c\t1.0\t1.5", "c\t1_0\t1.5"), "row 3 has a non-numeric value"),
+        (GOOD_TSV.replace("b\t0.5\t0.0", "b\t0.5\t\u0660"), "row 2 has a non-numeric value"),
+    ],
+    ids=["missing-row", "extra-row", "ragged-row", "row-label", "empty-cell", "word",
+         "underscore", "non-ascii-digit"],
+)
+def test_malformed_matrix_exits_3_naming_the_row(text, named, tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run("infer", "--matrices", path, "--out", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and named in err and "Traceback" not in err
+
+
+def test_matrix_rows_may_be_spaced_and_labels_may_hold_hashes(tmp_path):
+    from phylodist.matrices import read_tsv
+
+    path = tmp_path / "d.tsv"
+    path.write_text(GOOD_TSV)
+    want = read_tsv(path).values
+    path.write_text(GOOD_TSV.replace("\n", "\n\n \t\n", 2))
+    assert np.array_equal(read_tsv(path).values, want)
+    # numpy's reader cuts a row at "#" unless comments are off
+    path.write_text(GOOD_TSV.replace("b", "#b"))
+    back = read_tsv(path)
+    assert back.labels == ("a", "#b", "c") and np.array_equal(back.values, want)
+
+
+def test_out_of_memory_exits_3_in_one_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.tsv"
+    path.write_text(GOOD_TSV)
+
+    def exhausted(_):
+        raise MemoryError("Unable to allocate 9.22 GiB")
+
+    monkeypatch.setattr("phylodist.cli.read_tsv", exhausted)
+    capsys.readouterr()
+    assert run("infer", "--matrices", path, "--out", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 9.22 GiB\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    """Two calls in one process write the bytes that each writes with a parser
+    of its own, and a usage error in between spoils nothing."""
+    from phylodist.cli import build_parser
+
+    session = (
+        ["simulate", "--out", "sims", "--replicates", "2", "--n", "6", "--length", "50",
+         "--seed", "5"],
+        ["infer", "--alignments", "sims", "--algorithm", "bionj", "--dump-matrix",
+         "--out", "trees"],
+    )
+
+    def written(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    for name in ("fresh", "shared"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "fresh")
+    for argv in session:
+        build_parser.cache_clear()
+        assert main(list(argv)) == 0
+    monkeypatch.chdir(tmp_path / "shared")
+    assert main(list(session[0])) == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["infer", "--no-such-flag"])
+    assert usage.value.code == 2
+    assert main(list(session[1])) == 0
+    assert build_parser() is build_parser()
+    fresh = written(tmp_path / "fresh")
+    assert len(fresh) == 10 and written(tmp_path / "shared") == fresh
 
 
 def test_thread_pool_output_matches_serial(tmp_path):

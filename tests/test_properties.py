@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from phylodist.distances import (
 )
 from phylodist.errors import DataError, SaturationError
 from phylodist.embed import measure_distortion
-from phylodist.matrices import DistanceMatrix, inverse_gromov
+from phylodist.matrices import DistanceMatrix, inverse_gromov, read_tsv, write_tsv
 from phylodist.nj import bionj, neighbor_join
 from phylodist.simulate import _sample_rows
 from phylodist.tree import covariance_matrix, patristic_matrix, serialize_newick
@@ -211,3 +214,77 @@ def test_joins_equal_the_copying_reference(n, seed, integer_valued):
         got = [(rec.pair, *(float(y).hex() for y in (rec.q_value, *rec.branch_lengths)))
                for rec in trace.records]
         assert (serialize_newick(tree), got) == reference_join(labels, x, weighted)
+
+
+def read_tsv_text(text):
+    """read_tsv of a file holding text, as UTF-8."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return read_tsv(path)
+
+
+tsv_chars = st.sampled_from("\t\t\n\n \r0123456789.e-+_#abnif\u0660\xa0")
+
+
+@given(st.one_of(st.text(), st.text(tsv_chars), st.text(tsv_chars).map(lambda t: "\ta\tb\n" + t)))
+@settings(max_examples=300, deadline=None)
+def test_read_tsv_refuses_any_text_only_with_data_error(text):
+    try:
+        read_tsv_text(text)
+    except DataError:
+        pass
+
+
+def float_syntax(token):
+    """float() of the token without its surrounding whitespace (str.isspace,
+    which float() applies to all but the ASCII separators 0x1c-0x1f), or None
+    where read_tsv refuses the token: where float() does, and for "_"
+    separators and non-ASCII digits."""
+    if "_" in token or any(not ch.isascii() and not ch.isspace() for ch in token):
+        return None
+    try:
+        return float(token.strip())
+    except ValueError:
+        return None
+
+
+number_chars = st.sampled_from("0123456789.eE+-_ #infatyINF\u0660\uff11\xa0\x0b\x0c\x1f\x85\u2003")
+
+
+@given(st.one_of(st.text(number_chars, max_size=12), st.floats().map(repr),
+                 st.floats().map(lambda x: f" {x!r}\xa0")))
+@settings(max_examples=500, deadline=None)
+def test_read_tsv_parses_a_value_as_float_does(token):
+    text = f"\ta\tb\tc\na\t0.0\t{token}\t1.0\nb\t{token}\t0.0\t2.0\nc\t1.0\t2.0\t0.0\n"
+    want = float_syntax(token)
+    if want is None or not 0.0 <= want < float("inf"):
+        with pytest.raises(DataError):
+            read_tsv_text(text)
+    else:
+        got = read_tsv_text(text).values
+        assert got[0, 1].tobytes() == got[1, 0].tobytes() == np.float64(want).tobytes()
+
+
+doubles = st.one_of(
+    st.floats(0.0, allow_infinity=False),
+    st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+    st.floats(1e-6, 1e-4),  # where repr switches to an exponent
+    st.floats(1e15, 1e17),
+    st.sampled_from([5e-324, 1e-5, 1e16, 1.7976931348623157e308]),
+)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(doubles, min_size=n * n, max_size=n * n)))
+@settings(max_examples=200, deadline=None)
+def test_tsv_roundtrip_is_bit_identical(cells):
+    n = int(round(len(cells) ** 0.5))
+    x = np.triu(np.array(cells).reshape(n, n), 1)
+    d = DistanceMatrix([f"t{i}" for i in range(n)], x + x.T)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.tsv")
+        write_tsv(d, path)
+        back = read_tsv(path)
+    assert back.labels == d.labels
+    assert back.values.tobytes() == d.values.tobytes()

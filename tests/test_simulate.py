@@ -33,6 +33,11 @@ def test_bd_params_validation():
     for lam, mu in ((float("inf"), 0.0), (float("nan"), 0.0), (1.7e308, 1e308)):
         with pytest.raises(ConfigError):
             BDParams(lam, mu, 5)
+    # a finite sum whose event rate (lambda + mu) * n overflows made every
+    # waiting time, so every branch, zero
+    with pytest.raises(ConfigError, match="overflows"):
+        BDParams(1e308, 0.0, 5)
+    BDParams(1e307, 0.0, 5)
 
 
 def test_subst_model_validation():

@@ -3,6 +3,7 @@
 import numpy as np
 
 from phylodist import autodiff as ad
+from phylodist.alignment import ALPHABET
 from phylodist.net.layers import MeanPoolSites
 from phylodist.tree import PhyloTree
 
@@ -41,6 +42,11 @@ def random_binary_tree(rng, n, rooted=True, max_blen=1.0):
     for v in range(root):
         blen[v] = float(rng.uniform(0.05, max_blen))
     return PhyloTree(parent, children, blen, node_label, rooted=rooted)
+
+
+def naive_sequence(aln, i):
+    """Row i of an alignment as letters, one character at a time."""
+    return "".join(ALPHABET[s] for s in aln.states[i])
 
 
 def caterpillar_newick(n):
