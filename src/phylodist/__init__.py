@@ -41,7 +41,6 @@ from .net.architectures import (
     NetworkSpec,
     build_architecture,
     network_forward,
-    site_pattern_compression,
 )
 from .net.reference import build_reference_net
 from .net.serialize import load_network, save_network

@@ -165,7 +165,8 @@ def read_phylip(path):
     if not lines:
         raise DataError(f"{path}: empty PHYLIP file")
     header = lines[0].split()
-    if len(header) != 2 or not all(h.isdigit() for h in header):
+    # isdigit() alone admits digits such as "²" that int() refuses
+    if len(header) != 2 or not all(h.isascii() and h.isdigit() for h in header):
         raise DataError(f"{path}: malformed PHYLIP header {lines[0]!r}")
     n, length = int(header[0]), int(header[1])
     if len(lines) != n + 1:

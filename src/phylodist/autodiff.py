@@ -9,8 +9,8 @@ would.  Interior gradients are dropped once pushed, and tensors that require
 no gradient receive none.  Each node frees what its backward saved (attention's
 probabilities, say) as soon as it has pushed, so a graph backpropagates once: a
 second pass through a consumed node raises ``NumericError``.  Node values and
-parents stay.  Leaf grads stay until a caller clears them:
-``gradients`` does so before its pass, ``Adam.step`` after using them.
+parents stay.  Leaf grads stay until a caller clears them, as ``Adam.step``
+does after using them.
 Inside ``with no_tape():`` operations compute the same values but return
 parentless tensors, so nothing is kept for a backward pass; the switch is a
 context variable, so each thread has its own.
@@ -466,41 +466,3 @@ def trace(a):
     eye = np.eye(a.data.shape[-1])
     return tensor_sum(mul(a, eye))
 
-
-# -- gradient utilities -------------------------------------------------------------------
-
-
-def gradients(loss, params):
-    """Backward pass from cleared grads; returns the gradient arrays of the
-    given parameters."""
-    for p in params:
-        p.grad = None
-    loss.backward()
-    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
-
-
-def finite_difference_check(f, params):
-    """Compare reverse-mode gradients of f() against central differences
-    with step 1e-4; the perturbed evaluations keep no tape.
-
-    Returns the worst relative error max |a-fd| / max(|a|+|fd|, 1e-6) over
-    every coordinate of every parameter; raises nothing.
-    """
-    h = 1e-4
-    analytic = gradients(f(), params)
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            with no_tape():
-                flat[idx] = orig + h
-                up = float(f().data)
-                flat[idx] = orig - h
-                down = float(f().data)
-            flat[idx] = orig
-            fd = (up - down) / (2.0 * h)
-            a_i = float(a.reshape(-1)[idx])
-            rel = abs(a_i - fd) / max(abs(a_i) + abs(fd), 1e-6)
-            worst = max(worst, rel)
-    return worst

@@ -98,8 +98,6 @@ def resolve_config(args, defaults):
                     resolved[key] = type(want)(raw)
                 except ValueError:
                     raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-            elif raw.lower() == "none":
-                resolved[key] = None
             else:
                 resolved[key] = raw
     for key in defaults:

@@ -87,9 +87,6 @@ class CovarianceMatrix:
     def n(self):
         return len(self.labels)
 
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.values)[0])
-
     def __repr__(self):
         return f"CovarianceMatrix(n={self.n})"
 

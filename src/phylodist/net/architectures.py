@@ -213,20 +213,18 @@ def _joint_counts(states):
     return gram.reshape(n, N_STATES, n, N_STATES)
 
 
-def _run(stack, t, weights=None, capture=None):
+def _run(stack, t, weights=None):
     for layer in stack:
         t = layer.forward(t, weights)
-        if capture is not None and t.ndim == 3:
-            capture["hidden"] = t
     return t
 
 
-def _state_features(spec, composition, length, capture=None):
+def _state_features(spec, composition, length):
     """Sequence stack on the 4 state tokens, each taxon weighting them by its
     (taxa, 4) composition -> ((1 or taxa, C, 4) features, SiteWeights).
     Rows stay 1, shared by all taxa, until a layer reads the weights."""
     weights = SiteWeights(composition, length)
-    return _run(spec.seq_stack, ad.Tensor(_STATE_TOKENS), weights, capture), weights
+    return _run(spec.seq_stack, ad.Tensor(_STATE_TOKENS), weights), weights
 
 
 def _pair_tokens(t, ii, jj):
@@ -235,9 +233,9 @@ def _pair_tokens(t, ii, jj):
     return ad.concat([first[:, :, _FIRST], second[:, :, _SECOND]], axis=1)
 
 
-def _pair_tail(spec, pair, weights=None, capture=None):
+def _pair_tail(spec, pair, weights=None):
     """Pair-stack input, one row per pair -> (P,) pair values."""
-    pair = _run(spec.pair_stack, pair, weights, capture)
+    pair = _run(spec.pair_stack, pair, weights)
     # reference trunks end in an invariant collapse; others need pooling
     pooled = spec.pool.forward(pair, weights) if pair.ndim == 3 else pair
     vals = spec.g.forward(pooled)
@@ -246,7 +244,7 @@ def _pair_tail(spec, pair, weights=None, capture=None):
     return vals
 
 
-def _encode(spec, aln, ii, jj, capture=None):
+def _encode(spec, aln, ii, jj):
     """Sequence stack over aln, then for pair nets the pair values.
 
     Returns (S-net taxon features or (P,) pair values, their SiteWeights or
@@ -254,31 +252,29 @@ def _encode(spec, aln, ii, jj, capture=None):
     site columns.
     """
     if not spec.site_local:
-        t = _run(spec.seq_stack, ad.Tensor(aln.onehot()), None, capture)
+        t = _run(spec.seq_stack, ad.Tensor(aln.onehot()))
         if spec.is_pair_net:
-            return _pair_tail(spec, ad.concat([t[ii], t[jj]], axis=1), None, capture), None
+            return _pair_tail(spec, ad.concat([t[ii], t[jj]], axis=1)), None
         return t, None
     states = aln.states
     composition = np.stack([np.count_nonzero(states == a, axis=1) for a in range(N_STATES)], axis=1)
-    t, weights = _state_features(spec, composition, aln.length, capture)
+    t, weights = _state_features(spec, composition, aln.length)
     if not spec.is_pair_net:
         return t, weights
     joint = _joint_counts(states)[ii, :, jj, :]
     pair_weights = SiteWeights(joint.reshape(len(ii), -1), aln.length)
-    return _pair_tail(spec, _pair_tokens(t, ii, jj), pair_weights, capture), None
+    return _pair_tail(spec, _pair_tokens(t, ii, jj), pair_weights), None
 
 
-def forward_matrix(spec, aln, capture=None):
+def forward_matrix(spec, aln):
     """Distance (or Gram) matrix as a Tensor, labels in input row order.
 
-    For inner_product heads returns the Gram matrix tensor.  ``capture``,
-    when a dict, receives the final hidden activation under "hidden" (one
-    token per site pattern for site-local nets).
+    For inner_product heads returns the Gram matrix tensor.
     """
     _check_length(spec, aln.length)
     labels, n = aln.labels, aln.n
     ii, jj = _canonical_pairs(labels)
-    out, weights = _encode(spec, aln, ii, jj, capture)
+    out, weights = _encode(spec, aln, ii, jj)
     if spec.is_pair_net:
         return labels, _scatter_symmetric(out, n, ii, jj)
     z = spec.embed.forward(spec.pool.forward(out, weights))
@@ -309,15 +305,6 @@ def network_forward(spec, aln):
     return DistanceMatrix(labels, values)
 
 
-def forward_embedding(spec, aln):
-    """Taxon embedding Z (numpy) of an S network, rows in input order."""
-    if spec.is_pair_net:
-        raise ConfigError("pair networks have no taxon embedding")
-    with ad.no_tape():
-        t, weights = _encode(spec, aln, None, None)
-        return spec.embed.forward(spec.pool.forward(t, weights)).data
-
-
 def pair_values(spec, x_batch, y_batch):
     """Evaluate a site-local pair network on a batch of explicit one-hot pairs.
 
@@ -341,37 +328,3 @@ def pair_values(spec, x_batch, y_batch):
         pair = _pair_tokens(t, b, b + len(x))
         return _pair_tail(spec, pair, SiteWeights(counts, x.shape[-1])).data
 
-
-# -- site-pattern compression ---------------------------------------------------------
-
-
-def _unique_columns(mat):
-    """Number of distinct columns, coordinates compared at resolution 1e-6."""
-    cols = np.round(np.asarray(mat, float).T / 1e-6).astype(np.int64)
-    return int(np.unique(cols, axis=0).shape[0])
-
-
-def _site_columns(hidden, states, ii, jj):
-    """Pattern-token activations (rows, C, 4 or 16) -> (taxa or P, C, L),
-    each site reading the token of its state or joint-state pattern."""
-    if hidden.shape[-1] == N_STATES:
-        index = states
-    else:
-        index = N_STATES * states[ii] + states[jj]
-    hidden = np.broadcast_to(hidden, (len(index),) + hidden.shape[1:])
-    return np.take_along_axis(hidden, index[:, None, :].astype(np.intp), axis=2)
-
-
-def site_pattern_compression(spec, aln):
-    """Unique site patterns in the final hidden layer / unique input patterns."""
-    onehot = aln.onehot()
-    n, k, length = onehot.shape
-    input_patterns = _unique_columns(onehot.reshape(n * k, length))
-    capture = {}
-    with ad.no_tape():
-        forward_matrix(spec, aln, capture=capture)
-    hidden = capture["hidden"].data
-    if spec.site_local:
-        hidden = _site_columns(hidden, aln.states, *_canonical_pairs(aln.labels))
-    hidden_patterns = _unique_columns(hidden.reshape(-1, hidden.shape[-1]))
-    return hidden_patterns / input_patterns

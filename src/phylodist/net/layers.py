@@ -300,6 +300,3 @@ class ScalarMLP(Layer):
         for layer in self.dense:
             t = layer.forward(t)
         return ad.reshape(t, t.shape[:-1])
-
-    def n_params(self):
-        return sum(p.data.size for _, p in self.params())

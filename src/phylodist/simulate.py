@@ -38,6 +38,14 @@ class BDParams:
         # that overflows every waiting time, so every branch, is zero
         if not self.n <= sys.float_info.max / (self.lam + self.mu):
             raise ConfigError(f"(lambda + mu) * n overflows for ({self.lam}, {self.mu}, {self.n})")
+        # a waiting time is an exponential draw of mean at most 1 / (lambda + mu),
+        # and numpy draws none above 64 means: keep the sum of 2**32 such
+        # draws, so every raw event time, finite
+        if not (self.lam + self.mu) * sys.float_info.max >= 2.0**38:
+            least = 2.0**38 / sys.float_info.max
+            raise ConfigError(
+                f"need lambda + mu >= {least:.4g} for finite event times, got {self.lam + self.mu}"
+            )
 
 
 @dataclass(frozen=True)
@@ -223,12 +231,6 @@ def _stochastic_rows(a, decay, wt):
     return p
 
 
-def transition_probabilities(model, t):
-    """Stochastic matrix P(t) = expm(Q t) for one branch duration t >= 0."""
-    u, w, wt = _spectral(model)
-    return _stochastic_rows(u, np.exp(w * t), wt)
-
-
 def _sample_rows(rng, p, rows):
     """One draw per entry of rows, by inverse CDF from that row of the
     stochastic matrix p: the branch's 4 x 4 P(t), or one row per site under
@@ -286,8 +288,3 @@ def evolve_alignment(tree, model, length, seed):
 
     labels = [tree.label(v) for v in tree.leaves]
     return Alignment(labels, np.stack([states[v] for v in tree.leaves]))
-
-
-def jc_expected_mismatch(d):
-    """Closed-form probability that two JC sequences at distance d differ."""
-    return 0.75 * (1.0 - np.exp(-4.0 * d / 3.0))

@@ -61,6 +61,8 @@ class PhyloTree:
                 raise DataError(f"internal node {i} has {len(kids)} children")
         if np.any(self._blen < 0):
             raise DataError("negative branch length")
+        if not np.all(np.isfinite(self._blen)):
+            raise DataError("non-finite branch length")
         leaves = [i for i in range(n) if not self._children[i]]
         for i in leaves:
             if not self._label[i]:

@@ -13,16 +13,14 @@ from phylodist.net.architectures import (
     NetworkSpec,
     build_architecture,
     default_embed_dim,
-    forward_embedding,
     forward_matrix,
     network_forward,
     pair_values,
-    site_pattern_compression,
 )
 from phylodist.net.layers import ChannelConv, Dense, ScalarMLP
 from phylodist.net.reference import build_reference_net
 
-from util import naive_site_forward
+from util import gradients, naive_site_forward, site_pattern_compression
 
 SMALL = dict(channels=8, heads=2, embed_dim=6, g_hidden=(6,))
 
@@ -176,7 +174,7 @@ def test_forward_values_match_golden_digest():
 
     def add(spec, out):
         h.update(np.ascontiguousarray(out.data).tobytes())
-        for g in ad.gradients(batch_loss("mae", [(out, target)]), spec.parameters()):
+        for g in gradients(batch_loss("mae", [(out, target)]), spec.parameters()):
             h.update(np.ascontiguousarray(g).tobytes())
 
     for name in ARCHITECTURES:
@@ -234,7 +232,7 @@ def test_site_local_nets_match_per_site_oracle():
             results = []
             for forward in (lambda: forward_matrix(spec, aln)[1], lambda: naive_site_forward(spec, aln)):
                 out = forward()
-                grads = ad.gradients(ad.tensor_sum(out * probe), spec.parameters())
+                grads = gradients(ad.tensor_sum(out * probe), spec.parameters())
                 results.append([out.data] + grads)
             for fast, naive in zip(*results):
                 assert np.all(np.isfinite(fast)), spec.architecture
@@ -283,11 +281,6 @@ def test_head_architecture_compatibility():
 
 
 def test_embedding_shape_and_default_dim():
-    rng = np.random.default_rng(6)
-    spec = build_small("FullAttentionS")
-    aln = random_alignment(rng, n=5, length=9)
-    z = forward_embedding(spec, aln)
-    assert z.shape == (5, SMALL["embed_dim"])
     assert default_embed_dim(20) == 20
     assert default_embed_dim(2) == 8
 

@@ -7,6 +7,8 @@ import pytest
 from phylodist import autodiff as ad
 from phylodist.errors import NumericError
 
+from util import finite_difference_check, gradients
+
 
 def _param(data):
     return ad.Tensor(np.array(data, float), requires_grad=True)
@@ -15,7 +17,7 @@ def _param(data):
 def test_sum_of_squares_gradient_analytic():
     p = _param(np.array([1.0, -2.0, 3.0]))
     loss = ad.tensor_sum(p * p)
-    (g,) = ad.gradients(loss, [p])
+    (g,) = gradients(loss, [p])
     assert np.allclose(g, 2.0 * p.data, atol=0)
 
 
@@ -23,7 +25,7 @@ def test_constant_loss_zero_gradients():
     p = _param(np.array([1.0, 2.0]))
     loss = ad.Tensor(5.0)
     loss_total = loss + 0.0 * ad.tensor_sum(p)
-    (g,) = ad.gradients(loss_total, [p])
+    (g,) = gradients(loss_total, [p])
     assert np.allclose(g, 0.0)
 
 
@@ -37,7 +39,7 @@ def test_grad_accumulates_through_shared_subexpression():
     p = _param(np.array(2.0))
     y = p * p  # used twice below
     loss = y + y
-    (g,) = ad.gradients(loss, [p])
+    (g,) = gradients(loss, [p])
     assert g == pytest.approx(8.0)
 
 
@@ -55,7 +57,7 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
         return ad.tensor_sum(ad.attention(h, h, p, 0.5) ** 2.0)
 
     for weight in (1.0, 1.0 / 3.0):
-        summed = ad.gradients((term(consts[0]) + term(consts[1]) + term(consts[2])) * weight, [p, w])
+        summed = gradients((term(consts[0]) + term(consts[1]) + term(consts[2])) * weight, [p, w])
         for q in (p, w):
             q.grad = None
         for c in consts:
@@ -97,7 +99,7 @@ def test_backward_frees_the_attention_probabilities():
 def test_gradients_ignore_stale_grads():
     p = _param(np.array([1.0, -2.0, 3.0]))
     p.grad = np.full(3, 100.0)
-    (g,) = ad.gradients(ad.tensor_sum(p * p), [p])
+    (g,) = gradients(ad.tensor_sum(p * p), [p])
     assert np.array_equal(g, 2.0 * p.data)
 
 
@@ -121,7 +123,7 @@ def test_gradients_ignore_stale_grads():
 def test_elementwise_ops_match_finite_differences(op):
     rng = np.random.default_rng(0)
     p = _param(rng.normal(size=(3, 4)) + 0.1)
-    worst = ad.finite_difference_check(lambda: op(p), [p])
+    worst = finite_difference_check(lambda: op(p), [p])
     assert worst < 1e-4
 
 
@@ -135,7 +137,7 @@ def test_matmul_shapes_match_finite_differences():
     for sa, sb in cases:
         a = _param(rng.normal(size=sa))
         b = _param(rng.normal(size=sb))
-        worst = ad.finite_difference_check(lambda: ad.tensor_sum((a @ b) ** 2), [a, b])
+        worst = finite_difference_check(lambda: ad.tensor_sum((a @ b) ** 2), [a, b])
         assert worst < 1e-4, (sa, sb, worst)
 
 
@@ -147,14 +149,14 @@ def _random_spd(rng, n, jitter=0.0):
 def test_matrix_ops_match_finite_differences():
     rng = np.random.default_rng(2)
     a = _param(_random_spd(rng, 4))
-    worst = ad.finite_difference_check(lambda: ad.logdet(a), [a])
+    worst = finite_difference_check(lambda: ad.logdet(a), [a])
     assert worst < 1e-4
     b = _param(_random_spd(rng, 4))
-    worst = ad.finite_difference_check(lambda: ad.trace(ad.inv(b)), [b])
+    worst = finite_difference_check(lambda: ad.trace(ad.inv(b)), [b])
     assert worst < 1e-4
     c = _param(_random_spd(rng, 4))
     target = _random_spd(rng, 4)
-    worst = ad.finite_difference_check(
+    worst = finite_difference_check(
         lambda: ad.tensor_sum(ad.symlog(c) * target), [c]
     )
     assert worst < 1e-4
@@ -185,7 +187,7 @@ def test_attention_matches_finite_differences(counted):
     rows, log_counts = (1, _log_counts(rng, 4, 5)) if counted else (2, None)
     q, k, v = (_param(rng.normal(size=(rows, 5, 3))) for _ in range(3))
     probe = rng.normal(size=(4 if counted else rows, 5, 3))
-    worst = ad.finite_difference_check(
+    worst = finite_difference_check(
         lambda: ad.tensor_sum(ad.attention(q, k, v, 0.7, log_counts) * probe), [q, k, v]
     )
     assert worst < 1e-4

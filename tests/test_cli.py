@@ -197,6 +197,9 @@ def test_exit_codes(tmp_path, capsys):
     phy = tmp_path / "bad.phy"
     phy.write_text("x 10\na  ACGTACGTAC\n")
     assert run("infer", "--alignments", phy, "--out", tmp_path / "z") == 3
+    superscript = tmp_path / "superscript.phy"  # "²".isdigit(), but int("²") fails
+    superscript.write_text("\u00b2 5\na  ACGTA\n", encoding="utf-8")
+    assert run("infer", "--alignments", superscript, "--out", tmp_path / "z") == 3
     tsv = tmp_path / "bad.tsv"
     tsv.write_text("\ta\tb\na\t0.0\tfoo\nb\tfoo\t0.0\n")
     assert run("infer", "--matrices", tsv, "--out", tmp_path / "z") == 3
@@ -279,6 +282,8 @@ def small_inputs(tmp_path_factory):
     assert run("simulate", "--out", root / "sims", "--replicates", "2", "--n", "5",
                "--length", "40", "--seed", "4") == 0
     write_tsv(patristic_matrix(random_binary_tree(np.random.default_rng(3), 6)), root / "d.tsv")
+    (root / "model-none.cfg").write_text("model=none\n")
+    (root / "methods-none.cfg").write_text("methods=none\n")
     return root
 
 
@@ -314,6 +319,8 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["simulate", "--gamma-shape", "nan"],
         ["simulate", "--gamma-shape", "-1"],
         ["simulate", "--lam", "1e308", "--mu", "0", "--n", "5", "--length", "12"],
+        ["simulate", "--lam", "1e-320", "--mu", "0", "--n", "5", "--length", "12"],
+        ["simulate", "--config", "{root}/model-none.cfg"],
         ["infer", "--alignments", "{sims}", "--ceiling", "-1"],
         ["infer", "--alignments", "{sims}", "--saturation", "clip"],
         ["infer", "--alignments", "{sims}", "--algorithm", "upgma"],
@@ -328,16 +335,19 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["eval", "--data", "{sims}", "--algorithm", "upgma"],
         ["eval", "--data", "{sims}", "--methods", "jc,hky"],
         ["eval", "--data", "{sims}", "--ceiling", "0"],
+        ["eval", "--data", "{sims}", "--config", "{root}/methods-none.cfg"],
     ],
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
          "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
-         "simulate-gamma-shape-negative", "simulate-rate-overflow", "infer-ceiling",
+         "simulate-gamma-shape-negative", "simulate-rate-overflow", "simulate-rate-underflow",
+         "simulate-model-none", "infer-ceiling",
          "infer-saturation", "infer-algorithm", "infer-method", "train-lr", "train-loss",
          "train-arch", "train-length", "train-logdet-gamma", "train-vonneumann-gamma",
-         "train-logdet-gamma-inf", "eval-algorithm", "eval-method", "eval-ceiling"],
+         "train-logdet-gamma-inf", "eval-algorithm", "eval-method", "eval-ceiling",
+         "eval-methods-none"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
-    argv = [a.format(sims=small_inputs / "sims") for a in argv]
+    argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]
     assert_configuration_error_leaves_no_out(argv, tmp_path / "out", capsys)
 
 

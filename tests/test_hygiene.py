@@ -1,7 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
-function it defines and every name it binds at module level is read
-somewhere in the repository, and only phylodist.files opens files for
-writing."""
+function it defines and every name it binds at module level is read by the
+library, a demo or the bench (not only by tests), and only phylodist.files
+opens files for writing."""
 
 import ast
 import importlib.util
@@ -73,9 +73,10 @@ def test_guard_flags_a_write_open():
 
 
 REPO = PACKAGE.parent.parent
+# Only the library, the demos and the bench keep a definition alive: a
+# function that only tests call is test code and belongs in tests/.
 REFERENCING = sorted(
-    [*REPO.glob("src/**/*.py"), *REPO.glob("tests/**/*.py"), *REPO.glob("demos/*.py"),
-     *REPO.glob("perfbench/*.py")]
+    [*REPO.glob("src/**/*.py"), *REPO.glob("demos/*.py"), *REPO.glob("perfbench/*.py")]
 )
 
 
@@ -93,6 +94,11 @@ def referenced_names(source):
     return names
 
 
+def library_references():
+    """Every name that a file of REFERENCING reads."""
+    return set().union(*(referenced_names(p.read_text()) for p in REFERENCING))
+
+
 def dead_definitions(source, referenced):
     """(line, name) of each non-dunder function or method of source whose
     name is not in referenced."""
@@ -106,7 +112,7 @@ def dead_definitions(source, referenced):
 
 
 def test_every_library_function_is_referenced():
-    referenced = set().union(*(referenced_names(p.read_text()) for p in REFERENCING))
+    referenced = library_references()
     dead = {
         str(p.relative_to(PACKAGE)): found
         for p in sorted(PACKAGE.rglob("*.py"))
@@ -123,6 +129,14 @@ def test_guard_flags_an_unreferenced_function():
     )
     referenced = referenced_names("from m import used\nC().other()\n")
     assert dead_definitions(source, referenced) == [(3, "unused"), (8, "gone")]
+
+
+def test_guard_flags_a_function_only_tests_call():
+    """The helpers of tests/util.py are called from tests alone, so the
+    guard would flag each of them in a library module."""
+    source = (REPO / "tests" / "util.py").read_text()
+    flagged = {name for _, name in dead_definitions(source, library_references())}
+    assert {"finite_difference_check", "naive_site_forward", "site_pattern_compression"} <= flagged
 
 
 def unread_module_names(source, referenced):
@@ -144,7 +158,7 @@ def unread_module_names(source, referenced):
 
 
 def test_every_module_level_name_is_read():
-    referenced = set().union(*(referenced_names(p.read_text()) for p in REFERENCING))
+    referenced = library_references()
     unread = {
         str(p.relative_to(PACKAGE)): found
         for p in sorted(PACKAGE.rglob("*.py"))

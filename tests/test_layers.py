@@ -13,6 +13,8 @@ from phylodist.net.layers import (
     ScalarMLP,
 )
 
+from util import finite_difference_check
+
 
 def pair_tensor(rng, p=3, c=4, length=10):
     return ad.Tensor(rng.normal(size=(p, 2 * c, length)))
@@ -66,7 +68,7 @@ def test_equivariant_gradcheck():
     rng = np.random.default_rng(4)
     t = pair_tensor(rng, p=2, c=2, length=6)
     layer = EquivariantPair(rng.normal(size=(2, 5)), activation="elu")
-    worst = ad.finite_difference_check(
+    worst = finite_difference_check(
         lambda: ad.tensor_sum(layer.forward(t) ** 2), [layer.weights]
     )
     assert worst < 1e-4
@@ -90,7 +92,7 @@ def test_invariant_gradcheck():
     rng = np.random.default_rng(6)
     t = pair_tensor(rng, p=2, c=2, length=5)
     layer = InvariantPair(0.3, 0.1)
-    worst = ad.finite_difference_check(
+    worst = finite_difference_check(
         lambda: ad.tensor_sum(layer.forward(t) ** 2), [layer.weights]
     )
     assert worst < 1e-4
@@ -123,7 +125,7 @@ def test_conv_gradcheck():
     rng = np.random.default_rng(9)
     layer = ChannelConv.random(3, 3, rng, activation="elu")
     t = ad.Tensor(rng.normal(size=(2, 3, 4)))
-    worst = ad.finite_difference_check(
+    worst = finite_difference_check(
         lambda: ad.tensor_sum(layer.forward(t) ** 2), [layer.weight, layer.bias]
     )
     assert worst < 1e-4
@@ -156,7 +158,7 @@ def test_deepsets_gradcheck():
     rng = np.random.default_rng(12)
     layer = DeepSetsMix.random(3, 3, rng, use_taxa=True)
     t = ad.Tensor(rng.normal(size=(4, 3, 5)))
-    worst = ad.finite_difference_check(
+    worst = finite_difference_check(
         lambda: ad.tensor_sum(layer.forward(t) ** 2),
         [p for _, p in layer.params()],
     )
@@ -210,7 +212,7 @@ def test_attention_gradcheck():
     rng = np.random.default_rng(18)
     layer = Attention.random(4, 2, rng, axis="site")
     t = ad.Tensor(rng.normal(size=(2, 4, 5)))
-    worst = ad.finite_difference_check(
+    worst = finite_difference_check(
         lambda: ad.tensor_sum(layer.forward(t) ** 2),
         [p for _, p in layer.params()],
     )
@@ -234,7 +236,7 @@ def test_scalar_mlp_gradcheck():
     rng = np.random.default_rng(20)
     mlp = ScalarMLP.random(3, (5, 5), rng, activation="elu")
     t = ad.Tensor(rng.normal(size=(7, 3)))
-    worst = ad.finite_difference_check(
+    worst = finite_difference_check(
         lambda: ad.tensor_sum(mlp.forward(t) ** 2),
         [p for _, p in mlp.params()],
     )

@@ -13,6 +13,8 @@ from phylodist.losses import (
     von_neumann_divergence,
 )
 
+from util import finite_difference_check
+
 
 def random_spd(rng, n, scale=1.0):
     m = rng.normal(size=(n, n))
@@ -149,7 +151,7 @@ def test_divergence_gradients_match_finite_differences():
         xs = (x + ad.moveaxis(x, 0, 1)) * 0.5  # keep FD perturbations symmetric
         return logdet_divergence(xs, y)
 
-    assert ad.finite_difference_check(sym_loss_ld, [x]) < 1e-4
+    assert finite_difference_check(sym_loss_ld, [x]) < 1e-4
 
     x2 = ad.Tensor(base.copy(), requires_grad=True)
 
@@ -157,4 +159,4 @@ def test_divergence_gradients_match_finite_differences():
         xs = (x2 + ad.moveaxis(x2, 0, 1)) * 0.5
         return von_neumann_divergence(xs, y)
 
-    assert ad.finite_difference_check(sym_loss_vn, [x2]) < 1e-4
+    assert finite_difference_check(sym_loss_vn, [x2]) < 1e-4

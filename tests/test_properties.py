@@ -1,3 +1,4 @@
+import argparse
 import os
 import tempfile
 
@@ -6,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phylodist.alignment import Alignment
+from phylodist.alignment import Alignment, read_fasta, read_phylip
+from phylodist.cli import (
+    AUDIT_DEFAULTS,
+    EMBED_DEFAULTS,
+    EVAL_DEFAULTS,
+    INFER_DEFAULTS,
+    SIM_DEFAULTS,
+    TRAIN_DEFAULTS,
+    resolve_config,
+)
 from phylodist.distances import (
     SaturationPolicy,
     d_hamming,
@@ -16,12 +26,12 @@ from phylodist.distances import (
     jc_correct,
     k2p_correct,
 )
-from phylodist.errors import DataError, SaturationError
+from phylodist.errors import ConfigError, DataError, SaturationError
 from phylodist.embed import measure_distortion
 from phylodist.matrices import DistanceMatrix, inverse_gromov, read_tsv, write_tsv
 from phylodist.nj import bionj, neighbor_join
 from phylodist.simulate import _sample_rows
-from phylodist.tree import covariance_matrix, patristic_matrix, serialize_newick
+from phylodist.tree import covariance_matrix, parse_newick, patristic_matrix, serialize_newick
 
 from util import random_binary_tree, reference_join, sample_categorical
 
@@ -216,13 +226,13 @@ def test_joins_equal_the_copying_reference(n, seed, integer_valued):
         assert (serialize_newick(tree), got) == reference_join(labels, x, weighted)
 
 
-def read_tsv_text(text):
-    """read_tsv of a file holding text, as UTF-8."""
+def read_text(reader, text):
+    """reader of a file holding text, as UTF-8."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.tsv")
+        path = os.path.join(tmp, "input")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return read_tsv(path)
+        return reader(path)
 
 
 tsv_chars = st.sampled_from("\t\t\n\n \r0123456789.e-+_#abnif\u0660\xa0")
@@ -232,7 +242,7 @@ tsv_chars = st.sampled_from("\t\t\n\n \r0123456789.e-+_#abnif\u0660\xa0")
 @settings(max_examples=300, deadline=None)
 def test_read_tsv_refuses_any_text_only_with_data_error(text):
     try:
-        read_tsv_text(text)
+        read_text(read_tsv, text)
     except DataError:
         pass
 
@@ -261,9 +271,9 @@ def test_read_tsv_parses_a_value_as_float_does(token):
     want = float_syntax(token)
     if want is None or not 0.0 <= want < float("inf"):
         with pytest.raises(DataError):
-            read_tsv_text(text)
+            read_text(read_tsv, text)
     else:
-        got = read_tsv_text(text).values
+        got = read_text(read_tsv, text).values
         assert got[0, 1].tobytes() == got[1, 0].tobytes() == np.float64(want).tobytes()
 
 
@@ -288,3 +298,102 @@ def test_tsv_roundtrip_is_bit_identical(cells):
         back = read_tsv(path)
     assert back.labels == d.labels
     assert back.values.tobytes() == d.values.tobytes()
+
+
+# -- every text reader refuses bad input only with DataError or ConfigError ----------
+
+
+odd_chars = "\u00b2\u0663\uff11\u00df\u0131\xa0\x85\x0b\x1c\r\t\x00"
+
+
+@st.composite
+def edited(draw, text):
+    """text with up to four characters replaced by odd or syntax characters, or deleted."""
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(text)))
+        new = draw(st.sampled_from(["", *odd_chars, *"(),:;'[] >1e-.9"]))
+        text = text[:pos] + new + text[pos + 1:]
+    return text
+
+
+@st.composite
+def edited_newick(draw):
+    tree = random_binary_tree(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                              draw(st.integers(2, 9)))
+    return draw(edited(serialize_newick(tree)))
+
+
+@st.composite
+def edited_alignment(draw, phylip):
+    seqs = draw(st.lists(st.text("ACGT", max_size=12), min_size=1, max_size=4))
+    if not phylip:
+        return draw(edited("".join(f">s{i}\n{seq}\n" for i, seq in enumerate(seqs))))
+    digits = st.sampled_from("0123456789\u00b2\u0663\uff11")
+    counts = st.one_of(st.integers(0, 5).map(str), st.text(digits, min_size=1, max_size=2))
+    header = f"{draw(counts)} {draw(counts)}\n"
+    return draw(edited(header + "".join(f"s{i}  {seq}\n" for i, seq in enumerate(seqs))))
+
+
+lengths = st.sampled_from(["1e999", "1e308", "nan", "inf", "-0", "\u0663", "\u00b2", "1_0"])
+
+
+@given(st.one_of(st.text(), st.text(st.sampled_from("(),:;'[] \tab1e9.-+" + odd_chars)),
+                 edited_newick(), lengths.map(lambda x: f"(a:{x},b:1,c:1);")))
+@settings(max_examples=400, deadline=None)
+def test_parse_newick_refuses_any_text_only_with_data_error(text):
+    try:
+        tree = parse_newick(text)
+    except DataError:
+        return
+    assert all(0.0 <= tree.branch_length(v) < float("inf") for v in range(tree.n_nodes))
+
+
+@given(st.one_of(st.text(), st.text(st.sampled_from(">>\n\nACGTacgt N-" + odd_chars)),
+                 edited_alignment(phylip=False)))
+@settings(max_examples=300, deadline=None)
+def test_read_fasta_refuses_any_text_only_with_data_error(text):
+    try:
+        read_text(read_fasta, text)
+    except DataError:
+        pass
+
+
+@given(st.one_of(st.text(), st.text(st.sampled_from(" \n12ACGTab" + odd_chars)),
+                 edited_alignment(phylip=True)))
+@settings(max_examples=300, deadline=None)
+def test_read_phylip_refuses_any_text_only_with_data_error(text):
+    try:
+        read_text(read_phylip, text)
+    except DataError:
+        pass
+
+
+config_values = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["none", "None", "", "0", "-1", "1.5", "nan", "inf", "-inf", "1e999", "true",
+                     "ture", "\u00b2", "\u0663", "\uff11", "1_0", "1" * 5000, *odd_chars]),
+)
+
+
+@st.composite
+def config_files(draw):
+    """(a command's defaults, config text of lines keyed mostly by its keys)."""
+    defaults = draw(st.sampled_from([SIM_DEFAULTS, INFER_DEFAULTS, TRAIN_DEFAULTS, EVAL_DEFAULTS,
+                                     AUDIT_DEFAULTS, EMBED_DEFAULTS]))
+    keys = st.one_of(st.sampled_from(sorted(defaults)), st.text(max_size=6))
+    lines = draw(st.lists(st.tuples(keys, config_values), max_size=4))
+    return defaults, "".join(f"{key}={value}\n" for key, value in lines)
+
+
+@given(config_files())
+@settings(max_examples=400, deadline=None)
+def test_config_file_refuses_any_text_only_with_config_error(case):
+    defaults, text = case
+    try:
+        cfg = read_text(lambda path: resolve_config(argparse.Namespace(config=path), defaults), text)
+    except ConfigError:
+        return
+    # a value the file gives has the type of the key's default, never None
+    assert {key: type(value) for key, value in cfg.items()} == {
+        key: type(value) for key, value in defaults.items()
+    }

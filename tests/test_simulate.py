@@ -9,13 +9,13 @@ from phylodist.simulate import (
     BDParams,
     SubstModel,
     evolve_alignment,
-    jc_expected_mismatch,
     rate_matrix,
     sample_hky_frequencies,
     simulate_bd_tree,
-    transition_probabilities,
 )
 from phylodist.tree import PhyloTree, diameter, parse_newick, serialize_newick, tree_height
+
+from util import transition_probabilities
 
 TRANSITION_PAIRS = {(0, 2), (2, 0), (1, 3), (3, 1)}
 
@@ -38,6 +38,12 @@ def test_bd_params_validation():
     with pytest.raises(ConfigError, match="overflows"):
         BDParams(1e308, 0.0, 5)
     BDParams(1e307, 0.0, 5)
+    # a sum so small that the waiting-time scale 1 / ((lambda + mu) * k)
+    # overflowed gave inf and nan branch lengths
+    with pytest.raises(ConfigError, match="event times"):
+        BDParams(1e-320, 0.0, 5)
+    tree = simulate_bd_tree(BDParams(1.6e-297, 0.0, 30), 1)
+    assert all(np.isfinite(tree.branch_length(v)) for v in range(tree.n_nodes))
 
 
 def test_subst_model_validation():
@@ -157,7 +163,7 @@ def test_jc_mismatch_fraction_matches_closed_form():
     L = 1_000_000
     aln = evolve_alignment(t, SubstModel("JC"), L, seed=7)
     mismatch = float(np.mean(aln.row("a") != aln.row("b")))
-    p = jc_expected_mismatch(d)
+    p = 0.75 * (1.0 - np.exp(-4.0 * d / 3.0))
     sigma = np.sqrt(p * (1 - p) / L)
     assert abs(mismatch - p) < 3 * sigma
 

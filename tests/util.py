@@ -1,10 +1,12 @@
-"""Shared test helpers: independent oracles kept deliberately naive."""
+"""Shared test helpers: independent oracles kept deliberately naive, and the
+gradient, transition-matrix and compression checks that only tests run."""
 
 import numpy as np
 
 from phylodist import autodiff as ad
 from phylodist.alignment import ALPHABET
 from phylodist.net.layers import MeanPoolSites
+from phylodist.simulate import _spectral, _stochastic_rows
 from phylodist.tree import PhyloTree
 
 
@@ -177,22 +179,27 @@ def naive_splits(tree):
     return frozenset(out)
 
 
-def naive_site_forward(spec, aln):
+def naive_site_forward(spec, aln, hidden=None):
     """Per-site forward oracle: every layer runs without site weights on all
     L one-hot columns, the pair stack on the full (P, 2h, L) tensor of the
     label-sorted pairs.  Returns the (n, n) output tensor in input row order,
-    scattered through a dense 0/1 matrix."""
+    scattered through a dense 0/1 matrix.  When hidden is a list, each 3-D
+    activation of the stacks is appended to it as an array."""
     n = aln.n
     rows = sorted(range(n), key=lambda i: aln.labels[i])
     pairs = [(rows[a], rows[b]) for a in range(n) for b in range(a + 1, n)]
     ii, jj = [i for i, _ in pairs], [j for _, j in pairs]
-    t = ad.Tensor(aln.onehot())
-    for layer in spec.seq_stack:
-        t = layer.forward(t)
+
+    def run(stack, t):
+        for layer in stack:
+            t = layer.forward(t)
+            if hidden is not None and t.ndim == 3:
+                hidden.append(t.data)
+        return t
+
+    t = run(spec.seq_stack, ad.Tensor(aln.onehot()))
     if spec.is_pair_net:
-        pair = ad.concat([t[ii], t[jj]], axis=1)
-        for layer in spec.pair_stack:
-            pair = layer.forward(pair)
+        pair = run(spec.pair_stack, ad.concat([t[ii], t[jj]], axis=1))
         if pair.ndim == 3:
             pair = MeanPoolSites().forward(pair)
         vals = spec.g.forward(pair)
@@ -208,3 +215,61 @@ def naive_site_forward(spec, aln):
     for p, (i, j) in enumerate(pairs):
         scatter[p, i * n + j] = scatter[p, j * n + i] = 1.0
     return ad.reshape(ad.reshape(vals, (1, -1)) @ scatter, (n, n))
+
+
+def _unique_columns(mat):
+    """Number of distinct columns, coordinates compared at resolution 1e-6."""
+    cols = np.round(np.asarray(mat, float).T / 1e-6).astype(np.int64)
+    return int(np.unique(cols, axis=0).shape[0])
+
+
+def site_pattern_compression(spec, aln):
+    """Unique site patterns in the last 3-D hidden activation of the per-site
+    forward / unique input patterns."""
+    hidden = []
+    with ad.no_tape():
+        naive_site_forward(spec, aln, hidden)
+    columns = _unique_columns(hidden[-1].reshape(-1, aln.length))
+    return columns / _unique_columns(aln.onehot().reshape(-1, aln.length))
+
+
+def gradients(loss, params):
+    """Backward pass from cleared grads; returns the gradient arrays of the
+    given parameters."""
+    for p in params:
+        p.grad = None
+    loss.backward()
+    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+
+
+def finite_difference_check(f, params):
+    """Compare reverse-mode gradients of f() against central differences
+    with step 1e-4; the perturbed evaluations keep no tape.
+
+    Returns the worst relative error max |a-fd| / max(|a|+|fd|, 1e-6) over
+    every coordinate of every parameter; raises nothing.
+    """
+    h = 1e-4
+    analytic = gradients(f(), params)
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            with ad.no_tape():
+                flat[idx] = orig + h
+                up = float(f().data)
+                flat[idx] = orig - h
+                down = float(f().data)
+            flat[idx] = orig
+            fd = (up - down) / (2.0 * h)
+            a_i = float(a.reshape(-1)[idx])
+            rel = abs(a_i - fd) / max(abs(a_i) + abs(fd), 1e-6)
+            worst = max(worst, rel)
+    return worst
+
+
+def transition_probabilities(model, t):
+    """Stochastic matrix P(t) = expm(Q t) for one branch duration t >= 0."""
+    u, w, wt = _spectral(model)
+    return _stochastic_rows(u, np.exp(w * t), wt)
