@@ -1,10 +1,17 @@
 """Command-line surface: simulate, infer, train, eval, audit, embed.
 
-Every command resolves its configuration (defaults < --config file < flags)
-and checks it before it creates any output, runs deterministically from one
-top-level seed via named sub-streams, writes outputs atomically, and emits a
-manifest.txt whose key=value lines can be fed back through --config to
-reproduce the run byte-for-byte.
+`main` runs every command the same way: it resolves the configuration
+(defaults < --config file < flags), checks the keys the command requires,
+runs it, and for simulate, infer, train and eval writes a manifest.txt into
+--out whose key=value lines can be fed back through --config to reproduce
+the run byte-for-byte. Each command checks the rest of its configuration
+before it writes, runs deterministically from one top-level seed via named
+sub-streams, and writes outputs atomically.
+
+Flags and config-file values go through one parser: a number takes ASCII
+digits without `_` and must be finite. --out, or an output file's missing
+parent, appears with the first file written, so a run that fails before it
+writes leaves nothing behind, whatever its exit code.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or data error (an input
 too large for memory included), 4 numeric failure.
@@ -79,44 +86,40 @@ _MINIMUMS = {
 }
 
 
+def _parse(key, default, raw):
+    """The value of key, of its default's type, from the text a flag or a
+    config file gives (a boolean flag gives its bool)."""
+    if isinstance(default, bool):
+        value = raw if isinstance(raw, bool) else _BOOLEANS.get(raw.lower())
+    elif not isinstance(default, (int, float)):
+        return raw
+    else:
+        try:  # int() and float() also take non-ASCII digits and "_"
+            value = type(default)(raw) if raw.isascii() and "_" not in raw else None
+        except ValueError:
+            value = None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+    if value is None:
+        raise ConfigError(f"{key}: bad value {raw!r}")
+    return value
+
+
 def resolve_config(args, defaults):
     """defaults < config file < explicit CLI flags; returns a plain dict."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        file_cfg = read_config_file(args.config)
-        file_cfg.pop("command", None)
-        for key, raw in file_cfg.items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            want = defaults[key]
-            if isinstance(want, bool):
-                if raw.lower() not in _BOOLEANS:
-                    raise ConfigError(f"config key {key!r}: bad value {raw!r}")
-                resolved[key] = _BOOLEANS[raw.lower()]
-            elif isinstance(want, (int, float)):
-                try:
-                    resolved[key] = type(want)(raw)
-                except ValueError:
-                    raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-            else:
-                resolved[key] = raw
+    given = read_config_file(args.config) if getattr(args, "config", None) else {}
+    given.pop("command", None)
+    if unknown := [key for key in given if key not in defaults]:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            resolved[key] = val
-    for key, val in resolved.items():
-        if isinstance(val, float) and not math.isfinite(val):
-            raise ConfigError(f"{key} must be finite, got {val}")
+        if (val := getattr(args, key, None)) is not None:
+            given[key] = val
+    resolved = dict(defaults)
+    resolved.update((key, _parse(key, defaults[key], raw)) for key, raw in given.items())
     for key, low in _MINIMUMS.items():
         if resolved.get(key, low) < low:
             raise ConfigError(f"{key} must be >= {low}, got {resolved[key]}")
     return resolved
-
-
-def write_manifest(cfg, command, out_dir):
-    lines = [f"command={command}"]
-    lines += [f"{k}={cfg[k]}" for k in sorted(cfg)]
-    write_text(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _map(fn, items, threads):
@@ -192,29 +195,22 @@ _SIM_KEYS = {
 SIM_DEFAULTS = {"out": "", **_SIM_KEYS, "replicates": 1, "format": "fasta", "threads": 1}
 
 
-def cmd_simulate(args):
-    cfg = resolve_config(args, SIM_DEFAULTS)
-    if not cfg["out"]:
-        raise ConfigError("simulate requires --out")
+def cmd_simulate(cfg):
     params = BDParams(cfg["lam"], cfg["mu"], cfg["n"])
-    _build_model(cfg, cfg["seed"])  # checks the model before --out exists
     ext = {"fasta": "fasta", "phylip": "phy"}.get(cfg["format"])
     if ext is None:
         raise ConfigError(f"unknown format {cfg['format']!r}")
     writer = write_fasta if ext == "fasta" else write_phylip
-    os.makedirs(cfg["out"], exist_ok=True)
 
     def one(rep):
+        # an unknown model raises here, in every replicate before its first write
         tree, aln = _simulate_replicate(cfg, params, "replicate", rep)
         stem = os.path.join(cfg["out"], f"rep_{rep:04d}")
         write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
         writer(aln, f"{stem}.{ext}")
-        return stem
 
     _map(one, range(cfg["replicates"]), cfg["threads"])
-    write_manifest(cfg, "simulate", cfg["out"])
-    print(f"simulated {cfg['replicates']} replicate(s) in {cfg['out']}")
-    return 0
+    return f"simulated {cfg['replicates']} replicate(s) in {cfg['out']}"
 
 
 # -- infer --------------------------------------------------------------------------
@@ -239,8 +235,7 @@ INFER_DEFAULTS = {
 }
 
 
-def cmd_infer(args):
-    cfg = resolve_config(args, INFER_DEFAULTS)
+def cmd_infer(cfg):
     if not (cfg["alignments"] or cfg["matrices"]) or not cfg["out"]:
         raise ConfigError("infer requires --alignments or --matrices, and --out")
     if cfg["matrices"] and cfg["dump_matrix"]:
@@ -275,7 +270,6 @@ def cmd_infer(args):
     stems = Counter(_stem(p) for p in paths)
     if shared := sorted(s for s, k in stems.items() if k > 1):
         raise ConfigError(f"inputs would write the same output: {', '.join(shared)}")
-    os.makedirs(cfg["out"], exist_ok=True)
 
     def one(path):
         d = distances(path)
@@ -285,9 +279,7 @@ def cmd_infer(args):
         write_text(f"{stem}.nwk", serialize_newick(build(d)) + "\n")
 
     _map(one, paths, cfg["threads"])
-    write_manifest(cfg, "infer", cfg["out"])
-    print(f"inferred {len(paths)} tree(s){source} in {cfg['out']}")
-    return 0
+    return f"inferred {len(paths)} tree(s){source} in {cfg['out']}"
 
 
 # -- train --------------------------------------------------------------------------
@@ -324,10 +316,7 @@ def _simulate_set(cfg, count, n_taxa, stream, spec=None):
     return out
 
 
-def cmd_train(args):
-    cfg = resolve_config(args, TRAIN_DEFAULTS)
-    if not cfg["out"]:
-        raise ConfigError("train requires --out")
+def cmd_train(cfg):
     tc = TrainConfig(
         learning_rate=cfg["lr"],
         max_epochs=cfg["epochs"],
@@ -338,10 +327,8 @@ def cmd_train(args):
         seed=cfg["seed"],
     )
     val_n = cfg["val_n"] or cfg["n"]
-    # the simulation settings are checked before --out exists
-    for n_taxa in (cfg["n"], val_n) if cfg["val_size"] else (cfg["n"],):
-        BDParams(cfg["lam"], cfg["mu"], n_taxa)
-    _build_model(cfg, cfg["seed"])
+    if cfg["val_size"]:  # checked before the training set is simulated
+        BDParams(cfg["lam"], cfg["mu"], val_n)
     if cfg["resume"]:
         spec = load_network(cfg["resume"])
         # the summary and manifest name the network trained, not the defaults
@@ -357,9 +344,12 @@ def cmd_train(args):
             n_taxa=cfg["n"],
             seed=cfg["seed"],
         )
-    # gamma depends on the head, so it is checked once spec exists, before --out
+    # gamma depends on the head, so it is checked once spec exists
     matrix_loss_gamma(spec, tc)
-    os.makedirs(cfg["out"], exist_ok=True)
+    history_path = os.path.join(cfg["out"], "history.csv")
+    old = []
+    if cfg["resume"] and os.path.exists(history_path):
+        old = read_history_csv(history_path)
     train_set = _simulate_set(cfg, cfg["train_size"], cfg["n"], "train", spec)
     val_set = _simulate_set(cfg, cfg["val_size"], val_n, "validation")
     result = train(
@@ -368,20 +358,13 @@ def cmd_train(args):
         tc,
         val_data=[(a, tree) for a, _, tree in val_set] if val_set else None,
     )
-    history_path = os.path.join(cfg["out"], "history.csv")
-    old = []
-    if cfg["resume"] and os.path.exists(history_path):
-        old = read_history_csv(history_path)
     offset = old[-1]["epoch"] + 1 if old else 0
     for row in result.history:
         row["epoch"] += offset
     write_history_csv(old + result.history, history_path)
-    ckpt = os.path.join(cfg["out"], "checkpoint.pdnet")
-    save_network(spec, ckpt)
-    write_manifest(cfg, "train", cfg["out"])
+    save_network(spec, os.path.join(cfg["out"], "checkpoint.pdnet"))
     best = result.best_val_rf if result.best_epoch >= 0 else float("nan")
-    print(f"trained {cfg['arch']}: {len(result.history)} epoch(s), best val RF {best}")
-    return 0
+    return f"trained {cfg['arch']}: {len(result.history)} epoch(s), best val RF {best}"
 
 
 # -- eval ---------------------------------------------------------------------------
@@ -415,10 +398,7 @@ def _load_pairs(data_dir):
     return pairs
 
 
-def cmd_eval(args):
-    cfg = resolve_config(args, EVAL_DEFAULTS)
-    if not cfg["data"] or not cfg["out"]:
-        raise ConfigError("eval requires --data and --out")
+def cmd_eval(cfg):
     policy = SaturationPolicy(cfg["saturation"], cfg["ceiling"])
     if cfg["algorithm"] not in ("nj", "bionj"):
         raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
@@ -427,7 +407,6 @@ def cmd_eval(args):
         if method != "truth" and not os.path.exists(method):
             check_kind(method)
     pairs = _load_pairs(cfg["data"])
-    os.makedirs(cfg["out"], exist_ok=True)
 
     def one(method):
         chosen = load_network(method) if os.path.exists(method) else method
@@ -445,10 +424,10 @@ def cmd_eval(args):
     if cfg["gnuplot"]:
         header, rows = report_table(reports)
         write_table(os.path.join(cfg["out"], "report.dat"), ("#",) + header, rows, sep=" ")
-    write_manifest(cfg, "eval", cfg["out"])
-    for rep in reports:
-        print(f"{rep.method}: mean RF {rep.mean:.4f} median {rep.median:.4f} over {rep.count}")
-    return 0
+    return "\n".join(
+        f"{rep.method}: mean RF {rep.mean:.4f} median {rep.median:.4f} over {rep.count}"
+        for rep in reports
+    )
 
 
 # -- audit --------------------------------------------------------------------------
@@ -462,18 +441,14 @@ _AUDIT_FIELDS = (
 )
 
 
-def cmd_audit(args):
-    cfg = resolve_config(args, AUDIT_DEFAULTS)
-    if not cfg["matrix"]:
-        raise ConfigError("audit requires --matrix")
+def cmd_audit(cfg):
     d = read_tsv(cfg["matrix"])
     a = audit_metric(d, exhaustive=cfg["exhaustive"] or None)
     lines = [f"matrix={cfg['matrix']}"] + [f"{key}={getattr(a, key)}" for key in _AUDIT_FIELDS]
     text = "\n".join(lines)
-    print(text)
     if cfg["out"]:
         write_text(cfg["out"], text + "\n")
-    return 0
+    return text
 
 
 # -- embed --------------------------------------------------------------------------
@@ -482,10 +457,7 @@ def cmd_audit(args):
 EMBED_DEFAULTS = {"matrix": "", "seed": 0, "sweep": 1, "out": ""}
 
 
-def cmd_embed(args):
-    cfg = resolve_config(args, EMBED_DEFAULTS)
-    if not cfg["matrix"] or not cfg["out"]:
-        raise ConfigError("embed requires --matrix and --out")
+def cmd_embed(cfg):
     d = read_tsv(cfg["matrix"])
     sweep = [derive_seed(cfg["seed"], "sweep", k) for k in range(cfg["sweep"])]
     runs = [(s, embedding_distortion(d, s)) for s in (sweep if len(sweep) > 1 else [cfg["seed"]])]
@@ -494,28 +466,13 @@ def cmd_embed(args):
     emb = llr_embed(d, seed)
     header = ("taxon", *(f"c{k}" for k in range(emb.shape[1])))
     write_table(cfg["out"], header, ([lab, *row] for lab, row in zip(d.labels, emb.tolist())))
-    print(
+    return (
         f"embedded {d.n} points into R^{emb.shape[1]} (seed {seed}): "
         f"distortion {report.rho:.4f}, scale {report.r:.4f}"
     )
-    return 0
 
 
 # -- parser -------------------------------------------------------------------------
-
-
-def _add_common(sub, defaults):
-    sub.add_argument("--config", help="key=value config file (manifest round-trip)")
-    for key, val in defaults.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(val, bool):
-            sub.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
-        elif isinstance(val, int) and not isinstance(val, bool):
-            sub.add_argument(flag, type=int, default=None)
-        elif isinstance(val, float):
-            sub.add_argument(flag, type=float, default=None)
-        else:
-            sub.add_argument(flag, type=str, default=None)
 
 
 @functools.cache  # one parser per process: building it costs milliseconds a call
@@ -526,25 +483,46 @@ def build_parser():
         "evaluate trees, and train distance networks.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, defaults, fn, doc in (
-        ("simulate", SIM_DEFAULTS, cmd_simulate, "simulate BD trees and alignments"),
-        ("infer", INFER_DEFAULTS, cmd_infer, "alignments -> distances -> NJ/BIONJ trees"),
-        ("train", TRAIN_DEFAULTS, cmd_train, "train a distance network on simulated data"),
-        ("eval", EVAL_DEFAULTS, cmd_eval, "score methods by RF against true trees"),
-        ("audit", AUDIT_DEFAULTS, cmd_audit, "metric-property audit of a distance matrix"),
-        ("embed", EMBED_DEFAULTS, cmd_embed, "low-distortion Euclidean embedding"),
+    # The keys each command requires (infer checks its own inputs), and
+    # whether its --out is a directory that gets a manifest.txt.
+    for name, defaults, required, manifest, fn, doc in (
+        ("simulate", SIM_DEFAULTS, ("out",), True, cmd_simulate,
+         "simulate BD trees and alignments"),
+        ("infer", INFER_DEFAULTS, (), True, cmd_infer,
+         "alignments -> distances -> NJ/BIONJ trees"),
+        ("train", TRAIN_DEFAULTS, ("out",), True, cmd_train,
+         "train a distance network on simulated data"),
+        ("eval", EVAL_DEFAULTS, ("data", "out"), True, cmd_eval,
+         "score methods by RF against true trees"),
+        ("audit", AUDIT_DEFAULTS, ("matrix",), False, cmd_audit,
+         "metric-property audit of a distance matrix"),
+        ("embed", EMBED_DEFAULTS, ("matrix", "out"), False, cmd_embed,
+         "low-distortion Euclidean embedding"),
     ):
         sub = subs.add_parser(name, help=doc)
-        _add_common(sub, defaults)
-        sub.set_defaults(fn=fn)
+        sub.add_argument("--config", help="key=value config file (manifest round-trip)")
+        for key, val in defaults.items():
+            # a boolean flag gives its bool, any other its text to _parse
+            action = argparse.BooleanOptionalAction if isinstance(val, bool) else None
+            sub.add_argument("--" + key.replace("_", "-"), action=action)
+        sub.set_defaults(run=(defaults, required, manifest, fn))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    defaults, required, manifest, run = args.run
     try:
-        return args.fn(args)
+        cfg = resolve_config(args, defaults)
+        if not all(cfg[key] for key in required):
+            flags = " and ".join("--" + key for key in required)
+            raise ConfigError(f"{args.command} requires {flags}")
+        summary = run(cfg)  # writes the command's files
+        if manifest:
+            lines = [f"command={args.command}"] + [f"{k}={cfg[k]}" for k in sorted(cfg)]
+            write_text(os.path.join(cfg["out"], "manifest.txt"), "\n".join(lines) + "\n")
+        print(summary)
+        return 0
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

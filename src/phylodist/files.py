@@ -1,5 +1,6 @@
 """Every file the library writes goes through here: a reader of the target
-path sees either its previous bytes or the complete new file, never a partial one."""
+path sees either its previous bytes or the complete new file, never a partial one.
+A missing parent directory is made with the first file written into it."""
 
 import os
 from contextlib import contextmanager
@@ -8,6 +9,8 @@ from contextlib import contextmanager
 @contextmanager
 def atomic_open(path, mode="w"):
     """Write to a temporary name beside path, moved onto path if the block succeeds."""
+    if parent := os.path.dirname(path):
+        os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, mode) as fh:

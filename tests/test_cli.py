@@ -284,6 +284,8 @@ def small_inputs(tmp_path_factory):
     write_tsv(patristic_matrix(random_binary_tree(np.random.default_rng(3), 6)), root / "d.tsv")
     (root / "model-none.cfg").write_text("model=none\n")
     (root / "methods-none.cfg").write_text("methods=none\n")
+    (root / "n-arabic.cfg").write_text("n=\u0663\n", encoding="utf-8")
+    (root / "length-underscore.cfg").write_text("length=1_2\n")
     return root
 
 
@@ -321,6 +323,11 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["simulate", "--lam", "1e308", "--mu", "0", "--n", "5", "--length", "12"],
         ["simulate", "--lam", "1e-320", "--mu", "0", "--n", "5", "--length", "12"],
         ["simulate", "--config", "{root}/model-none.cfg"],
+        ["simulate", "--n", "\u0663"],
+        ["simulate", "--length", "1_2"],
+        ["simulate", "--lam", "\uff11"],
+        ["simulate", "--config", "{root}/n-arabic.cfg"],
+        ["simulate", "--config", "{root}/length-underscore.cfg"],
         ["infer", "--alignments", "{sims}", "--ceiling", "-1"],
         ["infer", "--alignments", "{sims}", "--saturation", "clip"],
         ["infer", "--alignments", "{sims}", "--algorithm", "upgma"],
@@ -340,7 +347,9 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
          "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
          "simulate-gamma-shape-negative", "simulate-rate-overflow", "simulate-rate-underflow",
-         "simulate-model-none", "infer-ceiling",
+         "simulate-model-none", "simulate-n-arabic-digit", "simulate-length-underscore",
+         "simulate-lam-fullwidth-digit", "simulate-config-n-arabic-digit",
+         "simulate-config-length-underscore", "infer-ceiling",
          "infer-saturation", "infer-algorithm", "infer-method", "train-lr", "train-loss",
          "train-arch", "train-length", "train-logdet-gamma", "train-vonneumann-gamma",
          "train-logdet-gamma-inf", "eval-algorithm", "eval-method", "eval-ceiling",
@@ -349,6 +358,46 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]
     assert_configuration_error_leaves_no_out(argv, tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("case", ["phylip-header", "matrix-value", "truncated-checkpoint"])
+def test_data_errors_exit_3_before_creating_out(case, small_inputs, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    if case == "phylip-header":  # "²".isdigit(), but int("²") fails
+        bad = bad.with_suffix(".phy")
+        bad.write_text("\u00b2 5\na  ACGTA\n", encoding="utf-8")
+        argv = ["infer", "--alignments", bad]
+    elif case == "matrix-value":
+        bad = bad.with_suffix(".tsv")
+        bad.write_text(GOOD_TSV.replace("c\t1.0\t1.5", "c\tfoo\t1.5"))
+        argv = ["infer", "--matrices", bad]
+    else:
+        bad = bad.with_suffix(".pdnet")
+        bad.write_bytes(b"PDNET\x00\x01\x00")
+        argv = ["eval", "--data", small_inputs / "sims", "--methods", f"jc,{bad}"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("I/O error:")
+    assert not out.exists()
+
+
+def test_resume_reads_the_old_history_before_training(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    common = ["train", "--out", out, "--arch", "SitesInvariantS", "--channels", "4",
+              "--heads", "1", "--embed-dim", "4", "--n", "5", "--length", "20",
+              "--train-size", "1", "--val-size", "1", "--epochs", "1", "--seed", "1"]
+    assert run(*common) == 0
+    history = out / "history.csv"
+    history.write_text(history.read_text() + "garbage\n")
+    ckpt = read_bytes(out / "checkpoint.pdnet")
+
+    def no_training(*args, **kwargs):
+        pytest.fail("trained before the old history was read")
+
+    monkeypatch.setattr("phylodist.cli.train", no_training)
+    assert run(*common, "--resume", out / "checkpoint.pdnet") == 3
+    assert read_bytes(out / "checkpoint.pdnet") == ckpt
 
 
 def with_header_config(blob, **fields):

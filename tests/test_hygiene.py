@@ -1,7 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
 function it defines and every name it binds at module level is read by the
 library, a demo or the bench (not only by tests), and only phylodist.files
-opens files for writing."""
+opens files for writing or makes directories."""
 
 import ast
 import importlib.util
@@ -69,6 +69,38 @@ def test_guard_flags_a_write_open():
     )
     assert write_opens(source) == [
         (3, "'w'"), (4, "'ab'"), (5, "m"), (6, "'r+'"), (8, "'x'"),
+    ]
+
+
+def directory_makers(source):
+    """(line, name) of each name, attribute, import or definition that is
+    makedirs or mkdir."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        if name in ("makedirs", "mkdir"):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_files_makes_directories():
+    """An output directory appears with the first file written into it, so a
+    run that fails before it writes leaves nothing behind."""
+    found = {
+        str(p.relative_to(PACKAGE)): names
+        for p in MODULES
+        if p.name != "files.py" and (names := directory_makers(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_a_directory_maker():
+    source = (
+        "os.makedirs(p, exist_ok=True)\nos.listdir(p)\nos.mkdir(p)\nPath(p).mkdir()\n"
+        "from os import makedirs\nmake = os.makedirs\nos.path.dirname(p)\n"
+    )
+    assert directory_makers(source) == [
+        (1, "makedirs"), (3, "mkdir"), (4, "mkdir"), (5, "makedirs"), (6, "makedirs"),
     ]
 
 

@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phylodist.alignment import Alignment, read_fasta, read_phylip
@@ -15,6 +15,7 @@ from phylodist.cli import (
     INFER_DEFAULTS,
     SIM_DEFAULTS,
     TRAIN_DEFAULTS,
+    read_config_file,
     resolve_config,
 )
 from phylodist.distances import (
@@ -386,14 +387,24 @@ def config_files(draw):
 
 
 @given(config_files())
+@example((SIM_DEFAULTS, "n=\u0663\n"))
+@example((SIM_DEFAULTS, "length=1_2\n"))
+@example((TRAIN_DEFAULTS, "lr=\uff11\n"))
 @settings(max_examples=400, deadline=None)
 def test_config_file_refuses_any_text_only_with_config_error(case):
     defaults, text = case
+
+    def resolve(path):
+        return resolve_config(argparse.Namespace(config=path), defaults), read_config_file(path)
+
     try:
-        cfg = read_text(lambda path: resolve_config(argparse.Namespace(config=path), defaults), text)
+        cfg, given = read_text(resolve, text)
     except ConfigError:
         return
     # a value the file gives has the type of the key's default, never None
     assert {key: type(value) for key, value in cfg.items()} == {
         key: type(value) for key, value in defaults.items()
     }
+    # an accepted number was written in ASCII, without "_"
+    numbers = [raw for key, raw in given.items() if type(defaults.get(key)) in (int, float)]
+    assert all(raw.isascii() and "_" not in raw for raw in numbers)
