@@ -61,43 +61,62 @@ def _prepare(dist):
     if dist.n < 4:
         raise DataError(f"neighbor joining needs >= 4 taxa, got {dist.n}")
     order = sorted(range(dist.n), key=dist.labels.__getitem__)
-    # index arrays copy, so the joins may overwrite the result in place
-    return tuple(dist.labels[i] for i in order), dist.values[np.ix_(order, order)]
+    # index arrays copy, so the joins may overwrite the result in place; the
+    # drop moves rows through the raveled buffer, so it must be C-contiguous
+    values = np.ascontiguousarray(dist.values[np.ix_(order, order)])
+    return tuple(dist.labels[i] for i in order), values
 
 
-def _drop(m, k, j, scratch):
-    """Remove row and column j from the leading k x k block of m, in place.
+def _drop(m, o, k, j, scratch):
+    """Remove row and column j from the k x k block of m at offset (o, o), in
+    place, and return the block's new offset.
 
-    The trailing rows, then the trailing columns, move up/left by one through
-    the flat scratch buffer (no temporaries), so the block keeps its order.
+    The side of j with fewer rows closes the gap: for j < k//2 the j leading
+    rows move down one and the j leading columns right one, and the offset
+    grows by one; otherwise the trailing rows move up one and the trailing
+    columns left one.  The rows move as one flat slice of the raveled buffer
+    (numpy copies an overlapping 1-D slice in place), the columns through the
+    flat scratch buffer, so no temporary is made and the block keeps its order.
     """
-    if j == k - 1:
-        return
-    rows = scratch[: (k - 1 - j) * k].reshape(k - 1 - j, k)
-    np.copyto(rows, m[j + 1 : k, :k])
-    m[j : k - 1, :k] = rows
-    cols = scratch[: (k - 1) * (k - 1 - j)].reshape(k - 1, k - 1 - j)
-    np.copyto(cols, m[: k - 1, j + 1 : k])
-    m[: k - 1, j : k - 1] = cols
+    n = m.shape[1]
+    flat = m.reshape(-1)
+    # [lo, hi) runs from the first moved row's block start to the last one's
+    # block end; the cells outside the block in between move along unread
+    if j < k // 2:
+        if j:
+            lo, hi = o * n + o, (o + j - 1) * n + o + k
+            flat[lo + n : hi + n] = flat[lo:hi]
+            cols = scratch[: (k - 1) * j].reshape(k - 1, j)
+            np.copyto(cols, m[o + 1 : o + k, o : o + j])
+            m[o + 1 : o + k, o + 1 : o + j + 1] = cols
+        return o + 1
+    if j < k - 1:
+        lo, hi = (o + j + 1) * n + o, (o + k - 1) * n + o + k
+        flat[lo - n : hi - n] = flat[lo:hi]
+        cols = scratch[: (k - 1) * (k - 1 - j)].reshape(k - 1, k - 1 - j)
+        np.copyto(cols, m[o : o + k - 1, o + j + 1 : o + k])
+        m[o : o + k - 1, o + j : o + k - 1] = cols
+    return o
 
 
-def _terminate_three(acc, nodes, d, trace):
+def _terminate_three(acc, nodes, d):
     a, b, c = 0, 1, 2
     la = 0.5 * (d[a, b] + d[a, c] - d[b, c])
     lb = 0.5 * (d[a, b] + d[b, c] - d[a, c])
     lc = 0.5 * (d[a, c] + d[b, c] - d[a, b])
     acc.join(nodes, (la, lb, lc))
-    return acc.tree(), JoinTrace(tuple(trace))
+    return acc.tree()
 
 
 def _join(dist, weighted):
     """The n-3 joins of NJ (weighted=False) or BIONJ, then the last three.
 
-    d (and BIONJ's variances v) live in n x n buffers whose leading k x k
-    block is the active matrix; each join rewrites row and column i and drops
-    j.  Q, its row-major argmin, the branch lengths and the reduction are
-    computed with the same operations in the same order as on a fresh k x k
-    copy, so results do not depend on the buffering.
+    d (and BIONJ's variances v) live in n x n buffers whose k x k block at the
+    offset (o, o) is the active matrix; each join rewrites row and column i
+    and drops j from the shorter side, moving the offset when that is the
+    leading one.  Q, its row-major argmin, the branch lengths and the
+    reduction are computed with the same operations in the same order as on
+    a fresh k x k copy, so results do not depend on the buffering.
     """
     labels, d = _prepare(dist)
     n = len(labels)
@@ -106,26 +125,26 @@ def _join(dist, weighted):
     rbuf = np.empty(n)
     acc = _TreeAccumulator(labels)
     nodes = list(range(n))
-    trace = []
+    joins = []
+    o = 0
     for k in range(n, 3, -1):
-        dk = d[:k, :k]
+        dk = d[o : o + k, o : o + k]
         r = np.add.reduce(dk, axis=1, out=rbuf[:k])
         q = qbuf[: k * k].reshape(k, k)
         np.multiply(k - 2, dk, out=q)
         np.subtract(q, r[:, None], out=q)
         np.subtract(q, r[None, :], out=q)
         qbuf[: k * k : k + 1] = np.inf  # the diagonal
-        i, j = divmod(int(q.argmin()), k)
-        dij = dk[i, j]
-        li = 0.5 * dij + (r[i] - r[j]) / (2.0 * (k - 2))
+        ij = int(q.argmin())
+        i, j = divmod(ij, k)
+        dij = float(dk[i, j])
+        li = 0.5 * dij + (float(r[i]) - float(r[j])) / (2.0 * (k - 2))
         lj = dij - li
-        trace.append(
-            JoinRecord((acc.labels[nodes[i]], acc.labels[nodes[j]]), float(q[i, j]), (li, lj))
-        )
+        joins.append((acc.labels[nodes[i]], acc.labels[nodes[j]], float(qbuf[ij]), li, lj))
         nodes[i] = acc.join((nodes[i], nodes[j]), (li, lj))
         if weighted:
-            vk = v[:k, :k]
-            vij = vk[i, j]
+            vk = v[o : o + k, o : o + k]
+            vij = float(vk[i, j])
             if vij > 0:
                 # the m=i and m=j terms of the full-row sum cancel exactly
                 lam = 0.5 + float(np.add.reduce(vk[j, :] - vk[i, :])) / (2.0 * (k - 2) * vij)
@@ -134,18 +153,20 @@ def _join(dist, weighted):
                 lam = 0.5
             du = lam * (dk[i, :] - li) + (1.0 - lam) * (dk[j, :] - lj)
             vu = lam * vk[i, :] + (1.0 - lam) * vk[j, :] - lam * (1.0 - lam) * vij
+            vu[i] = 0.0
             vk[i, :] = vu
             vk[:, i] = vu
-            vk[i, i] = 0.0
-            _drop(v, k, j, qbuf)
+            _drop(v, o, k, j, qbuf)
         else:
             du = 0.5 * (dk[i, :] + dk[j, :] - dij)
+        du[i] = 0.0
         dk[i, :] = du
         dk[:, i] = du
-        dk[i, i] = 0.0
-        _drop(d, k, j, qbuf)
+        o = _drop(d, o, k, j, qbuf)
         nodes.pop(j)
-    return _terminate_three(acc, nodes, d, trace)
+    tree = _terminate_three(acc, nodes, d[o : o + 3, o : o + 3])
+    trace = tuple(JoinRecord((a, b), q, (li, lj)) for a, b, q, li, lj in joins)
+    return tree, JoinTrace(trace)
 
 
 def neighbor_join(dist, return_trace=False):

@@ -1,17 +1,19 @@
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from phylodist import nj
 from phylodist.distances import distance_matrix
 from phylodist.errors import DataError
 from phylodist.matrices import DistanceMatrix
 from phylodist.nj import bionj, neighbor_join
 from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
-from phylodist.tree import patristic_matrix, rf_distance, serialize_newick, tree_splits
+from phylodist.tree import parse_newick, patristic_matrix, rf_distance, serialize_newick, tree_splits
 
-from util import random_binary_tree
+from util import caterpillar_newick, random_binary_tree, reference_join
 
 QUARTET = DistanceMatrix(
     ["A", "B", "C", "D"],
@@ -183,3 +185,60 @@ def test_joins_match_golden_digests():
                 h.update(" ".join(float(x).hex() for x in (rec.q_value, *rec.branch_lengths)).encode())
         found[name] = h.hexdigest()
     assert found == GOLDEN_JOINS
+
+
+def noisy_bd_matrix(n, seed):
+    """A BD tree's patristic matrix times symmetric log-normal noise (sd 0.3)."""
+    d = patristic_matrix(simulate_bd_tree(BDParams(1.0, 0.3, n), seed=seed))
+    noisy = d.values * np.exp(np.random.default_rng(seed).normal(0.0, 0.3, (d.n, d.n)))
+    noisy = (noisy + noisy.T) / 2.0
+    np.fill_diagonal(noisy, 0.0)
+    return DistanceMatrix(d.labels, noisy)
+
+
+def test_joins_equal_the_copying_reference_on_large_blocks(monkeypatch):
+    # The caterpillar's spine starts half and three quarters of the way through
+    # the sorted labels, so joins run along it from the middle of the block:
+    # the first input drops from the leading side only, the second mostly from
+    # the trailing side, each moving thousands of rows.
+    n = 160
+    cat = patristic_matrix(parse_newick(caterpillar_newick(n)))
+    spine = [int(label[1:]) - 1 for label in cat.labels]
+    inputs = [
+        DistanceMatrix([f"t{(p + shift) % n:04d}" for p in spine], cat.values)
+        for shift in (n // 2, 3 * n // 4)
+    ]
+    inputs.append(noisy_bd_matrix(n, seed=8))
+    moved = {"leading": 0, "trailing": 0}
+    shift = nj._drop
+
+    def drop(m, o, k, j, scratch):
+        if 0 < j < k - 1:
+            moved["leading" if j < k // 2 else "trailing"] += 1
+        return shift(m, o, k, j, scratch)
+
+    monkeypatch.setattr(nj, "_drop", drop)
+    for mat in inputs:
+        order = sorted(range(mat.n), key=mat.labels.__getitem__)
+        labels = [mat.labels[i] for i in order]
+        values = mat.values[np.ix_(order, order)]
+        for build, weighted in ((neighbor_join, False), (bionj, True)):
+            tree, trace = build(mat, return_trace=True)
+            got = [(rec.pair, *(float(y).hex() for y in (rec.q_value, *rec.branch_lengths)))
+                   for rec in trace.records]
+            assert (serialize_newick(tree), got) == reference_join(labels, values, weighted)
+    assert min(moved.values()) >= 100
+
+
+def test_joins_make_no_matrix_sized_temporary():
+    # d and the Q scratch (and BIONJ's variances) are the only n x n buffers
+    n = 600
+    mat = noisy_bd_matrix(n, seed=3)
+    for build, buffers in ((neighbor_join, 2.25), (bionj, 3.25)):
+        tracemalloc.start()
+        try:
+            build(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers * n * n * 8

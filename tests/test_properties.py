@@ -1,5 +1,7 @@
 import argparse
+import functools
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -30,6 +32,9 @@ from phylodist.distances import (
 from phylodist.errors import ConfigError, DataError, SaturationError
 from phylodist.embed import measure_distortion
 from phylodist.matrices import DistanceMatrix, inverse_gromov, read_tsv, write_tsv
+from phylodist.net.architectures import build_architecture
+from phylodist.net.reference import build_reference_net
+from phylodist.net.serialize import MAGIC, load_network, save_network
 from phylodist.nj import bionj, neighbor_join
 from phylodist.simulate import _sample_rows
 from phylodist.tree import covariance_matrix, parse_newick, patristic_matrix, serialize_newick
@@ -408,3 +413,59 @@ def test_config_file_refuses_any_text_only_with_config_error(case):
     # an accepted number was written in ASCII, without "_"
     numbers = [raw for key, raw in given.items() if type(defaults.get(key)) in (int, float)]
     assert all(raw.isascii() and "_" not in raw for raw in numbers)
+
+
+@functools.cache
+def saved_networks():
+    """(bytes, header end) of a small saved template net and a reference net."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.pdnet")
+        for spec in (build_architecture("SitesAttentionP", channels=4, heads=2, g_hidden=(4,)),
+                     build_reference_net("K2P", 12)):
+            save_network(spec, path)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            out.append((raw, len(MAGIC) + 8 + struct.unpack_from("<I", raw, len(MAGIC) + 4)[0]))
+    return out
+
+
+header_bytes = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([b'"', b"{", b"}", b"[", b"]", b",", b":", b"-1", b"0", b"null", b"true",
+                     b"1e999", b"4294967295", b"[9999999]", b'"x"', b"\xff", b"\x00"]),
+)
+
+
+@st.composite
+def mutated_network(draw):
+    """A saved network with up to four header bytes flipped or edited, then
+    maybe cut short: anywhere, or within the magic, version and length."""
+    raw, end = draw(st.sampled_from(saved_networks()))
+    # the digits of the JSON header hold every size and shape
+    digits = [i for i in range(len(MAGIC) + 8, end) if raw[i : i + 1].isdigit()]
+    raw = bytearray(raw)
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.one_of(st.integers(0, end - 1), st.sampled_from(digits)))
+        if pos >= len(raw):
+            continue
+        if draw(st.booleans()):
+            raw[pos] ^= 1 << draw(st.integers(0, 7))
+        else:
+            raw[pos : pos + draw(st.integers(0, 3))] = draw(header_bytes)
+    if draw(st.booleans()):
+        del raw[draw(st.one_of(st.integers(0, len(MAGIC) + 8), st.integers(0, len(raw)))) :]
+    return bytes(raw)
+
+
+@given(mutated_network())
+@settings(max_examples=300, deadline=None)
+def test_load_network_refuses_any_damage_only_with_data_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.pdnet")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            load_network(path)
+        except DataError:
+            pass
