@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .matrices import DistanceMatrix
+from .matrices import DistanceMatrix, upper_mask
 from .rng import substream
 
 _TOL = 1e-9
@@ -57,7 +57,7 @@ def audit_metric(matrix, exhaustive=None):
         exhaustive = n <= _EXHAUSTIVE_LIMIT
     if exhaustive:
         # margin[i, j] = d_ij - d_ik - d_kj over i < j, one k at a time
-        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        upper = upper_mask(n)
         violations, worst = 0, -np.inf
         for k in range(n):
             margin = d - d[:, k : k + 1] - d[k : k + 1, :]

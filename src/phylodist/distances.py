@@ -13,7 +13,7 @@ import numpy as np
 
 from .alignment import TRANSITIONS, Alignment, indicator_blocks
 from .errors import ConfigError, DataError, SaturationError
-from .matrices import DistanceMatrix
+from .matrices import DistanceMatrix, upper_mask
 
 DEFAULT_CEILING = 5.0
 
@@ -128,11 +128,6 @@ def _pair_counts(states, transitions):
     return matches, ts
 
 
-def _upper_mask(n):
-    """n x n boolean mask of the pairs i < j; row-major order is pair order."""
-    return np.triu(np.ones((n, n), dtype=bool), 1)
-
-
 def distance_matrix(aln, kind="jc", policy=SaturationPolicy()):
     """All-pairs distance matrix under one analytic estimator.
 
@@ -165,7 +160,7 @@ def distance_matrix(aln, kind="jc", policy=SaturationPolicy()):
     del ts
     # the mask is made again for the scatter below, so it is not held
     # through np.unique's peak
-    pair_keys = keys[_upper_mask(n)]
+    pair_keys = keys[upper_mask(n)]
     del keys
     distinct, inverse = np.unique(pair_keys, return_inverse=True)
     del pair_keys
@@ -185,12 +180,12 @@ def distance_matrix(aln, kind="jc", policy=SaturationPolicy()):
             else:
                 values[k] = k2p_correct(t / length, (m - t) / length, policy)
         except SaturationError as err:
-            i, j = divmod(int(np.flatnonzero(_upper_mask(n))[first[k]]), n)
+            i, j = divmod(int(np.flatnonzero(upper_mask(n))[first[k]]), n)
             raise SaturationError(f"pair ({labels[i]}, {labels[j]}): {err}") from None
     d = np.zeros((n, n))
     values = np.array(values)[inverse]
     del inverse
-    upper = _upper_mask(n)
+    upper = upper_mask(n)
     d[upper] = values
     d.T[upper] = values
     del values

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .matrices import DistanceMatrix
+from .matrices import DistanceMatrix, upper_mask
 from .rng import substream
 
 _ROW_BLOCK = 64
@@ -72,8 +72,9 @@ def measure_distortion(d1, d2):
     """
     if d1.labels != d2.labels:
         raise DataError("distortion requires matching label order")
-    n = d1.n
-    iu = np.triu_indices(n, k=1)
+    if d1.n < 2:
+        raise DataError("distortion needs at least 2 points")
+    iu = np.nonzero(upper_mask(d1.n))
     a = d1.values[iu]
     b = d2.values[iu]
 

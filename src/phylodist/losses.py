@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericError
+from .matrices import upper_mask
 
 LOSS_KINDS = ("mae", "mse", "l21", "logdet", "vonneumann")
 _PD_TOL = 1e-12
@@ -18,7 +19,7 @@ _PD_TOL = 1e-12
 
 def _upper_mean(errors, n):
     """Mean of an (n, n) elementwise error tensor over the strict upper triangle."""
-    mask = np.triu(np.ones((n, n)), k=1)
+    mask = upper_mask(n)
     return ad.tensor_sum(errors * mask) * (1.0 / mask.sum())
 
 

@@ -1,8 +1,9 @@
 """Labeled symmetric matrices: pairwise distances and phylogenetic covariances.
 
-Both types are immutable after construction and validate their invariants
-eagerly.  The inverse Gromov transform converts a covariance (Gram) matrix to
-the distance matrix d_ij = C_ii + C_jj - 2*C_ij.
+Both kinds share one body, LabeledMatrix: immutable after construction, with
+their invariants validated eagerly.  upper_mask fixes the canonical pair
+order for every module.  The inverse Gromov transform converts a covariance
+(Gram) matrix to the distance matrix d_ij = C_ii + C_jj - 2*C_ij.
 """
 
 import numpy as np
@@ -10,40 +11,34 @@ import numpy as np
 from .errors import DataError, NumericError
 from .files import write_table
 
-_PSD_TOL = 1e-8
+
+def upper_mask(n):
+    """n x n boolean mask of the pairs i < j; its row-major order is the
+    canonical pair order."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
 
 
-def _validated(kind, labels, values):
-    """(labels, frozen values) of a labeled square matrix after the checks
-    shared by both matrix kinds: square, one distinct label per row, finite
-    and exactly symmetric."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DataError(f"{kind} matrix must be square")
-    n = values.shape[0]
-    labels = tuple(str(x) for x in labels)
-    if len(labels) != n:
-        raise DataError(f"expected {n} labels, got {len(labels)}")
-    if len(set(labels)) != n:
-        raise DataError("duplicate labels")
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{kind} matrix contains non-finite entries")
-    if not np.array_equal(values, values.T):
-        raise DataError(f"{kind} matrix is not exactly symmetric")
-    values = np.array(values)
-    values.setflags(write=False)
-    return labels, values
-
-
-class DistanceMatrix:
-    """Symmetric nonnegative matrix with zero diagonal, labeled by taxon."""
+class LabeledMatrix:
+    """Square matrix labeled by taxon: one distinct label per row, finite and
+    exactly symmetric.  Each subclass names its kind for error messages."""
 
     def __init__(self, labels, values):
-        self.labels, self.values = _validated("distance", labels, values)
-        if np.any(np.diag(self.values) != 0.0):
-            raise DataError("distance matrix diagonal must be exactly zero")
-        if np.any(self.values < 0.0):
-            raise DataError("distance matrix has negative entries")
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise DataError(f"{self.kind} matrix must be square")
+        n = values.shape[0]
+        labels = tuple(str(x) for x in labels)
+        if len(labels) != n:
+            raise DataError(f"expected {n} labels, got {len(labels)}")
+        if len(set(labels)) != n:
+            raise DataError("duplicate labels")
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{self.kind} matrix contains non-finite entries")
+        if not np.array_equal(values, values.T):
+            raise DataError(f"{self.kind} matrix is not exactly symmetric")
+        values = np.array(values)
+        values.setflags(write=False)
+        self.labels, self.values = labels, values
 
     @property
     def n(self):
@@ -52,13 +47,29 @@ class DistanceMatrix:
     def index(self, label):
         return self.labels.index(label)
 
-    def get(self, a, b):
-        return float(self.values[self.index(a), self.index(b)])
-
     def reorder(self, labels):
         """Return a copy with rows/columns arranged in the given label order."""
         idx = [self.index(l) for l in labels]
-        return DistanceMatrix(labels, self.values[np.ix_(idx, idx)])
+        return type(self)(labels, self.values[np.ix_(idx, idx)])
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class DistanceMatrix(LabeledMatrix):
+    """Symmetric nonnegative matrix with zero diagonal, labeled by taxon."""
+
+    kind = "distance"
+
+    def __init__(self, labels, values):
+        super().__init__(labels, values)
+        if np.any(np.diag(self.values) != 0.0):
+            raise DataError("distance matrix diagonal must be exactly zero")
+        if np.any(self.values < 0.0):
+            raise DataError("distance matrix has negative entries")
+
+    def get(self, a, b):
+        return float(self.values[self.index(a), self.index(b)])
 
     def __eq__(self, other):
         return (
@@ -67,28 +78,12 @@ class DistanceMatrix:
             and np.array_equal(self.values, other.values)
         )
 
-    def __repr__(self):
-        return f"DistanceMatrix(n={self.n})"
 
+class CovarianceMatrix(LabeledMatrix):
+    """Matrix of shared root-to-MRCA path lengths; inverse_gromov rejects one
+    that is not PSD."""
 
-class CovarianceMatrix:
-    """Symmetric PSD matrix of shared root-to-MRCA path lengths."""
-
-    def __init__(self, labels, values, check_psd=True):
-        self.labels, self.values = _validated("covariance", labels, values)
-        if check_psd:
-            w = np.linalg.eigvalsh(self.values)
-            if w.size and w[0] < -_PSD_TOL:
-                raise DataError(
-                    f"covariance matrix is not PSD (min eigenvalue {w[0]:.3e})"
-                )
-
-    @property
-    def n(self):
-        return len(self.labels)
-
-    def __repr__(self):
-        return f"CovarianceMatrix(n={self.n})"
+    kind = "covariance"
 
 
 def inverse_gromov(cov):

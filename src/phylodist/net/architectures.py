@@ -32,7 +32,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..alignment import N_STATES, indicator_blocks
 from ..errors import ConfigError, DataError, NumericError
-from ..matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov
+from ..matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov, upper_mask
 from ..rng import substream
 from .layers import Attention, ChannelConv, DeepSetsMix, Dense, MeanPoolSites, ScalarMLP, SiteWeights
 
@@ -183,7 +183,7 @@ def _check_length(spec, length):
 def _canonical_pairs(labels):
     """(i, j) row-index arrays enumerating pairs in sorted-label order."""
     order = np.argsort(np.asarray(labels))
-    first, second = np.triu_indices(len(order), k=1)
+    first, second = np.nonzero(upper_mask(len(order)))
     return order[first], order[second]
 
 
@@ -297,7 +297,7 @@ def network_forward(spec, aln):
     if not np.all(np.isfinite(values)):
         raise NumericError(f"{spec.architecture} produced non-finite network output")
     if spec.head == "inner_product":
-        return inverse_gromov(CovarianceMatrix(labels, values, check_psd=False))
+        return inverse_gromov(CovarianceMatrix(labels, values))
     # _scatter_symmetric gave an exactly symmetric matrix with a +0.0
     # diagonal; a loaded checkpoint can still emit negative distances
     values = np.array(values)

@@ -82,12 +82,8 @@ class TrainResult:
 def training_targets(spec, tree, labels):
     """Target matrix for one alignment: patristic distances, or MRCA
     covariances for inner-product networks, aligned to the row order."""
-    if spec.head == "inner_product":
-        mat = covariance_matrix(tree)
-        idx = [mat.labels.index(l) for l in labels]
-        return mat.values[np.ix_(idx, idx)]
-    mat = patristic_matrix(tree).reorder(labels)
-    return mat.values
+    mat = covariance_matrix(tree) if spec.head == "inner_product" else patristic_matrix(tree)
+    return mat.reorder(labels).values
 
 
 def matrix_loss_gamma(spec, cfg):

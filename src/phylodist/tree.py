@@ -463,7 +463,7 @@ def covariance_matrix(tree):
     if not tree.rooted:
         raise DataError("covariance_matrix requires a rooted tree")
     labels, m = _mrca_depths(tree)
-    return CovarianceMatrix(labels, m, check_psd=False)
+    return CovarianceMatrix(labels, m)
 
 
 def diameter(tree):

@@ -141,6 +141,12 @@ def test_zero_off_diagonal_input_rejected():
         measure_distortion(DistanceMatrix(labels, vals), DistanceMatrix(labels, vals))
 
 
+def test_distortion_of_one_point_rejected():
+    d = DistanceMatrix(["a"], [[0.0]])
+    with pytest.raises(DataError, match="at least 2 points"):
+        measure_distortion(d, d)
+
+
 # -- metric audit -----------------------------------------------------------------------
 
 

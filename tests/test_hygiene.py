@@ -72,15 +72,19 @@ def test_guard_flags_a_write_open():
     ]
 
 
-def directory_makers(source):
-    """(line, name) of each name, attribute, import or definition that is
-    makedirs or mkdir."""
+def mentions(source, names):
+    """(line, name) of each name, attribute, import or definition of source
+    that is one of names."""
     found = []
     for node in ast.walk(ast.parse(source)):
         name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
-        if name in ("makedirs", "mkdir"):
+        if name in names:
             found.append((node.lineno, name))
     return sorted(found)
+
+
+def directory_makers(source):
+    return mentions(source, ("makedirs", "mkdir"))
 
 
 def test_only_files_makes_directories():
@@ -101,6 +105,30 @@ def test_guard_flags_a_directory_maker():
     )
     assert directory_makers(source) == [
         (1, "makedirs"), (3, "mkdir"), (4, "mkdir"), (5, "makedirs"), (6, "makedirs"),
+    ]
+
+
+TRIANGLES = ("triu", "triu_indices", "triu_indices_from", "tril", "tril_indices", "tril_indices_from")
+
+
+def test_only_matrices_builds_triangles():
+    """matrices.upper_mask is the one pair order; a module that builds its own
+    triangle can drift from it."""
+    found = {
+        str(p.relative_to(PACKAGE)): names
+        for p in MODULES
+        if p.name != "matrices.py" and (names := mentions(p.read_text(), TRIANGLES))
+    }
+    assert found == {}
+
+
+def test_guard_flags_a_triangle():
+    source = (
+        "np.triu(a, 1)\nnp.triu_indices(n)\nfrom numpy import tril\nnp.diag(a)\n"
+        "upper_mask(n)\nnp.tril_indices(n, -1)\ntriu = 1\n"
+    )
+    assert mentions(source, TRIANGLES) == [
+        (1, "triu"), (2, "triu_indices"), (3, "tril"), (6, "tril_indices"), (7, "triu"),
     ]
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from phylodist import autodiff as ad
+from phylodist.alignment import Alignment
 from phylodist.errors import ConfigError, TrainingDiverged
 from phylodist.losses import batch_loss
-from phylodist.net.architectures import build_architecture, forward_matrix
+from phylodist.net.architectures import build_architecture, forward_matrix, network_forward
 from phylodist.rng import substream
 from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
 from phylodist.train import (
@@ -242,3 +243,26 @@ def test_fit_adam_learns_linear_map():
     grid = np.linspace(0.1, 0.9, 50)
     pred = mlp.forward(ad.Tensor(grid[:, None])).data
     assert np.max(np.abs(pred - (3.0 * grid + 0.5))) < 0.1
+
+
+# Recorded before the labeled-matrix classes shared one body; pins the
+# covariance path (CovarianceMatrix -> inverse_gromov) of inner-product heads
+# and the targets of both heads, on rows out of label order.
+COVARIANCE_DIGEST = "9810cba5cee5821cf36038ac0e413fdda4d81c3719fff69947cdd41473f66275"
+
+
+def test_covariance_path_matches_golden_digest():
+    tree = simulate_bd_tree(BDParams(1.0, 0.5, 7), seed=31)
+    aln = evolve_alignment(tree, SubstModel("K2P", kappa=2.0), 30, seed=31)
+    perm = np.random.default_rng(31).permutation(aln.n)
+    aln = Alignment([aln.labels[i] for i in perm], aln.states[perm])
+    h = hashlib.sha256()
+    for name in ("SitesInvariantS", "FullInvariantS", "FullAttentionS"):
+        spec = build_architecture(name, head="inner_product", seed=7, **SMALL)
+        d = network_forward(spec, aln)
+        h.update(repr(d.labels).encode())
+        h.update(d.values.tobytes())
+    for head in ("euclidean", "inner_product"):
+        spec = build_architecture("SitesInvariantS", head=head, seed=7, **SMALL)
+        h.update(np.ascontiguousarray(training_targets(spec, tree, aln.labels)).tobytes())
+    assert h.hexdigest() == COVARIANCE_DIGEST

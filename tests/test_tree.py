@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phylodist.errors import DataError, NewickError
-from phylodist.matrices import inverse_gromov
+from phylodist.matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov, upper_mask
 from phylodist.simulate import BDParams, simulate_bd_tree
 from phylodist.tree import (
     PhyloTree,
@@ -197,9 +197,31 @@ def test_inverse_gromov_rejects_non_psd():
     from phylodist.errors import NumericError
     from phylodist.matrices import CovarianceMatrix
 
-    c = CovarianceMatrix(["A", "B"], np.array([[0.0, 1.0], [1.0, 0.0]]), check_psd=False)
+    c = CovarianceMatrix(["A", "B"], np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(NumericError):
         inverse_gromov(c)
+
+
+def test_upper_mask_orders_pairs_as_triu_indices():
+    for n in range(7):
+        got = np.nonzero(upper_mask(n))
+        want = np.triu_indices(n, 1)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_covariance_reorder_gathers_rows_and_columns():
+    c = covariance_matrix(random_binary_tree(np.random.default_rng(8), 6))
+    labels = [c.labels[i] for i in (3, 0, 5, 1, 4, 2)]
+    idx = [c.labels.index(l) for l in labels]
+    got = c.reorder(labels)
+    assert type(got) is CovarianceMatrix
+    assert got.labels == tuple(labels)
+    assert np.array_equal(got.values, c.values[np.ix_(idx, idx)])
+
+
+def test_repr_names_the_class():
+    assert repr(CovarianceMatrix(["A", "B"], np.eye(2))) == "CovarianceMatrix(n=2)"
+    assert repr(DistanceMatrix(["A", "B"], np.zeros((2, 2)))) == "DistanceMatrix(n=2)"
 
 
 # -- splits / RF ----------------------------------------------------------------
