@@ -5,6 +5,7 @@ networks, checks them against the analytic formulas, and shows the weights
 file round trip.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -57,9 +58,10 @@ print(f"max |net - formula| in range ({len(errs)} pairs): {max(errs):.2e}")
 
 print()
 print("=== weights file round trip ===")
-with tempfile.NamedTemporaryFile(suffix=".pdnet") as fh:
-    save_network(net_jc, fh.name)
-    loaded = load_network(fh.name)
+with tempfile.TemporaryDirectory() as tmp:  # also removes the manifest side-car
+    path = os.path.join(tmp, "jc.pdnet")
+    save_network(net_jc, path)
+    loaded = load_network(path)
     same = np.array_equal(
         pair_values(net_jc, onehot(x[:20]), onehot(y[:20])),
         pair_values(loaded, onehot(x[:20]), onehot(y[:20])),

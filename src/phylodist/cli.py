@@ -130,6 +130,8 @@ def _map(fn, items, threads):
 
 
 def _build_model(cfg, rep_seed):
+    if cfg["freqs"] not in ("uniform", "empirical"):
+        raise ConfigError(f"unknown freqs {cfg['freqs']!r}; expected uniform or empirical")
     kind = cfg["model"].upper()
     gamma_shape = cfg["gamma_shape"] if cfg["gamma_shape"] > 0 else None
     if kind == "JC":
@@ -203,7 +205,7 @@ def cmd_simulate(cfg):
     writer = write_fasta if ext == "fasta" else write_phylip
 
     def one(rep):
-        # an unknown model raises here, in every replicate before its first write
+        # an unknown model or freqs raises here, in every replicate before its first write
         tree, aln = _simulate_replicate(cfg, params, "replicate", rep)
         stem = os.path.join(cfg["out"], f"rep_{rep:04d}")
         write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
@@ -403,6 +405,8 @@ def cmd_eval(cfg):
     if cfg["algorithm"] not in ("nj", "bionj"):
         raise ConfigError(f"unknown algorithm {cfg['algorithm']!r}")
     methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
+    if not methods:
+        raise ConfigError("eval needs at least one method")
     for method in methods:
         if method != "truth" and not os.path.exists(method):
             check_kind(method)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError
 from .matrices import DistanceMatrix
-from .tree import PhyloTree
+from .tree import NodeTable
 
 
 @dataclass(frozen=True)
@@ -31,28 +31,6 @@ class JoinTrace:
 
     def __len__(self):
         return len(self.records)
-
-
-class _TreeAccumulator:
-    def __init__(self, labels):
-        self.parent = [-1] * len(labels)
-        self.children = [[] for _ in labels]
-        self.blen = [0.0] * len(labels)
-        self.labels = list(labels)
-
-    def join(self, members, lengths):
-        idx = len(self.parent)
-        self.parent.append(-1)
-        self.children.append(list(members))
-        self.blen.append(0.0)
-        self.labels.append(None)
-        for m, l in zip(members, lengths):
-            self.parent[m] = idx
-            self.blen[m] = max(0.0, l)
-        return idx
-
-    def tree(self):
-        return PhyloTree(self.parent, self.children, self.blen, self.labels, rooted=False)
 
 
 def _prepare(dist):
@@ -99,13 +77,14 @@ def _drop(m, o, k, j, scratch):
     return o
 
 
-def _terminate_three(acc, nodes, d):
-    a, b, c = 0, 1, 2
-    la = 0.5 * (d[a, b] + d[a, c] - d[b, c])
-    lb = 0.5 * (d[a, b] + d[b, c] - d[a, c])
-    lc = 0.5 * (d[a, c] + d[b, c] - d[a, b])
-    acc.join(nodes, (la, lb, lc))
-    return acc.tree()
+def _add_join(table, members, lengths):
+    """Append the internal node joining members, with their negative branch
+    lengths clamped to zero; return its index."""
+    idx = table.add()
+    for m, length in zip(members, lengths):
+        table.link(m, idx)
+        table.length[m] = max(0.0, length)
+    return idx
 
 
 def _join(dist, weighted):
@@ -123,7 +102,7 @@ def _join(dist, weighted):
     v = d.copy() if weighted else None
     qbuf = np.empty(n * n)
     rbuf = np.empty(n)
-    acc = _TreeAccumulator(labels)
+    table = NodeTable(labels)
     nodes = list(range(n))
     joins = []
     o = 0
@@ -140,8 +119,8 @@ def _join(dist, weighted):
         dij = float(dk[i, j])
         li = 0.5 * dij + (float(r[i]) - float(r[j])) / (2.0 * (k - 2))
         lj = dij - li
-        joins.append((acc.labels[nodes[i]], acc.labels[nodes[j]], float(qbuf[ij]), li, lj))
-        nodes[i] = acc.join((nodes[i], nodes[j]), (li, lj))
+        joins.append((table.label[nodes[i]], table.label[nodes[j]], float(qbuf[ij]), li, lj))
+        nodes[i] = _add_join(table, (nodes[i], nodes[j]), (li, lj))
         if weighted:
             vk = v[o : o + k, o : o + k]
             vij = float(vk[i, j])
@@ -164,9 +143,13 @@ def _join(dist, weighted):
         dk[:, i] = du
         o = _drop(d, o, k, j, qbuf)
         nodes.pop(j)
-    tree = _terminate_three(acc, nodes, d[o : o + 3, o : o + 3])
+    d3 = d[o : o + 3, o : o + 3]  # the last three join at the root
+    la = 0.5 * (d3[0, 1] + d3[0, 2] - d3[1, 2])
+    lb = 0.5 * (d3[0, 1] + d3[1, 2] - d3[0, 2])
+    lc = 0.5 * (d3[0, 2] + d3[1, 2] - d3[0, 1])
+    _add_join(table, nodes, (la, lb, lc))
     trace = tuple(JoinRecord((a, b), q, (li, lj)) for a, b, q, li, lj in joins)
-    return tree, JoinTrace(trace)
+    return table.tree(rooted=False), JoinTrace(trace)
 
 
 def neighbor_join(dist, return_trace=False):

@@ -17,7 +17,7 @@ import numpy as np
 from .alignment import Alignment, TRANSITIONS
 from .errors import ConfigError
 from .rng import substream
-from .tree import PhyloTree, scale_branches
+from .tree import NodeTable, scale_branches
 
 
 @dataclass(frozen=True)
@@ -149,41 +149,22 @@ def _prune(parent, children, born, ended, extant, labels):
         else:
             keep[v] = any(keep[c] for c in children[v])
 
-    # crown of the pruned tree: descend while only one child survives
-    root = 0
-    while True:
-        kept = [c for c in children[root] if keep[c]]
-        if len(kept) != 1:
-            break
-        root = kept[0]
-
-    out_parent, out_children, out_blen, out_label = [], [], [], []
-    leaf_counter = [0]
-
-    def build(v, new_parent, length):
+    # the crown is where the unary suppression from node 0 first branches;
+    # (node, new parent, edge length) still to append, in preorder
+    table = NodeTable()
+    leaf_labels = iter(labels)
+    stack = [(0, -1, 0.0)]
+    while stack:
+        v, new_parent, length = stack.pop()
         kept = [c for c in children[v] if keep[c]]
         while len(kept) == 1:  # suppress unary pass-through nodes
-            nxt = kept[0]
-            length += ended[nxt] - born[nxt]
-            v = nxt
+            v = kept[0]
+            length += ended[v] - born[v]
             kept = [c for c in children[v] if keep[c]]
-        idx = len(out_parent)
-        out_parent.append(new_parent)
-        out_children.append([])
-        out_blen.append(length)
-        if new_parent >= 0:
-            out_children[new_parent].append(idx)
-        if kept:
-            out_label.append(None)
-            for c in kept:
-                build(c, idx, ended[c] - born[c])
-        else:
-            out_label.append(labels[leaf_counter[0]])
-            leaf_counter[0] += 1
-        return idx
-
-    build(root, -1, 0.0)
-    return PhyloTree(out_parent, out_children, out_blen, out_label, rooted=True)
+        idx = table.add(new_parent, length, None if kept else next(leaf_labels))
+        stack.extend((c, idx, ended[c] - born[c]) for c in reversed(kept))
+    table.length[0] = 0.0  # the crown has no edge above it
+    return table.tree(rooted=True)
 
 
 def simulate_bd_tree(params, seed):

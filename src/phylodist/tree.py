@@ -131,6 +131,39 @@ class PhyloTree:
         return f"PhyloTree({kind}, n_leaves={self.n_leaves})"
 
 
+class NodeTable:
+    """The node table of a PhyloTree under construction: parent, children,
+    branch length and label lists, appended to in step.
+
+    NodeTable(labels) starts with one unlinked leaf per label.
+    """
+
+    def __init__(self, labels=()):
+        self.parent = [-1] * len(labels)
+        self.children = [[] for _ in labels]
+        self.length = [0.0] * len(labels)
+        self.label = list(labels)
+
+    def add(self, parent=-1, length=0.0, label=None):
+        """Append a node, linked under parent when that is >= 0; return its index."""
+        idx = len(self.parent)
+        self.parent.append(-1)
+        self.children.append([])
+        self.length.append(length)
+        self.label.append(label)
+        if parent >= 0:
+            self.link(idx, parent)
+        return idx
+
+    def link(self, child, parent):
+        """Attach child as the last child of parent."""
+        self.parent[child] = parent
+        self.children[parent].append(child)
+
+    def tree(self, rooted):
+        return PhyloTree(self.parent, self.children, self.length, self.label, rooted)
+
+
 # -- Newick ----------------------------------------------------------------
 
 _RESERVED = set("()[]{}:;, \t\n'\"")
@@ -140,10 +173,7 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self.parent = []
-        self.children = []
-        self.blen = []
-        self.label = []
+        self.table = NodeTable()
 
     def error(self, msg):
         raise NewickError(msg, offset=self.pos)
@@ -156,13 +186,6 @@ class _Parser:
             self.pos += 1
         if self.peek() == "[":
             self.error("Newick comments are not supported")
-
-    def new_node(self):
-        self.parent.append(-1)
-        self.children.append([])
-        self.blen.append(0.0)
-        self.label.append(None)
-        return len(self.parent) - 1
 
     def read_label(self):
         self.skip_ws()
@@ -212,23 +235,21 @@ class _Parser:
         Open groups sit on an explicit stack, so nesting depth is bounded by
         memory rather than by the recursion limit.
         """
+        table = self.table
         open_groups = []
         while True:
             self.skip_ws()
-            node = self.new_node()
             if self.peek() == "(":
                 self.pos += 1
-                open_groups.append(node)
+                open_groups.append(table.add())
                 continue
             name = self.read_label()
             if not name:
                 self.error("leaf without a label")
-            self.label[node] = name
-            self.blen[node] = self.read_length()
+            node = table.add(length=self.read_length(), label=name)
             while open_groups:  # attach the finished node, closing groups
                 group = open_groups[-1]
-                self.parent[node] = group
-                self.children[group].append(node)
+                table.link(node, group)
                 self.skip_ws()
                 if self.peek() == ",":
                     self.pos += 1
@@ -238,7 +259,7 @@ class _Parser:
                 self.pos += 1
                 open_groups.pop()
                 self.read_label()  # internal labels accepted, ignored
-                self.blen[group] = self.read_length()
+                table.length[group] = self.read_length()
                 node = group
             else:
                 return node
@@ -264,11 +285,12 @@ def parse_newick(text):
     """
     p = _Parser(text)
     root = p.parse()
-    p.blen[root] = 0.0  # root edge length, if present, is meaningless
-    n_root_children = len(p.children[root])
-    if n_root_children not in (2, 3) and len(p.parent) > 1:
+    table = p.table
+    table.length[root] = 0.0  # root edge length, if present, is meaningless
+    n_root_children = len(table.children[root])
+    if n_root_children not in (2, 3) and len(table.parent) > 1:
         raise NewickError(f"root has {n_root_children} children; expected 2 or 3")
-    return PhyloTree(p.parent, p.children, p.blen, p.label, rooted=n_root_children == 2)
+    return table.tree(rooted=n_root_children == 2)
 
 
 def _quote_label(name):
@@ -388,28 +410,15 @@ def unroot(tree):
     top, other = (a, b) if not tree.is_leaf(a) else (b, a)
     merged = tree.branch_length(a) + tree.branch_length(b)
 
-    # Rebuild the node table rooted at `top` with `other` as an extra child.
-    parent, children, blen, labels = [], [], [], []
-
-    def copy(v, new_parent, length):
-        """Append the subtree of v in preorder; returns the index of v's copy."""
-        first = len(parent)
-        stack = [(v, new_parent, length)]
-        while stack:
-            v, new_parent, length = stack.pop()
-            idx = len(parent)
-            parent.append(new_parent)
-            children.append([])
-            blen.append(length)
-            labels.append(tree.label(v))
-            if new_parent >= 0:
-                children[new_parent].append(idx)
-            stack.extend((c, idx, tree.branch_length(c)) for c in reversed(tree.children(v)))
-        return first
-
-    new_root = copy(top, -1, 0.0)
-    copy(other, new_root, merged)
-    return PhyloTree(parent, children, blen, labels, rooted=False)
+    # Rebuild the node table rooted at `top`, in preorder, with `other` as
+    # its last child: (node, new parent, edge length) still to append
+    table = NodeTable()
+    stack = [(other, 0, merged), (top, -1, 0.0)]
+    while stack:
+        v, new_parent, length = stack.pop()
+        idx = table.add(new_parent, length, tree.label(v))
+        stack.extend((c, idx, tree.branch_length(c)) for c in reversed(tree.children(v)))
+    return table.tree(rooted=False)
 
 
 # -- distances on trees -------------------------------------------------------

@@ -343,6 +343,10 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["eval", "--data", "{sims}", "--methods", "jc,hky"],
         ["eval", "--data", "{sims}", "--ceiling", "0"],
         ["eval", "--data", "{sims}", "--config", "{root}/methods-none.cfg"],
+        ["simulate", "--model", "hky", "--freqs", "bogus"],
+        ["train", "--model", "hky", "--freqs", "Empirical"],
+        ["eval", "--data", "{sims}", "--methods", ","],
+        ["eval", "--data", "{sims}", "--methods", ""],
     ],
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
          "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
@@ -353,7 +357,8 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
          "infer-saturation", "infer-algorithm", "infer-method", "train-lr", "train-loss",
          "train-arch", "train-length", "train-logdet-gamma", "train-vonneumann-gamma",
          "train-logdet-gamma-inf", "eval-algorithm", "eval-method", "eval-ceiling",
-         "eval-methods-none"],
+         "eval-methods-none", "simulate-freqs", "train-freqs", "eval-methods-comma",
+         "eval-methods-empty"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]

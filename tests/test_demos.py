@@ -17,9 +17,13 @@ def test_demos_are_present():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    """The demo succeeds and leaves nothing in the temporary directory."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp))
     done = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not list(tmp.iterdir())

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, every
 function it defines and every name it binds at module level is read by the
-library, a demo or the bench (not only by tests), and only phylodist.files
-opens files for writing or makes directories."""
+library, a demo or the bench (not only by tests), only phylodist.files
+opens files for writing or makes directories, and only phylodist.tree
+constructs a PhyloTree."""
 
 import ast
 import importlib.util
@@ -130,6 +131,36 @@ def test_guard_flags_a_triangle():
     assert mentions(source, TRIANGLES) == [
         (1, "triu"), (2, "triu_indices"), (3, "tril"), (6, "tril_indices"), (7, "triu"),
     ]
+
+
+def tree_constructions(source):
+    """Line of each call of PhyloTree, by its bare name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "PhyloTree"
+    )
+
+
+def test_only_tree_builds_trees():
+    """tree.NodeTable is the one node-table builder; a module that fills
+    PhyloTree's four lists itself can drift from it."""
+    found = {
+        str(p.relative_to(PACKAGE)): lines
+        for p in MODULES
+        if p.name != "tree.py" and (lines := tree_constructions(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_a_tree_construction():
+    source = (
+        "PhyloTree(p, c, b, l, True)\nfrom .tree import PhyloTree\nisinstance(t, PhyloTree)\n"
+        "tree.PhyloTree(p, c, b, l, rooted=False)\nNodeTable(labels).tree(True)\n"
+        "PhyloTree.__init__\n"
+    )
+    assert tree_constructions(source) == [1, 4]
 
 
 REPO = PACKAGE.parent.parent
