@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 from .alignment import read_fasta, read_phylip, write_fasta, write_phylip
 from .audit import audit_metric
@@ -81,7 +80,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "
 # The least value of each count key, and of gamma_shape (0: no Gamma rates),
 # for every command that has the key.
 _MINIMUMS = {
-    "replicates": 1, "threads": 1, "sweep": 1, "train_size": 1, "val_size": 0, "patience": 0,
+    "replicates": 1, "sweep": 1, "train_size": 1, "val_size": 0, "patience": 0,
     "length": 1, "gamma_shape": 0,
 }
 
@@ -119,14 +118,11 @@ def resolve_config(args, defaults):
     for key, low in _MINIMUMS.items():
         if resolved.get(key, low) < low:
             raise ConfigError(f"{key} must be >= {low}, got {resolved[key]}")
+    # simulate, infer and eval run serially; their threads key stays so that
+    # manifests written with threads=1 replay
+    if resolved.get("threads", 1) != 1:
+        raise ConfigError(f"threads must be 1, got {resolved['threads']}")
     return resolved
-
-
-def _map(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _build_model(cfg, rep_seed):
@@ -204,14 +200,12 @@ def cmd_simulate(cfg):
         raise ConfigError(f"unknown format {cfg['format']!r}")
     writer = write_fasta if ext == "fasta" else write_phylip
 
-    def one(rep):
-        # an unknown model or freqs raises here, in every replicate before its first write
+    for rep in range(cfg["replicates"]):
+        # an unknown model or freqs raises here, in the first replicate before any write
         tree, aln = _simulate_replicate(cfg, params, "replicate", rep)
         stem = os.path.join(cfg["out"], f"rep_{rep:04d}")
         write_text(f"{stem}.nwk", serialize_newick(tree) + "\n")
         writer(aln, f"{stem}.{ext}")
-
-    _map(one, range(cfg["replicates"]), cfg["threads"])
     return f"simulated {cfg['replicates']} replicate(s) in {cfg['out']}"
 
 
@@ -240,8 +234,11 @@ INFER_DEFAULTS = {
 def cmd_infer(cfg):
     if not (cfg["alignments"] or cfg["matrices"]) or not cfg["out"]:
         raise ConfigError("infer requires --alignments or --matrices, and --out")
-    if cfg["matrices"] and cfg["dump_matrix"]:
-        raise ConfigError("--dump-matrix writes alignment distances; --matrices already has them")
+    if cfg["matrices"]:
+        for key in ("alignments", "checkpoint", "dump_matrix"):
+            if cfg[key]:  # each of these applies to alignment input only
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(f"--matrices already holds the distances; it takes no {flag}")
     policy = SaturationPolicy(cfg["saturation"], cfg["ceiling"])
     build = {"nj": neighbor_join, "bionj": bionj}.get(cfg["algorithm"])
     if build is None:
@@ -250,37 +247,31 @@ def cmd_infer(cfg):
     if net is None and not cfg["matrices"]:
         check_kind(cfg["method"])
 
-    def from_alignment(path):
-        aln = _read_alignment(path)
-        if net is not None:
-            d = network_forward(net, aln)
-        else:
-            d = distance_matrix(aln, cfg["method"], policy)
-        if not d.values.any():  # the diagonal is exactly zero
-            raise NumericError(
-                f"{path}: degenerate zero distance matrix (all sequences identical; "
-                "any star tree fits equally well)"
-            )
-        return d
-
     if cfg["matrices"]:
         paths = _input_paths(cfg["matrices"], ".tsv", "matrices")
-        distances, source = read_tsv, " from matrices"
     else:
         paths = _input_paths(cfg["alignments"], ALIGNMENT_EXTENSIONS, "alignments")
-        distances, source = from_alignment, ""
     stems = Counter(_stem(p) for p in paths)
     if shared := sorted(s for s, k in stems.items() if k > 1):
         raise ConfigError(f"inputs would write the same output: {', '.join(shared)}")
 
-    def one(path):
-        d = distances(path)
+    for path in paths:
+        if cfg["matrices"]:
+            d = read_tsv(path)
+        elif net is None:
+            d = distance_matrix(_read_alignment(path), cfg["method"], policy)
+        else:
+            d = network_forward(net, _read_alignment(path))
+        if not d.values.any():  # the diagonal is exactly zero
+            raise NumericError(
+                f"{path}: degenerate zero distance matrix (every pair of taxa at distance 0; "
+                "any star tree fits equally well)"
+            )
         stem = os.path.join(cfg["out"], _stem(path))
         if cfg["dump_matrix"]:
             write_tsv(d, f"{stem}.dist.tsv")
         write_text(f"{stem}.nwk", serialize_newick(build(d)) + "\n")
-
-    _map(one, paths, cfg["threads"])
+    source = " from matrices" if cfg["matrices"] else ""
     return f"inferred {len(paths)} tree(s){source} in {cfg['out']}"
 
 
@@ -412,17 +403,16 @@ def cmd_eval(cfg):
             check_kind(method)
     pairs = _load_pairs(cfg["data"])
 
-    def one(method):
-        chosen = load_network(method) if os.path.exists(method) else method
-        return evaluate_pipeline(
-            chosen,
+    reports = [
+        evaluate_pipeline(
+            load_network(method) if os.path.exists(method) else method,
             pairs,
             algorithm=cfg["algorithm"],
             policy=policy,
             collapse_zero=cfg["collapse_zero"],
         )
-
-    reports = _map(one, methods, cfg["threads"])
+        for method in methods
+    ]
     write_report_csv(reports, os.path.join(cfg["out"], "report.csv"))
     write_instances_csv(reports, os.path.join(cfg["out"], "instances.csv"))
     if cfg["gnuplot"]:

@@ -12,7 +12,7 @@ import pytest
 from phylodist.alignment import read_fasta, write_fasta, write_phylip
 from phylodist.cli import main
 from phylodist.errors import DataError
-from phylodist.matrices import write_tsv
+from phylodist.matrices import DistanceMatrix, write_tsv
 from phylodist.net.architectures import build_architecture
 from phylodist.net.reference import build_reference_net
 from phylodist.net.serialize import MAGIC, load_network, save_network
@@ -85,6 +85,20 @@ def test_infer_degenerate_alignment_fails_numeric(tmp_path):
     code = run("infer", "--alignments", aln_dir, "--method", "hamming",
                "--out", tmp_path / "out")
     assert code == 4
+
+
+def test_infer_zero_matrix_fails_numeric_as_identical_sequences_do(tmp_path, capsys):
+    aln = tmp_path / "same.fasta"
+    aln.write_text(">a\nACGT\n>b\nACGT\n>c\nACGT\n>d\nACGT\n")
+    tsv = tmp_path / "same.tsv"
+    write_tsv(DistanceMatrix(("a", "b", "c", "d"), np.zeros((4, 4))), tsv)
+    errors = []
+    for flag, path in (("--alignments", aln), ("--matrices", tsv)):
+        capsys.readouterr()
+        assert run("infer", flag, path, "--out", tmp_path / "out") == 4
+        assert not (tmp_path / "out").exists()
+        errors.append(capsys.readouterr().err.replace(str(path), "<input>"))
+    assert errors[0].startswith("numeric error: <input>: degenerate") and errors[1] == errors[0]
 
 
 def test_infer_checkpoint_matches_analytic(tmp_path):
@@ -347,6 +361,12 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["train", "--model", "hky", "--freqs", "Empirical"],
         ["eval", "--data", "{sims}", "--methods", ","],
         ["eval", "--data", "{sims}", "--methods", ""],
+        ["simulate", "--threads", "2"],
+        ["infer", "--alignments", "{sims}", "--threads", "2"],
+        ["eval", "--data", "{sims}", "--threads", "2"],
+        ["infer", "--alignments", "{sims}", "--matrices", "{root}/d.tsv"],
+        # d.tsv is no checkpoint, so loading it would exit 3
+        ["infer", "--matrices", "{root}/d.tsv", "--checkpoint", "{root}/d.tsv"],
     ],
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
          "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
@@ -358,7 +378,8 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
          "train-arch", "train-length", "train-logdet-gamma", "train-vonneumann-gamma",
          "train-logdet-gamma-inf", "eval-algorithm", "eval-method", "eval-ceiling",
          "eval-methods-none", "simulate-freqs", "train-freqs", "eval-methods-comma",
-         "eval-methods-empty"],
+         "eval-methods-empty", "simulate-threads-2", "infer-threads-2", "eval-threads-2",
+         "infer-alignments-and-matrices", "infer-matrices-and-checkpoint"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]
@@ -640,34 +661,3 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
     assert build_parser() is build_parser()
     fresh = written(tmp_path / "fresh")
     assert len(fresh) == 10 and written(tmp_path / "shared") == fresh
-
-
-def test_thread_pool_output_matches_serial(tmp_path):
-    def outputs(directory):
-        return {f: read_bytes(directory / f) for f in os.listdir(directory) if f != "manifest.txt"}
-
-    sims = {}
-    for threads in ("1", "2"):
-        sims[threads] = tmp_path / f"sims{threads}"
-        assert run("simulate", "--out", sims[threads], "--replicates", "6", "--n", "8",
-                   "--length", "200", "--model", "hky", "--freqs", "empirical",
-                   "--gamma-shape", "0.5", "--seed", "13", "--threads", threads) == 0
-    assert len(outputs(sims["1"])) == 12
-    assert outputs(sims["1"]) == outputs(sims["2"])
-    trees = {}
-    for threads in ("1", "2"):
-        trees[threads] = tmp_path / f"trees{threads}"
-        assert run("infer", "--alignments", sims["1"], "--method", "k2p", "--dump-matrix",
-                   "--out", trees[threads], "--threads", threads) == 0
-    assert len(outputs(trees["1"])) == 12
-    assert outputs(trees["1"]) == outputs(trees["2"])
-    # network inference switches the autodiff tape off per worker thread
-    ckpt = tmp_path / "hybrid.pdnet"
-    save_network(build_architecture("HybridAttentionSP", channels=8, heads=2, seed=3), ckpt)
-    nets = {}
-    for threads in ("1", "2"):
-        nets[threads] = tmp_path / f"nets{threads}"
-        assert run("infer", "--alignments", sims["1"], "--checkpoint", ckpt,
-                   "--out", nets[threads], "--threads", threads) == 0
-    assert len(outputs(nets["1"])) == 6
-    assert outputs(nets["1"]) == outputs(nets["2"])

@@ -1,8 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, every
 function it defines and every name it binds at module level is read by the
 library, a demo or the bench (not only by tests), only phylodist.files
-opens files for writing or makes directories, and only phylodist.tree
-constructs a PhyloTree."""
+opens files for writing or makes directories, only phylodist.tree
+constructs a PhyloTree, and no module starts threads or processes."""
 
 import ast
 import importlib.util
@@ -161,6 +161,47 @@ def test_guard_flags_a_tree_construction():
         "PhyloTree.__init__\n"
     )
     assert tree_constructions(source) == [1, 4]
+
+
+CONCURRENCY = ("concurrent", "threading", "_thread", "multiprocessing")
+
+
+def concurrency_imports(source):
+    """(line, module) of each absolute import of a thread or process module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] in CONCURRENCY]
+    return found
+
+
+def test_no_module_imports_threads_or_processes():
+    """The library runs serially: a pool bought no speed on two cores and its
+    outputs had to be checked against the serial ones."""
+    found = {
+        str(p.relative_to(PACKAGE)): imports
+        for p in MODULES
+        if (imports := concurrency_imports(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_a_concurrency_import():
+    source = (
+        "import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+        "import multiprocessing.pool as mp\nfrom concurrent import futures\n"
+        "import contextvars\nfrom .threading import pool\nimport os, _thread\n"
+        "from multiprocessing import get_context\n"
+    )
+    assert concurrency_imports(source) == [
+        (1, "threading"), (2, "concurrent.futures"), (3, "multiprocessing.pool"),
+        (4, "concurrent"), (7, "_thread"), (8, "multiprocessing"),
+    ]
 
 
 REPO = PACKAGE.parent.parent
