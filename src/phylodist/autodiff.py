@@ -17,11 +17,15 @@ context variable, so each thread has its own.
 
 The op set is exactly what the network layers and losses run: ``+``, ``*``,
 binary ``-``, ``**``, indexing, ``@`` on operands with 2 or more dimensions,
-six activations, two sums, ``attention``, four shape ops and four matrix
-ops.  ``ordered_sum`` sorts before summing, so its value depends only on the
-multiset of addends.  ``attention`` is one node per head that keeps only the
+six activations, two sums, ``attention``, ``channel_map``, four shape ops and
+four matrix ops.  ``ordered_sum`` sorts before summing, so its value depends
+only on the multiset of addends.  ``attention`` is one node per attention
+layer, the residual update of x by every head, and keeps only each head's
 softmax probabilities; its backward replays the chain rule of the separate
-matmul, scale, log-count and softmax steps op for op.
+matmul, scale, log-count, softmax, concat and residual steps op for op.
+``channel_map`` is one node for a per-site channel matmul and its bias.
+Neither keeps an intermediate array that no backward reads, and their values
+and gradients keep the bits of the separate steps.
 """
 
 import contextvars
@@ -326,40 +330,88 @@ def ordered_sum(a, axis, keepdims=False):
     return _node(s.sum(axis=axis, keepdims=keepdims), (a,), _sum_push(a, axis, keepdims))
 
 
-def attention(q, k, v, scale, log_counts=None):
-    """softmax(q @ kᵀ * scale + log_counts) @ v over the last two axes.
+def attention(x, heads, scale, log_counts=None):
+    """x + concat_h softmax(q_h @ k_hᵀ * scale + log_counts) @ v_h, as one node.
 
-    log_counts, when given, broadcasts against the (rows, T, T) scores and
-    may widen their rows; -inf entries give a key no weight.
+    heads yields (q, k, v) triples whose v widths sum to the last axis of x,
+    each head filling its own slice of it; untaped, a generator lets each
+    head's arrays go before the next head's exist.  log_counts, when given,
+    broadcasts against the (rows, T, T) scores and may widen their rows;
+    -inf entries give a key no weight.  The node keeps only each head's
+    probabilities, and its backward drops them as soon as that head has
+    pushed.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    kt = np.moveaxis(k.data, -1, -2)
-    p = q.data @ kt
-    p *= scale
-    score_shape = p.shape
-    if log_counts is not None:
-        p = p + log_counts
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out_data = p @ v.data
+    x = as_tensor(x)
+    taping = _TAPE.get()
+    out_data, qkvs, probs, start = None, [], [], 0
+    for qkv in heads:
+        q, k, v = (as_tensor(t) for t in qkv)
+        kt = np.moveaxis(k.data, -1, -2)
+        p = q.data @ kt
+        p *= scale
+        score_shape = p.shape
+        if log_counts is not None:
+            p = p + log_counts
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        if out_data is None:
+            out_data = np.empty(p.shape[:-1] + x.data.shape[-1:])
+        width = v.data.shape[-1]
+        np.matmul(p, v.data, out=out_data[..., start : start + width])
+        start += width
+        if taping:
+            qkvs.append((q, k, v))
+            probs.append((p, score_shape))
+        del q, k, v, p  # untaped, nothing else holds them
+    out_data += x.data
 
     def push(g):
-        g = np.asarray(g)
-        gp = g @ np.swapaxes(v.data, -1, -2)
-        gv = np.swapaxes(p, -1, -2) @ g
-        gp -= (gp * p).sum(axis=-1, keepdims=True)
-        gp *= p
-        # back to the scores before log_counts widened them, then the scale
-        gs = _unbroadcast(gp, score_shape)
-        gs *= scale
-        gq = gs @ np.swapaxes(kt, -1, -2)
-        gkt = np.swapaxes(q.data, -1, -2) @ gs
-        q._accumulate(_unbroadcast(gq, q.data.shape))
-        k._accumulate(np.moveaxis(_unbroadcast(gkt, kt.shape), -2, -1))
-        v._accumulate(_unbroadcast(gv, v.data.shape))
+        x._accumulate(_unbroadcast(g, x.data.shape))
+        start = 0
+        for h, (q, k, v) in enumerate(qkvs):
+            (p, score_shape), probs[h] = probs[h], None
+            width = v.data.shape[-1]
+            g_head = g[..., start : start + width]
+            start += width
+            kt = np.moveaxis(k.data, -1, -2)
+            gp = g_head @ np.swapaxes(v.data, -1, -2)
+            gv = np.swapaxes(p, -1, -2) @ g_head
+            gp -= (gp * p).sum(axis=-1, keepdims=True)
+            gp *= p
+            del p  # its last reader
+            # back to the scores before log_counts widened them, then the scale
+            gs = _unbroadcast(gp, score_shape)
+            gs *= scale
+            gq = gs @ np.swapaxes(kt, -1, -2)
+            gkt = np.swapaxes(q.data, -1, -2) @ gs
+            q._accumulate(_unbroadcast(gq, q.data.shape))
+            k._accumulate(np.moveaxis(_unbroadcast(gkt, kt.shape), -2, -1))
+            v._accumulate(_unbroadcast(gv, v.data.shape))
 
-    return _node(out_data, (q, k, v), push)
+    return _node(out_data, (x,) + sum(qkvs, ()), push)
+
+
+def channel_map(w, t, b=None):
+    """(c_out, c_in) weights w applied at every site of a (rows, c_in, site)
+    tensor t, plus a (c_out,) bias b when given, as one node."""
+    w, t = as_tensor(w), as_tensor(t)
+    parents = (w, t)
+    x, wt = np.moveaxis(t.data, 1, 2), np.moveaxis(w.data, 0, 1)
+    out_data = x @ wt
+    if b is not None:
+        b = as_tensor(b)
+        parents += (b,)
+        out_data += b.data  # in place: the tape keeps one array, not two
+
+    def push(g):
+        if b is not None:
+            b._accumulate(g.sum(axis=(0, 2)))
+        g = np.moveaxis(g, 1, 2)
+        t._accumulate(np.moveaxis(g @ np.swapaxes(wt, -1, -2), 2, 1))
+        w._accumulate(np.moveaxis(_unbroadcast(np.swapaxes(x, -1, -2) @ g, wt.shape), 1, 0))
+
+    return _node(np.moveaxis(out_data, 2, 1), parents, push)
 
 
 # -- shape ops --------------------------------------------------------------------------

@@ -235,8 +235,10 @@ def cmd_infer(cfg):
     if not (cfg["alignments"] or cfg["matrices"]) or not cfg["out"]:
         raise ConfigError("infer requires --alignments or --matrices, and --out")
     if cfg["matrices"]:
-        for key in ("alignments", "checkpoint", "dump_matrix"):
-            if cfg[key]:  # each of these applies to alignment input only
+        # each of these applies to alignment input only; a default value is
+        # accepted, so manifests that record one still replay
+        for key in ("alignments", "checkpoint", "dump_matrix", "method", "ceiling", "saturation"):
+            if cfg[key] != INFER_DEFAULTS[key]:
                 flag = "--" + key.replace("_", "-")
                 raise ConfigError(f"--matrices already holds the distances; it takes no {flag}")
     policy = SaturationPolicy(cfg["saturation"], cfg["ceiling"])

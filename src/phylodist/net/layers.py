@@ -52,11 +52,6 @@ def _site_mean(t, weights, keepdims=False):
     return _site_sum(t, weights, keepdims) * (1.0 / length)
 
 
-def _channel_map(w, t):
-    """(c_out, c_in) weights applied at every site of a (rows, c_in, site) tensor."""
-    return ad.moveaxis(ad.moveaxis(t, 1, 2) @ ad.moveaxis(w, 0, 1), 2, 1)
-
-
 class Layer:
     """Common surface: forward(tensor, weights=None), named parameter list."""
 
@@ -137,7 +132,7 @@ class ChannelConv(Layer):
         return cls(rng.normal(0.0, scale, size=(c_out, c_in)), np.zeros(c_out), activation)
 
     def forward(self, t, weights=None):
-        out = _channel_map(self.weight, t) + ad.reshape(self.bias, (1, -1, 1))
+        out = ad.channel_map(self.weight, t, self.bias)
         return _act(self.activation)(out)
 
 
@@ -184,12 +179,12 @@ class DeepSetsMix(Layer):
         )
 
     def forward(self, t, weights=None):
-        out = _channel_map(self.w_self, t)
+        out = ad.channel_map(self.w_self, t)
         site_ctx = _site_mean(t, weights, keepdims=True)
-        out = out + _channel_map(self.w_site, site_ctx)
+        out = out + ad.channel_map(self.w_site, site_ctx)
         if self.use_taxa:
             taxa_ctx = ad.ordered_sum(t, axis=0, keepdims=True) * (1.0 / t.shape[0])
-            out = out + _channel_map(self.w_taxa, taxa_ctx)
+            out = out + ad.channel_map(self.w_taxa, taxa_ctx)
         out = out + ad.reshape(self.bias, (1, -1, 1))
         return _act(self.activation)(out)
 
@@ -242,11 +237,11 @@ class Attention(Layer):
             x = ad.moveaxis(t, 2, 0)  # (site, rows, d): tokens = rows
         scale = 1.0 / np.sqrt(d)
         log_counts = None if weights is None else weights.log_counts  # keys repeat count times
-        outs = []
-        for h in range(self.heads):
-            q, k, v = (x @ w[h] for w in (self.w_q, self.w_k, self.w_v))
-            outs.append(ad.attention(q, k, v, scale, log_counts))
-        x = x + ad.concat(outs, axis=-1)
+        # the projections stay nodes, since the attention backward reads their
+        # values; built head by head as attention consumes them
+        weights_qkv = (self.w_q, self.w_k, self.w_v)
+        heads = (tuple(x @ w[h] for w in weights_qkv) for h in range(self.heads))
+        x = ad.attention(x, heads, scale, log_counts)
         if self.axis == "site":
             return ad.moveaxis(x, 2, 1)
         return ad.moveaxis(x, 0, 2)

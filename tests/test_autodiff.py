@@ -7,7 +7,12 @@ import pytest
 from phylodist import autodiff as ad
 from phylodist.errors import NumericError
 
-from util import finite_difference_check, gradients
+from util import (
+    finite_difference_check,
+    gradients,
+    reference_attention,
+    reference_channel_map,
+)
 
 
 def _param(data):
@@ -54,7 +59,7 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
 
     def term(c):
         h = ad.elu((p + c) @ w)
-        return ad.tensor_sum(ad.attention(h, h, p, 0.5) ** 2.0)
+        return ad.tensor_sum(ad.attention(p, [(h, h, p)], 0.5) ** 2.0)
 
     for weight in (1.0, 1.0 / 3.0):
         summed = gradients((term(consts[0]) + term(consts[1]) + term(consts[2])) * weight, [p, w])
@@ -70,7 +75,7 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
 def test_a_graph_backpropagates_once():
     rng = np.random.default_rng(4)
     p = _param(rng.normal(size=(2, 5, 3)))
-    loss = ad.tensor_sum(ad.attention(ad.elu(p), p, p, 0.5) ** 2.0)
+    loss = ad.tensor_sum(ad.attention(p, [(ad.elu(p), p, p)], 0.5) ** 2.0)
     loss.backward()
     first = p.grad.copy()
     with pytest.raises(NumericError):
@@ -79,16 +84,17 @@ def test_a_graph_backpropagates_once():
 
 
 def test_backward_frees_the_attention_probabilities():
-    # each (rows, T, T) probability array is score-sized; q, k and v are not
+    # each head's (rows, T, T) probability array is score-sized; x, q, k and v are not
     rng = np.random.default_rng(5)
     rows, t, d = 4, 200, 4
+    x = _param(rng.normal(size=(rows, t, 2 * d)))
     q, k, v = (_param(rng.normal(size=(rows, t, d))) for _ in range(3))
     tracemalloc.start()
     try:
-        loss = ad.tensor_sum(ad.attention(q, k, v, 0.5) + ad.attention(q, k, v, 0.25))
+        loss = ad.tensor_sum(ad.attention(x, [(q, k, v), (k, q, v)], 0.5))
         before = tracemalloc.get_traced_memory()[0]
         loss.backward()
-        for leaf in (q, k, v):
+        for leaf in (x, q, k, v):
             leaf.grad = None
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:
@@ -183,12 +189,15 @@ def _log_counts(rng, rows, tokens):
 @pytest.mark.parametrize("counted", [False, True], ids=["scores", "log_counts"])
 def test_attention_matches_finite_differences(counted):
     rng = np.random.default_rng(6)
-    # pattern-token nets share one row of q, k, v across the rows of log_counts
+    # pattern-token nets share one row of x, q, k, v across the rows of log_counts
     rows, log_counts = (1, _log_counts(rng, 4, 5)) if counted else (2, None)
-    q, k, v = (_param(rng.normal(size=(rows, 5, 3))) for _ in range(3))
-    probe = rng.normal(size=(4 if counted else rows, 5, 3))
+    x = _param(rng.normal(size=(rows, 5, 4)))
+    q1, k1, q2, k2 = (_param(rng.normal(size=(rows, 5, 3))) for _ in range(4))
+    v1, v2 = (_param(rng.normal(size=(rows, 5, 2))) for _ in range(2))
+    probe = rng.normal(size=(4 if counted else rows, 5, 4))
     worst = finite_difference_check(
-        lambda: ad.tensor_sum(ad.attention(q, k, v, 0.7, log_counts) * probe), [q, k, v]
+        lambda: ad.tensor_sum(ad.attention(x, [(q1, k1, v1), (q2, k2, v2)], 0.7, log_counts) * probe),
+        [x, q1, k1, v1, q2, k2, v2],
     )
     assert worst < 1e-4
 
@@ -197,9 +206,77 @@ def test_attention_probability_rows_sum_to_one():
     rng = np.random.default_rng(5)
     q, k = (ad.Tensor(rng.normal(size=(1, 9, 4)) * 10) for _ in range(2))
     log_counts = _log_counts(rng, 7, 9)
-    p = ad.attention(q, k, np.eye(9)[None], 1.0, log_counts).data  # @ I returns p
+    p = ad.attention(np.zeros((1, 9, 9)), [(q, k, np.eye(9)[None])], 1.0, log_counts).data  # 0 + p @ I
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-9)
     assert np.all(p[0, :, 1:3] == 0.0)  # absent keys get no weight
+
+
+def _assert_same_bits(a, b):
+    # layout too: later reductions and matmuls read it
+    assert a.shape == b.shape and a.strides == b.strides
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_graphs_agree(fused, reference, params, probe):
+    """Equal value bits, and equal gradient bits for every parameter."""
+    outs, grads = [], []
+    for build in (fused, reference):
+        out = build()
+        outs.append(out.data)
+        grads.append(gradients(ad.tensor_sum(out * probe), params))
+    _assert_same_bits(*outs)
+    for g, ref in zip(*grads):
+        _assert_same_bits(g, ref)
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["scores", "log_counts"])
+@pytest.mark.parametrize("projected", [False, True], ids=["leaves", "projected"])
+def test_attention_matches_per_head_composition_bit_for_bit(projected, counted):
+    # three heads, x a moveaxis view, and log_counts widening one row to four
+    rng = np.random.default_rng(7)
+    log_counts = _log_counts(rng, 4, 5) if counted else None
+    x_leaf = _param(rng.normal(size=(1, 6, 5)))
+    if projected:  # as Attention.forward builds them
+        ws = [_param(rng.normal(size=(3, 6, 2))) for _ in range(3)]
+        params = [x_leaf] + ws
+    else:
+        qkv = [_param(rng.normal(size=(1, 5, 2))) for _ in range(9)]
+        params = [x_leaf] + qkv
+
+    def run(op):
+        x = ad.moveaxis(x_leaf, 1, 2)
+        if projected:
+            heads = [tuple(x @ w[h] for w in ws) for h in range(3)]
+        else:
+            heads = [tuple(qkv[3 * h : 3 * h + 3]) for h in range(3)]
+        return op(x, heads, 0.4, log_counts)
+
+    probe = rng.normal(size=(4 if counted else 1, 5, 6))
+    _assert_graphs_agree(
+        lambda: run(ad.attention), lambda: run(reference_attention), params, probe
+    )
+
+
+@pytest.mark.parametrize("biased", [True, False], ids=["bias", "context"])
+def test_channel_map_matches_composition_bit_for_bit(biased):
+    # a biased map on a moveaxis view, and a bias-less one on a (rows, c, 1) context
+    rng = np.random.default_rng(8)
+    w, b = _param(rng.normal(size=(5, 4))), _param(rng.normal(size=5))
+    if biased:
+        t_leaf = _param(rng.normal(size=(3, 40, 4)))
+        params = [t_leaf, w, b]
+    else:
+        t_leaf = _param(rng.normal(size=(3, 4, 1)))
+        params, b = [t_leaf, w], None
+
+    def run(op):
+        return op(w, ad.moveaxis(t_leaf, 2, 1) if biased else t_leaf, b)
+
+    # in the layout of the map's value, as the next layer hands its gradient back
+    probe = np.moveaxis(rng.normal(size=(3, 40 if biased else 1, 5)), 2, 1)
+    _assert_graphs_agree(
+        lambda: run(ad.channel_map), lambda: run(reference_channel_map), params, probe
+    )
 
 
 def test_no_tape_is_local_to_its_thread():

@@ -367,6 +367,9 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["infer", "--alignments", "{sims}", "--matrices", "{root}/d.tsv"],
         # d.tsv is no checkpoint, so loading it would exit 3
         ["infer", "--matrices", "{root}/d.tsv", "--checkpoint", "{root}/d.tsv"],
+        ["infer", "--matrices", "{root}/d.tsv", "--method", "k2p"],
+        ["infer", "--matrices", "{root}/d.tsv", "--ceiling", "9"],
+        ["infer", "--matrices", "{root}/d.tsv", "--saturation", "error"],
     ],
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
          "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
@@ -379,7 +382,9 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
          "train-logdet-gamma-inf", "eval-algorithm", "eval-method", "eval-ceiling",
          "eval-methods-none", "simulate-freqs", "train-freqs", "eval-methods-comma",
          "eval-methods-empty", "simulate-threads-2", "infer-threads-2", "eval-threads-2",
-         "infer-alignments-and-matrices", "infer-matrices-and-checkpoint"],
+         "infer-alignments-and-matrices", "infer-matrices-and-checkpoint",
+         "infer-matrices-and-method", "infer-matrices-and-ceiling",
+         "infer-matrices-and-saturation"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]

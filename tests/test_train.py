@@ -24,6 +24,8 @@ from phylodist.train import (
     write_history_csv,
 )
 
+from util import graph_nbytes
+
 SMALL = dict(channels=8, heads=2, embed_dim=6, g_hidden=(6,))
 
 
@@ -175,11 +177,18 @@ def test_later_training_matches_a_fresh_copy():
         assert np.array_equal(w1, w2)
 
 
-def test_training_epoch_memory_is_bounded():
+@pytest.mark.parametrize(
+    "arch, bound_mib",
+    [("FullAttentionSP", 95), ("HybridAttentionSP", 70)],
+    ids=["FullAttentionSP", "HybridAttentionSP"],
+)
+def test_training_epoch_memory_is_bounded(arch, bound_mib):
     # the bench train shape.  One backward over the whole batch held the graphs
     # of its four alignments, and the previous step's graph with them: 701 MB
-    # here; a graph whose backward keeps what its nodes saved, 146 MiB
-    spec = build_architecture("FullAttentionSP", channels=16, heads=2, seed=1)
+    # for FullAttentionSP; a graph whose backward keeps what its nodes saved,
+    # 146 MiB; one whose tape also keeps the per-head outputs of each attention
+    # layer and the product before each bias, 105.7 MiB (HybridAttentionSP 76.4)
+    spec = build_architecture(arch, channels=16, heads=2, seed=1)
     data = make_dataset(spec, n_taxa=10, length=100, count=8)
     cfg = TrainConfig(max_epochs=1, batch_size=4, seed=1)
     tracemalloc.start()
@@ -188,7 +197,16 @@ def test_training_epoch_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 115 * 2**20
+    assert peak < bound_mib * 2**20
+
+
+def test_one_alignment_graph_holds_only_what_backward_reads():
+    # the bench train shape; the tape that also kept the per-head outputs of
+    # each attention layer and the product before each bias held 69.5 MiB
+    spec = build_architecture("FullAttentionSP", channels=16, heads=2, seed=1)
+    ((aln, target, _),) = make_dataset(spec, n_taxa=10, length=100, count=1)
+    _, out = forward_matrix(spec, aln)
+    assert graph_nbytes(batch_loss("mae", [(out, target)])) <= 60 * 2**20
 
 
 # Recorded before train() ran backward one alignment at a time; pins the final

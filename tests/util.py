@@ -233,6 +233,77 @@ def site_pattern_compression(spec, aln):
     return columns / _unique_columns(aln.onehot().reshape(-1, aln.length))
 
 
+def reference_head_attention(q, k, v, scale, log_counts=None):
+    """softmax(q @ kᵀ * scale + log_counts) @ v as one node per head: the
+    per-head attention op that autodiff.attention fuses across heads."""
+    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
+    kt = np.moveaxis(k.data, -1, -2)
+    p = q.data @ kt
+    p *= scale
+    score_shape = p.shape
+    if log_counts is not None:
+        p = p + log_counts
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def push(g):
+        g = np.asarray(g)
+        gp = g @ np.swapaxes(v.data, -1, -2)
+        gv = np.swapaxes(p, -1, -2) @ g
+        gp -= (gp * p).sum(axis=-1, keepdims=True)
+        gp *= p
+        gs = ad._unbroadcast(gp, score_shape)
+        gs *= scale
+        gq = gs @ np.swapaxes(kt, -1, -2)
+        gkt = np.swapaxes(q.data, -1, -2) @ gs
+        q._accumulate(ad._unbroadcast(gq, q.data.shape))
+        k._accumulate(np.moveaxis(ad._unbroadcast(gkt, kt.shape), -2, -1))
+        v._accumulate(ad._unbroadcast(gv, v.data.shape))
+
+    return ad._node(p @ v.data, (q, k, v), push)
+
+
+def reference_attention(x, heads, scale, log_counts=None):
+    """autodiff.attention composed of separate nodes: x + concat of the heads."""
+    outs = [reference_head_attention(q, k, v, scale, log_counts) for q, k, v in heads]
+    return x + ad.concat(outs, axis=-1)
+
+
+def reference_channel_map(w, t, b=None):
+    """autodiff.channel_map composed of separate nodes: matmul between two
+    moveaxis views, then the reshaped bias added."""
+    out = ad.moveaxis(ad.moveaxis(t, 1, 2) @ ad.moveaxis(w, 0, 1), 2, 1)
+    return out if b is None else out + ad.reshape(b, (1, -1, 1))
+
+
+def graph_nbytes(root):
+    """Bytes a taped graph holds: every node's value and every array its push
+    saved (in lists and tuples too), each distinct base array counted once.
+    Unlike tracemalloc, the count does not depend on the allocator."""
+    bases, seen, stack = {}, set(), [root]
+
+    def hold(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                hold(item)
+
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        hold(node.data)
+        for cell in getattr(node._push, "__closure__", None) or ():
+            hold(cell.cell_contents)
+        stack.extend(node._parents)
+    return sum(a.nbytes for a in bases.values())
+
+
 def gradients(loss, params):
     """Backward pass from cleared grads; returns the gradient arrays of the
     given parameters."""
