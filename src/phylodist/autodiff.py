@@ -17,15 +17,19 @@ context variable, so each thread has its own.
 
 The op set is exactly what the network layers and losses run: ``+``, ``*``,
 binary ``-``, ``**``, indexing, ``@`` on operands with 2 or more dimensions,
-six activations, two sums, ``attention``, ``channel_map``, four shape ops and
+six activations, two sums, ``attention``, ``channel_map``, five shape ops and
 four matrix ops.  ``ordered_sum`` sorts before summing, so its value depends
 only on the multiset of addends.  ``attention`` is one node per attention
-layer, the residual update of x by every head, and keeps only each head's
-softmax probabilities; its backward replays the chain rule of the separate
-matmul, scale, log-count, softmax, concat and residual steps op for op.
-``channel_map`` is one node for a per-site channel matmul and its bias.
-Neither keeps an intermediate array that no backward reads, and their values
-and gradients keep the bits of the separate steps.
+layer: the q, k and v projections of x by every head, their softmax
+attention and the residual update of x.  It keeps only each head's softmax
+probabilities and recomputes the projections in its backward, which replays
+the chain rule of the separate projection, scale, log-count, softmax, concat
+and residual steps op for op.  ``channel_map`` is one node for a per-site
+channel matmul, its bias and its activation, which overwrites the value in
+place.  ``gather_pairs`` is one node for the two row gathers of a pair stage
+and their concat, and keeps only the indices.  None of them keeps an
+intermediate array that no backward reads, and their values and gradients
+keep the bits of the separate steps.
 """
 
 import contextvars
@@ -33,7 +37,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 _EIG_FLOOR = 1e-10
 
@@ -330,24 +334,26 @@ def ordered_sum(a, axis, keepdims=False):
     return _node(s.sum(axis=axis, keepdims=keepdims), (a,), _sum_push(a, axis, keepdims))
 
 
-def attention(x, heads, scale, log_counts=None):
-    """x + concat_h softmax(q_h @ k_hᵀ * scale + log_counts) @ v_h, as one node.
+def attention(x, w_q, w_k, w_v, scale, log_counts=None):
+    """x + concat_h softmax(q_h @ k_hᵀ * scale + log_counts) @ v_h, as one node,
+    where q_h = x @ w_q[h], k_h = x @ w_k[h] and v_h = x @ w_v[h].
 
-    heads yields (q, k, v) triples whose v widths sum to the last axis of x,
-    each head filling its own slice of it; untaped, a generator lets each
-    head's arrays go before the next head's exist.  log_counts, when given,
-    broadcasts against the (rows, T, T) scores and may widen their rows;
-    -inf entries give a key no weight.  The node keeps only each head's
-    probabilities, and its backward drops them as soon as that head has
-    pushed.
+    The (H, d, dh) weights give H heads whose widths dh sum to the last axis d
+    of x, each head filling its own slice of it.  log_counts, when given,
+    broadcasts against the (rows, T, T) scores and may widen their rows; -inf
+    entries give a key no weight.  The node keeps only each head's
+    probabilities, and its backward drops them as soon as that head has pushed;
+    the backward recomputes each head's projections from x.  Gradients reach x
+    as the separate nodes pushed them: the residual first, then the q, k and v
+    projections of each head in ascending order.
     """
-    x = as_tensor(x)
+    x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
+    xd, ws = x.data, (w_q.data, w_k.data, w_v.data)
     taping = _TAPE.get()
-    out_data, qkvs, probs, start = None, [], [], 0
-    for qkv in heads:
-        q, k, v = (as_tensor(t) for t in qkv)
-        kt = np.moveaxis(k.data, -1, -2)
-        p = q.data @ kt
+    out_data, probs, start = None, [], 0
+    for h in range(len(w_q.data)):
+        q, k, v = (xd @ w[h] for w in ws)
+        p = q @ np.moveaxis(k, -1, -2)
         p *= scale
         score_shape = p.shape
         if log_counts is not None:
@@ -356,26 +362,27 @@ def attention(x, heads, scale, log_counts=None):
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         if out_data is None:
-            out_data = np.empty(p.shape[:-1] + x.data.shape[-1:])
-        width = v.data.shape[-1]
-        np.matmul(p, v.data, out=out_data[..., start : start + width])
+            out_data = np.empty(p.shape[:-1] + xd.shape[-1:])
+        width = v.shape[-1]
+        np.matmul(p, v, out=out_data[..., start : start + width])
         start += width
         if taping:
-            qkvs.append((q, k, v))
             probs.append((p, score_shape))
         del q, k, v, p  # untaped, nothing else holds them
-    out_data += x.data
+    out_data += xd
 
     def push(g):
-        x._accumulate(_unbroadcast(g, x.data.shape))
+        x._accumulate(_unbroadcast(g, xd.shape))
+        grads = [np.zeros_like(w) for w in ws]
         start = 0
-        for h, (q, k, v) in enumerate(qkvs):
+        for h in range(len(probs)):
             (p, score_shape), probs[h] = probs[h], None
-            width = v.data.shape[-1]
+            q, k, v = (xd @ w[h] for w in ws)
+            width = v.shape[-1]
             g_head = g[..., start : start + width]
             start += width
-            kt = np.moveaxis(k.data, -1, -2)
-            gp = g_head @ np.swapaxes(v.data, -1, -2)
+            kt = np.moveaxis(k, -1, -2)
+            gp = g_head @ np.swapaxes(v, -1, -2)
             gv = np.swapaxes(p, -1, -2) @ g_head
             gp -= (gp * p).sum(axis=-1, keepdims=True)
             gp *= p
@@ -383,18 +390,42 @@ def attention(x, heads, scale, log_counts=None):
             # back to the scores before log_counts widened them, then the scale
             gs = _unbroadcast(gp, score_shape)
             gs *= scale
-            gq = gs @ np.swapaxes(kt, -1, -2)
-            gkt = np.swapaxes(q.data, -1, -2) @ gs
-            q._accumulate(_unbroadcast(gq, q.data.shape))
-            k._accumulate(np.moveaxis(_unbroadcast(gkt, kt.shape), -2, -1))
-            v._accumulate(_unbroadcast(gv, v.data.shape))
+            gq = _unbroadcast(gs @ np.swapaxes(kt, -1, -2), q.shape)
+            gk = np.moveaxis(_unbroadcast(np.swapaxes(q, -1, -2) @ gs, kt.shape), -2, -1)
+            gv = _unbroadcast(gv, v.shape)
+            # each projection as its matmul node pushed it: into x, then into w[h]
+            for w, grad, gh in zip(ws, grads, (gq, gk, gv)):
+                x._accumulate(_unbroadcast(gh @ np.swapaxes(w[h], -1, -2), xd.shape))
+                grad[h] += _unbroadcast(np.swapaxes(xd, -1, -2) @ gh, w[h].shape)
+        for w, grad in zip((w_q, w_k, w_v), grads):
+            w._accumulate(grad)
 
-    return _node(out_data, (x,) + sum(qkvs, ()), push)
+    return _node(out_data, (x, w_q, w_k, w_v), push)
 
 
-def channel_map(w, t, b=None):
-    """(c_out, c_in) weights w applied at every site of a (rows, c_in, site)
-    tensor t, plus a (c_out,) bias b when given, as one node."""
+def _elu_in_place(a):
+    np.copyto(a, np.expm1(np.minimum(a, 0.0)), where=~(a > 0.0))
+
+
+# activation -> (apply it in place, its derivative read from its output):
+# out > 0 exactly where the input was, so the output alone serves backward
+_IN_PLACE = {
+    "identity": (None, None),
+    "relu": (lambda a: np.maximum(a, 0.0, out=a), lambda out: out > 0.0),
+    "elu": (_elu_in_place, lambda out: np.where(out > 0.0, 1.0, out + 1.0)),
+}
+
+
+def channel_map(w, t, b=None, activation="identity"):
+    """act((c_out, c_in) weights w applied at every site of a (rows, c_in,
+    site) tensor t, plus a (c_out,) bias b when given) as one node.
+
+    activation is "identity", "relu" or "elu"; it overwrites the map's value,
+    so the tape keeps one array per map, not two.
+    """
+    if activation not in _IN_PLACE:
+        raise ConfigError(f"channel_map applies {sorted(_IN_PLACE)}, not {activation!r}")
+    apply, slope = _IN_PLACE[activation]
     w, t = as_tensor(w), as_tensor(t)
     parents = (w, t)
     x, wt = np.moveaxis(t.data, 1, 2), np.moveaxis(w.data, 0, 1)
@@ -403,15 +434,20 @@ def channel_map(w, t, b=None):
         b = as_tensor(b)
         parents += (b,)
         out_data += b.data  # in place: the tape keeps one array, not two
+    out_data = np.moveaxis(out_data, 2, 1)
+    if apply is not None:
+        apply(out_data)
 
     def push(g):
+        if slope is not None:
+            g = g * slope(out_data)
         if b is not None:
             b._accumulate(g.sum(axis=(0, 2)))
         g = np.moveaxis(g, 1, 2)
         t._accumulate(np.moveaxis(g @ np.swapaxes(wt, -1, -2), 2, 1))
         w._accumulate(np.moveaxis(_unbroadcast(np.swapaxes(x, -1, -2) @ g, wt.shape), 1, 0))
 
-    return _node(np.moveaxis(out_data, 2, 1), parents, push)
+    return _node(out_data, parents, push)
 
 
 # -- shape ops --------------------------------------------------------------------------
@@ -457,6 +493,36 @@ def concat(tensors, axis=0):
             t._accumulate(piece)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, push)
+
+
+def gather_pairs(t, ii, jj, tokens=(None, None)):
+    """concat([t[ii][:, :, f], t[jj][:, :, s]], axis=1) for tokens (f, s), as
+    one node that keeps only the indices.
+
+    A None index takes the whole axis: ii = jj = None keep t's rows as they
+    are, and a None token index keeps the last axis.  The backward scatters
+    each half as the separate take nodes did, the first half first.
+    """
+    t = as_tensor(t)
+    halves = tuple(zip((ii, jj), tokens))
+
+    def gather(rows, cols):
+        half = t.data if rows is None else t.data[rows]
+        return half if cols is None else half[:, :, cols]
+
+    def push(g):
+        for (rows, cols), piece in zip(halves, np.split(np.asarray(g), 2, axis=1)):
+            if cols is not None:
+                buf = np.zeros_like(t.data) if rows is None else np.zeros((len(rows),) + t.data.shape[1:])
+                np.add.at(buf, (slice(None), slice(None), cols), piece)
+                piece = buf
+            if rows is not None:
+                buf = np.zeros_like(t.data)
+                np.add.at(buf, rows, piece)
+                piece = buf
+            t._accumulate(piece)
+
+    return _node(np.concatenate([gather(*half) for half in halves], axis=1), (t,), push)
 
 
 def stack(tensors, axis=0):

@@ -48,9 +48,21 @@ class LabeledMatrix:
         return self.labels.index(label)
 
     def reorder(self, labels):
-        """Return a copy with rows/columns arranged in the given label order."""
+        """Return a copy with rows/columns arranged in the given label order.
+
+        Each label must be known and given once.  Rows and columns picked
+        alike from a valid matrix make a valid one, so the gather, already a
+        fresh array, is adopted read-only without a second check or copy.
+        """
+        labels = tuple(str(x) for x in labels)
+        if len(set(labels)) != len(labels):
+            raise DataError("duplicate labels")
         idx = [self.index(l) for l in labels]
-        return type(self)(labels, self.values[np.ix_(idx, idx)])
+        values = self.values[np.ix_(idx, idx)]
+        values.setflags(write=False)
+        out = object.__new__(type(self))
+        out.labels, out.values = labels, values
+        return out
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n})"

@@ -229,8 +229,8 @@ def _state_features(spec, composition, length):
 
 def _pair_tokens(t, ii, jj):
     """(1 or taxa, C, 4) state features -> (1 or P, 2C, 16) joint-pattern tokens."""
-    first, second = (t[ii], t[jj]) if t.shape[0] > 1 else (t, t)
-    return ad.concat([first[:, :, _FIRST], second[:, :, _SECOND]], axis=1)
+    rows = (ii, jj) if t.shape[0] > 1 else (None, None)
+    return ad.gather_pairs(t, *rows, tokens=(_FIRST, _SECOND))
 
 
 def _pair_tail(spec, pair, weights=None):
@@ -254,7 +254,7 @@ def _encode(spec, aln, ii, jj):
     if not spec.site_local:
         t = _run(spec.seq_stack, ad.Tensor(aln.onehot()))
         if spec.is_pair_net:
-            return _pair_tail(spec, ad.concat([t[ii], t[jj]], axis=1)), None
+            return _pair_tail(spec, ad.gather_pairs(t, ii, jj)), None
         return t, None
     states = aln.states
     composition = np.stack([np.count_nonzero(states == a, axis=1) for a in range(N_STATES)], axis=1)

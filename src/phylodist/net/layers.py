@@ -132,8 +132,7 @@ class ChannelConv(Layer):
         return cls(rng.normal(0.0, scale, size=(c_out, c_in)), np.zeros(c_out), activation)
 
     def forward(self, t, weights=None):
-        out = ad.channel_map(self.weight, t, self.bias)
-        return _act(self.activation)(out)
+        return ad.channel_map(self.weight, t, self.bias, self.activation)
 
 
 class PerMemberConv(ChannelConv):
@@ -222,10 +221,6 @@ class Attention(Layer):
         )
 
     @property
-    def heads(self):
-        return self.w_q.shape[0]
-
-    @property
     def mixes_taxa(self):
         return self.axis == "taxa"
 
@@ -237,11 +232,9 @@ class Attention(Layer):
             x = ad.moveaxis(t, 2, 0)  # (site, rows, d): tokens = rows
         scale = 1.0 / np.sqrt(d)
         log_counts = None if weights is None else weights.log_counts  # keys repeat count times
-        # the projections stay nodes, since the attention backward reads their
-        # values; built head by head as attention consumes them
-        weights_qkv = (self.w_q, self.w_k, self.w_v)
-        heads = (tuple(x @ w[h] for w in weights_qkv) for h in range(self.heads))
-        x = ad.attention(x, heads, scale, log_counts)
+        # no projection is a node: the attention backward recomputes each
+        # head's q, k and v from x, which the tape keeps anyway
+        x = ad.attention(x, self.w_q, self.w_k, self.w_v, scale, log_counts)
         if self.axis == "site":
             return ad.moveaxis(x, 2, 1)
         return ad.moveaxis(x, 0, 2)

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from phylodist import autodiff as ad
-from phylodist.errors import NumericError
+from phylodist.errors import ConfigError, NumericError
+from phylodist.net.architectures import _pair_tokens
 
 from util import (
     finite_difference_check,
     gradients,
     reference_attention,
     reference_channel_map,
+    reference_pair_tokens,
 )
 
 
@@ -55,19 +57,21 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
     rng = np.random.default_rng(3)
     p = _param(rng.normal(size=(2, 5, 3)))
     w = _param(rng.normal(size=(3, 3)))
+    ws = [_param(rng.normal(size=(1, 3, 3))) for _ in range(3)]
     consts = [ad.Tensor(rng.normal(size=(2, 5, 3))) for _ in range(3)]
 
     def term(c):
         h = ad.elu((p + c) @ w)
-        return ad.tensor_sum(ad.attention(p, [(h, h, p)], 0.5) ** 2.0)
+        return ad.tensor_sum(ad.attention(h, *ws, 0.5) ** 2.0)
 
+    params = [p, w] + ws
     for weight in (1.0, 1.0 / 3.0):
-        summed = gradients((term(consts[0]) + term(consts[1]) + term(consts[2])) * weight, [p, w])
-        for q in (p, w):
+        summed = gradients((term(consts[0]) + term(consts[1]) + term(consts[2])) * weight, params)
+        for q in params:
             q.grad = None
         for c in consts:
             term(c).backward(weight)
-        for g, q in zip(summed, (p, w)):
+        for g, q in zip(summed, params):
             assert np.array_equal(g, q.grad)
         assert all(c.grad is None for c in consts)
 
@@ -75,7 +79,8 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
 def test_a_graph_backpropagates_once():
     rng = np.random.default_rng(4)
     p = _param(rng.normal(size=(2, 5, 3)))
-    loss = ad.tensor_sum(ad.attention(p, [(ad.elu(p), p, p)], 0.5) ** 2.0)
+    ws = [_param(rng.normal(size=(1, 3, 3))) for _ in range(3)]
+    loss = ad.tensor_sum(ad.attention(ad.elu(p), *ws, 0.5) ** 2.0)
     loss.backward()
     first = p.grad.copy()
     with pytest.raises(NumericError):
@@ -84,17 +89,17 @@ def test_a_graph_backpropagates_once():
 
 
 def test_backward_frees_the_attention_probabilities():
-    # each head's (rows, T, T) probability array is score-sized; x, q, k and v are not
+    # each head's (rows, T, T) probability array is score-sized; x and the weights are not
     rng = np.random.default_rng(5)
     rows, t, d = 4, 200, 4
     x = _param(rng.normal(size=(rows, t, 2 * d)))
-    q, k, v = (_param(rng.normal(size=(rows, t, d))) for _ in range(3))
+    ws = [_param(rng.normal(size=(2, 2 * d, d))) for _ in range(3)]
     tracemalloc.start()
     try:
-        loss = ad.tensor_sum(ad.attention(x, [(q, k, v), (k, q, v)], 0.5))
+        loss = ad.tensor_sum(ad.attention(x, *ws, 0.5))
         before = tracemalloc.get_traced_memory()[0]
         loss.backward()
-        for leaf in (x, q, k, v):
+        for leaf in [x] + ws:
             leaf.grad = None
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:
@@ -192,21 +197,20 @@ def test_attention_matches_finite_differences(counted):
     # pattern-token nets share one row of x, q, k, v across the rows of log_counts
     rows, log_counts = (1, _log_counts(rng, 4, 5)) if counted else (2, None)
     x = _param(rng.normal(size=(rows, 5, 4)))
-    q1, k1, q2, k2 = (_param(rng.normal(size=(rows, 5, 3))) for _ in range(4))
-    v1, v2 = (_param(rng.normal(size=(rows, 5, 2))) for _ in range(2))
+    ws = [_param(rng.normal(size=(2, 4, 2))) for _ in range(3)]
     probe = rng.normal(size=(4 if counted else rows, 5, 4))
     worst = finite_difference_check(
-        lambda: ad.tensor_sum(ad.attention(x, [(q1, k1, v1), (q2, k2, v2)], 0.7, log_counts) * probe),
-        [x, q1, k1, v1, q2, k2, v2],
+        lambda: ad.tensor_sum(ad.attention(x, *ws, 0.7, log_counts) * probe), [x] + ws
     )
     assert worst < 1e-4
 
 
 def test_attention_probability_rows_sum_to_one():
     rng = np.random.default_rng(5)
-    q, k = (ad.Tensor(rng.normal(size=(1, 9, 4)) * 10) for _ in range(2))
+    w_q, w_k = (rng.normal(size=(1, 9, 4)) * 10 for _ in range(2))
     log_counts = _log_counts(rng, 7, 9)
-    p = ad.attention(np.zeros((1, 9, 9)), [(q, k, np.eye(9)[None])], 1.0, log_counts).data  # 0 + p @ I
+    eye = np.eye(9)[None]  # x = I, so v = I @ I and the value is I + p @ I
+    p = ad.attention(eye, w_q, w_k, eye, 1.0, log_counts).data - eye
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-9)
     assert np.all(p[0, :, 1:3] == 0.0)  # absent keys get no weight
 
@@ -232,25 +236,19 @@ def _assert_graphs_agree(fused, reference, params, probe):
 @pytest.mark.parametrize("counted", [False, True], ids=["scores", "log_counts"])
 @pytest.mark.parametrize("projected", [False, True], ids=["leaves", "projected"])
 def test_attention_matches_per_head_composition_bit_for_bit(projected, counted):
-    # three heads, x a moveaxis view, and log_counts widening one row to four
+    # three heads, and log_counts widening one row to four.  x is a leaf, or
+    # the moveaxis view of a (rows, d, site) leaf that Attention.forward
+    # projects onto site tokens
     rng = np.random.default_rng(7)
     log_counts = _log_counts(rng, 4, 5) if counted else None
-    x_leaf = _param(rng.normal(size=(1, 6, 5)))
-    if projected:  # as Attention.forward builds them
-        ws = [_param(rng.normal(size=(3, 6, 2))) for _ in range(3)]
-        params = [x_leaf] + ws
-    else:
-        qkv = [_param(rng.normal(size=(1, 5, 2))) for _ in range(9)]
-        params = [x_leaf] + qkv
+    x_leaf = _param(rng.normal(size=(1, 6, 5) if projected else (1, 5, 6)))
+    ws = [_param(rng.normal(size=(3, 6, 2))) for _ in range(3)]
 
     def run(op):
-        x = ad.moveaxis(x_leaf, 1, 2)
-        if projected:
-            heads = [tuple(x @ w[h] for w in ws) for h in range(3)]
-        else:
-            heads = [tuple(qkv[3 * h : 3 * h + 3]) for h in range(3)]
-        return op(x, heads, 0.4, log_counts)
+        x = ad.moveaxis(x_leaf, 1, 2) if projected else x_leaf
+        return op(x, *ws, 0.4, log_counts)
 
+    params = [x_leaf] + ws
     probe = rng.normal(size=(4 if counted else 1, 5, 6))
     _assert_graphs_agree(
         lambda: run(ad.attention), lambda: run(reference_attention), params, probe
@@ -276,6 +274,68 @@ def test_channel_map_matches_composition_bit_for_bit(biased):
     probe = np.moveaxis(rng.normal(size=(3, 40 if biased else 1, 5)), 2, 1)
     _assert_graphs_agree(
         lambda: run(ad.channel_map), lambda: run(reference_channel_map), params, probe
+    )
+
+
+@pytest.mark.parametrize("activation", ["elu", "relu"])
+def test_channel_map_activation_matches_composition_bit_for_bit(activation):
+    # the activation overwrites the map's value in place; zeros, a subnormal
+    # and large magnitudes sit on both sides of the kink
+    rng = np.random.default_rng(9)
+    w, b = _param(rng.normal(size=(5, 4))), _param(rng.normal(size=5))
+    t_leaf = _param(rng.normal(size=(3, 40, 4)))
+    t_leaf.data[0, :5] = [[0.0] * 4, [-0.0] * 4, [5e-324] * 4, [800.0] * 4, [-800.0] * 4]
+    w.data[0], b.data[0] = 0.0, 0.0  # the first output channel is exactly zero
+
+    def run(op):
+        return op(w, ad.moveaxis(t_leaf, 2, 1), b)
+
+    def fused(*args):
+        return ad.channel_map(*args, activation)
+
+    def separate(*args):
+        return ad.ACTIVATIONS[activation](reference_channel_map(*args))
+
+    probe = np.moveaxis(rng.normal(size=(3, 40, 5)), 2, 1)
+    _assert_graphs_agree(lambda: run(fused), lambda: run(separate), [t_leaf, w, b], probe)
+
+
+def test_channel_map_rejects_an_activation_it_cannot_apply_in_place():
+    with pytest.raises(ConfigError, match="softplus"):
+        ad.channel_map(np.eye(2), np.ones((1, 2, 3)), activation="softplus")
+
+
+def test_gather_pairs_matches_take_and_concat_bit_for_bit():
+    # pairs of rows of a moveaxis view, some rows in several pairs
+    rng = np.random.default_rng(10)
+    t_leaf = _param(rng.normal(size=(5, 7, 3)))
+    ii, jj = np.array([0, 0, 1, 3, 2, 4]), np.array([1, 2, 2, 4, 4, 0])
+
+    def run(op):
+        return op(ad.moveaxis(t_leaf, 2, 1))
+
+    probe = rng.normal(size=(6, 6, 7))
+    _assert_graphs_agree(
+        lambda: run(lambda t: ad.gather_pairs(t, ii, jj)),
+        lambda: run(lambda t: ad.concat([t[ii], t[jj]], axis=1)),
+        [t_leaf],
+        probe,
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 5], ids=["shared", "per-taxon"])
+def test_pair_tokens_match_take_and_concat_bit_for_bit(rows):
+    # (1 or taxa, C, 4) state features in the layout a channel map leaves
+    rng = np.random.default_rng(11)
+    t_leaf = _param(rng.normal(size=(rows, 4, 3)))
+    ii, jj = np.array([0, 0, 1, 3, 2, 4]), np.array([1, 2, 2, 4, 4, 0])
+
+    def run(op):
+        return op(ad.moveaxis(t_leaf, 2, 1), ii, jj)
+
+    probe = rng.normal(size=(1 if rows == 1 else 6, 6, 16))
+    _assert_graphs_agree(
+        lambda: run(_pair_tokens), lambda: run(reference_pair_tokens), [t_leaf], probe
     )
 
 

@@ -1,6 +1,11 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from phylodist.train import (
     write_history_csv,
 )
 
-from util import graph_nbytes
+from util import graph_nbytes, tape_bytes_by_op
 
 SMALL = dict(channels=8, heads=2, embed_dim=6, g_hidden=(6,))
 
@@ -179,7 +184,7 @@ def test_later_training_matches_a_fresh_copy():
 
 @pytest.mark.parametrize(
     "arch, bound_mib",
-    [("FullAttentionSP", 95), ("HybridAttentionSP", 70)],
+    [("FullAttentionSP", 60), ("HybridAttentionSP", 50)],
     ids=["FullAttentionSP", "HybridAttentionSP"],
 )
 def test_training_epoch_memory_is_bounded(arch, bound_mib):
@@ -187,7 +192,9 @@ def test_training_epoch_memory_is_bounded(arch, bound_mib):
     # of its four alignments, and the previous step's graph with them: 701 MB
     # for FullAttentionSP; a graph whose backward keeps what its nodes saved,
     # 146 MiB; one whose tape also keeps the per-head outputs of each attention
-    # layer and the product before each bias, 105.7 MiB (HybridAttentionSP 76.4)
+    # layer and the product before each bias, 105.7 MiB (HybridAttentionSP 76.4);
+    # one that also keeps the q, k and v projections, each conv's value before
+    # its activation and the pair-stage gathers, 84.1 MiB (HybridAttentionSP 61.5)
     spec = build_architecture(arch, channels=16, heads=2, seed=1)
     data = make_dataset(spec, n_taxa=10, length=100, count=8)
     cfg = TrainConfig(max_epochs=1, batch_size=4, seed=1)
@@ -200,13 +207,44 @@ def test_training_epoch_memory_is_bounded(arch, bound_mib):
     assert peak < bound_mib * 2**20
 
 
+def _one_alignment_tape(arch, n_taxa, channels, heads):
+    """(spec, n, MAE loss of one L=100 alignment, taped) at weights seed 1."""
+    spec = build_architecture(arch, channels=channels, heads=heads, seed=1)
+    ((aln, target, _),) = make_dataset(spec, n_taxa=n_taxa, length=100, count=1)
+    _, out = forward_matrix(spec, aln)
+    return spec, aln.n, batch_loss("mae", [(out, target)])
+
+
+# the bench train shape, and the CLI's 64 channels and 4 heads with 20 taxa
+TAPE_SHAPES = {"FullAttentionSP": (10, 16, 2), "SitesAttentionP": (20, 64, 4)}
+
+
 def test_one_alignment_graph_holds_only_what_backward_reads():
     # the bench train shape; the tape that also kept the per-head outputs of
-    # each attention layer and the product before each bias held 69.5 MiB
-    spec = build_architecture("FullAttentionSP", channels=16, heads=2, seed=1)
-    ((aln, target, _),) = make_dataset(spec, n_taxa=10, length=100, count=1)
-    _, out = forward_matrix(spec, aln)
-    assert graph_nbytes(batch_loss("mae", [(out, target)])) <= 60 * 2**20
+    # each attention layer and the product before each bias held 69.5 MiB, and
+    # one that also kept the q, k and v projections, each conv's value before
+    # its activation and the pair-stage gathers 58.8 MiB
+    _, _, loss = _one_alignment_tape("FullAttentionSP", *TAPE_SHAPES["FullAttentionSP"])
+    assert graph_nbytes(loss) <= 45 * 2**20
+
+
+def test_site_attention_pair_graph_is_bounded():
+    # pattern tokens keep this tape the same at any L; it held 60.7 MiB while
+    # it kept the q, k and v projections, each conv's value before its
+    # activation and the pair-stage gathers
+    _, _, loss = _one_alignment_tape("SitesAttentionP", *TAPE_SHAPES["SitesAttentionP"])
+    assert graph_nbytes(loss) <= 36 * 2**20
+
+
+@pytest.mark.parametrize("arch", sorted(TAPE_SHAPES))
+def test_tape_keeps_no_projection_and_no_pair_gather(arch):
+    spec, n, loss = _one_alignment_tape(arch, *TAPE_SHAPES[arch])
+    by_op = tape_bytes_by_op(loss)
+    # the matmul nodes left are the pair head's dense layers, (P, width) each,
+    # and the one take scatters the pair values: its (n, n) value and index
+    pairs = n * (n - 1) // 2
+    assert by_op["matmul"] <= sum(pairs * layer.weight.shape[1] * 8 for layer in spec.g.dense)
+    assert by_op["take"] <= 2 * n * n * 8
 
 
 # Recorded before train() ran backward one alignment at a time; pins the final
@@ -226,6 +264,61 @@ def test_training_matches_golden_digest():
                 h.update(np.ascontiguousarray(p.data).tobytes())
             h.update(repr(result.history).encode())
     assert h.hexdigest() == TRAIN_DIGEST
+
+
+# One epoch of each architecture at the bench train shapes (16 channels, 2
+# heads, batch 4, seed 1): sha256 of the final weights and the history.  Run
+# with one BLAS thread, since the nets that mix taxa do not yet keep their bits
+# across thread counts.  Recorded before the tape stopped keeping the attention
+# projections, the conv pre-activations and the pair-stage gathers.
+_BENCH_EPOCH = """
+import hashlib, json
+import numpy as np
+from phylodist.net.architectures import build_architecture
+from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
+from phylodist.train import TrainConfig, train, training_targets
+out = {}
+for c, (arch, n, length, loss, head) in enumerate(%r):
+    spec = build_architecture(arch, head=head, channels=16, heads=2, n_taxa=n, seed=1)
+    sets = []
+    for s in np.random.default_rng([1, 10 + c]).integers(0, 2**62, size=10):
+        truth = simulate_bd_tree(BDParams(1.0, 0.5, n), int(s))
+        sets.append((evolve_alignment(truth, SubstModel("K2P", kappa=2.0), length, int(s)), truth))
+    data = [(a, training_targets(spec, t, a.labels)) for a, t in sets[:8]]
+    cfg = TrainConfig(max_epochs=1, patience=100, batch_size=4, loss=loss, seed=1)
+    result = train(spec, data, cfg, val_data=sets[8:])
+    h = hashlib.sha256()
+    for p in spec.parameters():
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    h.update(repr(result.history).encode())
+    out[arch] = h.hexdigest()
+print(json.dumps(out))
+"""
+BENCH_CASES = (
+    ("SitesAttentionP", 10, 100, "mae", None),
+    ("FullAttentionSP", 10, 100, "mae", None),
+    ("HybridAttentionSP", 10, 100, "mae", None),
+    ("FullAttentionS", 10, 100, "mae", None),
+    ("SitesInvariantS", 64, 200, "mse", "euclidean"),
+    ("FullInvariantS", 64, 200, "mae", "inner_product"),
+)
+BENCH_EPOCH_DIGESTS = {
+    "SitesAttentionP": "5d9e9ebb8198a34a8244543a7785a442e99817e5955015401f87a3384c5f9919",
+    "FullAttentionSP": "4d271545b800748a34f352d2f89f77bf6b174a715eadf1f1c2a728b0aa756741",
+    "HybridAttentionSP": "37530e1a9a41dbfebb675410d9ac7821b7cffbff4008274a90bc85ba1fded112",
+    "FullAttentionS": "0aba650b94c72bc785d56ff1bce6eeac447750eeeb0ff990dac14fafbce94468",
+    "SitesInvariantS": "89d1b12becca5d6a714ea2f83ce63a6cc93c4a8bb65a52816e4002e3b6e5082f",
+    "FullInvariantS": "fb30358ec090f07cac5bd20baecf852b47b8c39d020d5b694789bcc28290da0b",
+}
+
+
+def test_bench_shape_epoch_matches_golden_digests():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _BENCH_EPOCH % (BENCH_CASES,)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == BENCH_EPOCH_DIGESTS
 
 
 def test_history_csv_roundtrip(tmp_path):

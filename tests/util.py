@@ -5,6 +5,7 @@ import numpy as np
 
 from phylodist import autodiff as ad
 from phylodist.alignment import ALPHABET
+from phylodist.net.architectures import _FIRST, _SECOND
 from phylodist.net.layers import MeanPoolSites
 from phylodist.simulate import _spectral, _stochastic_rows
 from phylodist.tree import PhyloTree
@@ -264,8 +265,10 @@ def reference_head_attention(q, k, v, scale, log_counts=None):
     return ad._node(p @ v.data, (q, k, v), push)
 
 
-def reference_attention(x, heads, scale, log_counts=None):
-    """autodiff.attention composed of separate nodes: x + concat of the heads."""
+def reference_attention(x, w_q, w_k, w_v, scale, log_counts=None):
+    """autodiff.attention composed of separate nodes: x + concat of the heads,
+    each head's q, k and v a matmul node of x and a take node of its weights."""
+    heads = [tuple(x @ w[h] for w in (w_q, w_k, w_v)) for h in range(w_q.shape[0])]
     outs = [reference_head_attention(q, k, v, scale, log_counts) for q, k, v in heads]
     return x + ad.concat(outs, axis=-1)
 
@@ -277,31 +280,49 @@ def reference_channel_map(w, t, b=None):
     return out if b is None else out + ad.reshape(b, (1, -1, 1))
 
 
-def graph_nbytes(root):
-    """Bytes a taped graph holds: every node's value and every array its push
-    saved (in lists and tuples too), each distinct base array counted once.
-    Unlike tracemalloc, the count does not depend on the allocator."""
-    bases, seen, stack = {}, set(), [root]
+def reference_pair_tokens(t, ii, jj):
+    """architectures._pair_tokens composed of separate take and concat nodes."""
+    first, second = (t[ii], t[jj]) if t.shape[0] > 1 else (t, t)
+    return ad.concat([first[:, :, _FIRST], second[:, :, _SECOND]], axis=1)
 
-    def hold(obj):
+
+def tape_bytes_by_op(root):
+    """Bytes a taped graph holds, by the op of the node holding them: every
+    node's value and every array its push saved (in lists and tuples too).
+    Each distinct base array counts once, under the first node that reaches
+    it in a walk from root; views count under their base.  The op is the
+    function that made the node's push ("leaf" for a node without one)."""
+    owners, seen, stack = {}, set(), [root]
+
+    def hold(obj, op):
         if isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
-            bases[id(obj)] = obj
+            owners.setdefault(id(obj), (op, obj))
         elif isinstance(obj, (list, tuple)):
             for item in obj:
-                hold(item)
+                hold(item, op)
 
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        hold(node.data)
+        op = node._push.__qualname__.split(".")[0] if node._push else "leaf"
+        hold(node.data, op)
         for cell in getattr(node._push, "__closure__", None) or ():
-            hold(cell.cell_contents)
+            hold(cell.cell_contents, op)
         stack.extend(node._parents)
-    return sum(a.nbytes for a in bases.values())
+    totals = {}
+    for op, array in owners.values():
+        totals[op] = totals.get(op, 0) + array.nbytes
+    return totals
+
+
+def graph_nbytes(root):
+    """Bytes a taped graph holds (see tape_bytes_by_op).  Unlike tracemalloc,
+    the count does not depend on the allocator."""
+    return sum(tape_bytes_by_op(root).values())
 
 
 def gradients(loss, params):
