@@ -1,24 +1,51 @@
 """Every file the library writes goes through here: a reader of the target
 path sees either its previous bytes or the complete new file, never a partial one.
-A missing parent directory is made with the first file written into it."""
+A missing parent directory is made with the first file written into it.
+
+A target that already holds exactly the new bytes is left as it is (inode,
+mode and mtime included) and the temporary file is dropped: renaming over an
+existing file can cost a data flush, which dominated re-runs into one output
+directory.  A symlink at the target is replaced, never followed.
+"""
 
 import os
+import stat
 from contextlib import contextmanager
+
+CHUNK = 1 << 20  # bytes compared at a time, so a large file's compare stays small
 
 
 @contextmanager
 def atomic_open(path, mode="w"):
-    """Write to a temporary name beside path, moved onto path if the block succeeds."""
+    """Write to a temporary name beside path, moved onto path if the block
+    succeeds and path does not already hold the same bytes."""
     if parent := os.path.dirname(path):
         os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, mode) as fh:
             yield fh
-        os.replace(tmp, path)
+        if not _same_bytes(tmp, path):
+            os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _same_bytes(tmp, path):
+    """Whether path is a regular file holding exactly tmp's bytes; any OSError
+    on the way answers no, so the caller replaces it."""
+    try:
+        target = os.lstat(path)
+        if not stat.S_ISREG(target.st_mode) or target.st_size != os.path.getsize(tmp):
+            return False
+        with open(tmp, "rb") as new, open(path, "rb") as old:
+            while chunk := new.read(CHUNK):
+                if old.read(CHUNK) != chunk:
+                    return False
+            return True
+    except OSError:
+        return False
 
 
 def write_text(path, text):

@@ -57,7 +57,10 @@ class LabeledMatrix:
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
             raise DataError("duplicate labels")
-        idx = [self.index(l) for l in labels]
+        position = {label: i for i, label in enumerate(self.labels)}
+        if unknown := [l for l in labels if l not in position]:
+            raise ValueError(f"unknown label {unknown[0]!r}")
+        idx = [position[l] for l in labels]
         values = self.values[np.ix_(idx, idx)]
         values.setflags(write=False)
         out = object.__new__(type(self))

@@ -78,6 +78,36 @@ def test_infer_analytic_end_to_end(tmp_path):
     assert (trees / "rep_0000.dist.tsv").exists()
 
 
+def test_infer_rerun_leaves_unchanged_outputs_alone(tmp_path, monkeypatch):
+    sims, trees, fresh = tmp_path / "sims", tmp_path / "trees", tmp_path / "fresh"
+    run("simulate", "--out", sims, "--replicates", "2", "--n", "8",
+        "--length", "400", "--seed", "3")
+    infer = ("infer", "--alignments", sims, "--out", trees)
+    assert run(*infer) == 0
+
+    def snapshot(out):
+        return {f.name: (f.read_bytes(), f.stat().st_ino) for f in sorted(out.iterdir())}
+
+    before = snapshot(trees)
+    replaced = []
+    real = os.replace
+
+    def counting(src, dst):
+        replaced.append(Path(dst).name)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting)
+    assert run(*infer) == 0
+    assert replaced == [] and snapshot(trees) == before
+
+    assert run(*infer, "--algorithm", "bionj") == 0
+    assert replaced == ["rep_0000.nwk", "rep_0001.nwk", "manifest.txt"]
+    assert "algorithm=bionj\n" in (trees / "manifest.txt").read_text()
+    assert run("infer", "--alignments", sims, "--out", fresh, "--algorithm", "bionj") == 0
+    for name in ("rep_0000.nwk", "rep_0001.nwk"):
+        assert (trees / name).read_bytes() == (fresh / name).read_bytes() != before[name][0]
+
+
 def test_infer_degenerate_alignment_fails_numeric(tmp_path):
     aln_dir = tmp_path / "degenerate"
     aln_dir.mkdir()

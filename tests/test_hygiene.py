@@ -1,7 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
 function it defines and every name it binds at module level is read by the
 library, a demo or the bench (not only by tests), only phylodist.files
-opens files for writing or makes directories, only phylodist.tree
+opens files for writing, moves them or makes directories, only phylodist.tree
 constructs a PhyloTree, and no module starts threads or processes."""
 
 import ast
@@ -82,6 +82,45 @@ def mentions(source, names):
         if name in names:
             found.append((node.lineno, name))
     return sorted(found)
+
+
+def file_moves(source):
+    """(line, name) of each rename, renames or move (of os, shutil or a Path)
+    and of each replace taken from os; replace on anything else is
+    str.replace as often as not."""
+    found = mentions(source, ("rename", "renames", "move"))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name == "replace"]
+    return sorted(found)
+
+
+def test_only_files_moves_files():
+    """files.atomic_open is the one rename onto an output, and the one place
+    that leaves a file already holding the new bytes alone."""
+    found = {
+        str(p.relative_to(PACKAGE)): names
+        for p in MODULES
+        if p.name != "files.py" and (names := file_moves(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_a_file_move():
+    source = (
+        "os.replace(a, b)\nkey.replace('_', '-')\nos.rename(a, b)\nshutil.move(a, b)\n"
+        "from os import replace\nfrom shutil import move as mv\nos.path.join(a)\n"
+        "Path(a).rename(b)\nPath(a).stem.replace('x', 'y')\nos.renames(a, b)\n"
+    )
+    assert file_moves(source) == [
+        (1, "replace"), (3, "rename"), (4, "move"), (5, "replace"), (6, "move"),
+        (8, "rename"), (10, "renames"),
+    ]
 
 
 def directory_makers(source):

@@ -246,6 +246,19 @@ def test_reorder_holds_one_matrix():
     assert peak < 1.3 * got.values.nbytes
 
 
+def test_reorder_names_an_unknown_label_and_matches_the_gather():
+    # large enough that a linear scan per label would cost more than the gather
+    n = 2000
+    x = np.random.default_rng(11).random(n)
+    d = DistanceMatrix([f"t{i}" for i in range(n)], np.abs(x[:, None] - x[None, :]))
+    idx = np.random.default_rng(12).permutation(n)
+    got = d.reorder([d.labels[i] for i in idx])
+    assert got.labels == tuple(d.labels[i] for i in idx)
+    assert np.array_equal(got.values, d.values[np.ix_(idx, idx)])
+    with pytest.raises(ValueError, match="unknown label 'u'"):
+        d.reorder(["t0", "u"])
+
+
 def test_repr_names_the_class():
     assert repr(CovarianceMatrix(["A", "B"], np.eye(2))) == "CovarianceMatrix(n=2)"
     assert repr(DistanceMatrix(["A", "B"], np.zeros((2, 2)))) == "DistanceMatrix(n=2)"
