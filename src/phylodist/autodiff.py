@@ -17,19 +17,22 @@ context variable, so each thread has its own.
 
 The op set is exactly what the network layers and losses run: ``+``, ``*``,
 binary ``-``, ``**``, indexing, ``@`` on operands with 2 or more dimensions,
-six activations, two sums, ``attention``, ``channel_map``, five shape ops and
-four matrix ops.  ``ordered_sum`` sorts before summing, so its value depends
-only on the multiset of addends.  ``attention`` is one node per attention
-layer: the q, k and v projections of x by every head, their softmax
-attention and the residual update of x.  It keeps only each head's softmax
-probabilities and recomputes the projections in its backward, which replays
-the chain rule of the separate projection, scale, log-count, softmax, concat
-and residual steps op for op.  ``channel_map`` is one node for a per-site
-channel matmul, its bias and its activation, which overwrites the value in
-place.  ``gather_pairs`` is one node for the two row gathers of a pair stage
-and their concat, and keeps only the indices.  None of them keeps an
-intermediate array that no backward reads, and their values and gradients
-keep the bits of the separate steps.
+four elementwise functions, ``activation``, two sums, ``attention``,
+``channel_map``, five shape ops and four matrix ops.  ``ACTIVATIONS`` is the
+one table of how identity, relu and elu apply in place and how each reads its
+derivative from its output; ``activation`` and ``channel_map`` both use it.
+``ordered_sum`` sorts before summing, so its value depends only on the
+multiset of addends.  ``attention`` is one node per attention layer: the q, k
+and v projections of x by every head, their softmax attention and the
+residual update of x.  It keeps only each head's softmax probabilities and
+recomputes the projections in its backward, which replays the chain rule of
+the separate projection, scale, log-count, softmax, concat and residual steps
+op for op.  ``channel_map`` is one node for a per-site channel matmul, its
+bias and its activation, which overwrites the value in place.
+``gather_pairs`` is one node for the two row gathers of a pair stage and
+their concat, and keeps only the indices.  None of them keeps an intermediate
+array that no backward reads, and their values and gradients keep the bits of
+the separate steps.
 """
 
 import contextvars
@@ -262,28 +265,6 @@ def absolute(a):
     return _node(out_data, (a,), push)
 
 
-def relu(a):
-    a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def push(g):
-        a._accumulate(g * (a.data > 0.0))
-
-    return _node(out_data, (a,), push)
-
-
-def elu(a):
-    a = as_tensor(a)
-    neg = np.expm1(np.minimum(a.data, 0.0))
-    out_data = np.where(a.data > 0.0, a.data, neg)
-
-    def push(g):
-        # out_data equals neg wherever a <= 0
-        a._accumulate(g * np.where(a.data > 0.0, 1.0, out_data + 1.0))
-
-    return _node(out_data, (a,), push)
-
-
 def softplus(a):
     a = as_tensor(a)
     out_data = np.logaddexp(0.0, a.data)
@@ -294,12 +275,40 @@ def softplus(a):
     return _node(out_data, (a,), push)
 
 
+def _elu_in_place(a):
+    np.copyto(a, np.expm1(np.minimum(a, 0.0)), where=~(a > 0.0))
+
+
+# activation -> (apply it in place, its derivative read from its output):
+# out > 0 exactly where the input was, so the output alone serves backward
 ACTIVATIONS = {
-    "relu": relu,
-    "elu": elu,
-    "softplus": softplus,
-    "identity": lambda t: t,
+    "identity": (None, None),
+    "relu": (lambda a: np.maximum(a, 0.0, out=a), lambda out: out > 0.0),
+    "elu": (_elu_in_place, lambda out: np.where(out > 0.0, 1.0, out + 1.0)),
 }
+
+
+def _activation(name):
+    if name not in ACTIVATIONS:
+        raise ConfigError(f"activations are {sorted(ACTIVATIONS)}, not {name!r}")
+    return ACTIVATIONS[name]
+
+
+def activation(a, name):
+    """The named activation of a as one node; identity returns a itself."""
+    apply, slope = _activation(name)
+    a = as_tensor(a)
+    if apply is None:
+        return a
+    # order "K" keeps a's layout, so sums over the value and its gradient
+    # downstream add in the order they would over a's
+    out_data = a.data.copy(order="K")
+    apply(out_data)
+
+    def push(g):
+        a._accumulate(g * slope(out_data))
+
+    return _node(out_data, (a,), push)
 
 
 # -- reductions ----------------------------------------------------------------------
@@ -403,29 +412,14 @@ def attention(x, w_q, w_k, w_v, scale, log_counts=None):
     return _node(out_data, (x, w_q, w_k, w_v), push)
 
 
-def _elu_in_place(a):
-    np.copyto(a, np.expm1(np.minimum(a, 0.0)), where=~(a > 0.0))
-
-
-# activation -> (apply it in place, its derivative read from its output):
-# out > 0 exactly where the input was, so the output alone serves backward
-_IN_PLACE = {
-    "identity": (None, None),
-    "relu": (lambda a: np.maximum(a, 0.0, out=a), lambda out: out > 0.0),
-    "elu": (_elu_in_place, lambda out: np.where(out > 0.0, 1.0, out + 1.0)),
-}
-
-
 def channel_map(w, t, b=None, activation="identity"):
     """act((c_out, c_in) weights w applied at every site of a (rows, c_in,
     site) tensor t, plus a (c_out,) bias b when given) as one node.
 
-    activation is "identity", "relu" or "elu"; it overwrites the map's value,
+    activation names an entry of ACTIVATIONS; it overwrites the map's value,
     so the tape keeps one array per map, not two.
     """
-    if activation not in _IN_PLACE:
-        raise ConfigError(f"channel_map applies {sorted(_IN_PLACE)}, not {activation!r}")
-    apply, slope = _IN_PLACE[activation]
+    apply, slope = _activation(activation)
     w, t = as_tensor(w), as_tensor(t)
     parents = (w, t)
     x, wt = np.moveaxis(t.data, 1, 2), np.moveaxis(w.data, 0, 1)

@@ -63,7 +63,7 @@ ALIGNMENT_EXTENSIONS = _FASTA_EXTENSIONS + (".phy", ".phylip")
 
 
 def read_config_file(path):
-    out = {}
+    out, set_on = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -71,8 +71,10 @@ def read_config_file(path):
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in set_on:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+            out[key], set_on[key] = val, lineno
     return out
 
 
@@ -324,6 +326,8 @@ def cmd_train(cfg):
     val_n = cfg["val_n"] or cfg["n"]
     if cfg["val_size"]:  # checked before the training set is simulated
         BDParams(cfg["lam"], cfg["mu"], val_n)
+        if val_n < 4:
+            raise ConfigError(f"validation by neighbor joining needs val_n >= 4, got {val_n}")
     if cfg["resume"]:
         spec = load_network(cfg["resume"])
         # the summary and manifest name the network trained, not the defaults

@@ -154,7 +154,7 @@ def build_architecture(
     if is_pair:
         pair_stack = [ChannelConv.random(2 * member, d, rng, "elu")]
         pair_stack += _layers(pair_blocks, d, heads, rng)
-        g = ScalarMLP.random(d, g_hidden, rng, activation="elu")
+        g = ScalarMLP.random(d, g_hidden, rng)
     else:
         embed = Dense.random(d, embed_dim, rng, activation="identity")
 

@@ -20,12 +20,6 @@ from .. import autodiff as ad
 from ..errors import ConfigError
 
 
-def _act(name):
-    if name not in ad.ACTIVATIONS:
-        raise ConfigError(f"unknown activation {name!r}")
-    return ad.ACTIVATIONS[name]
-
-
 class SiteWeights:
     """How many sites each token on the last axis stands for.
 
@@ -87,14 +81,13 @@ class EquivariantPair(Layer):
         x, y = pair[:, 0], pair[:, 1]
         sx = _site_sum(x, weights, keepdims=True)
         sy = _site_sum(y, weights, keepdims=True)
-        act = _act(self.activation)
         blocks_x, blocks_y = [], []
         n_heads = self.weights.shape[0]
         for h in range(n_heads):
             w = self.weights[h]
             w1, w2, w3, w4, w5 = (w[k] for k in range(5))
-            blocks_x.append(act(w1 * x + w2 * y + w3 * sx + w4 * sy + w5))
-            blocks_y.append(act(w1 * y + w2 * x + w3 * sy + w4 * sx + w5))
+            blocks_x.append(ad.activation(w1 * x + w2 * y + w3 * sx + w4 * sy + w5, self.activation))
+            blocks_y.append(ad.activation(w1 * y + w2 * x + w3 * sy + w4 * sx + w5, self.activation))
         out_x, out_y = ad.concat(blocks_x, axis=1), ad.concat(blocks_y, axis=1)
         both = ad.stack([out_x, out_y], axis=1)  # weights may broadcast the rows
         return ad.reshape(both, (both.shape[0], 2 * n_heads * c, length))
@@ -148,34 +141,27 @@ class PerMemberConv(ChannelConv):
 
 
 class DeepSetsMix(Layer):
-    """Exchangeable-context channel mix: self term plus mean-pooled context
-    terms along the site axis and (optionally) the taxa axis."""
+    """Exchangeable-context channel mix: ELU of a self term plus mean-pooled
+    context terms along the site axis and (optionally) the taxa axis."""
 
     param_names = ("w_self", "w_site", "w_taxa", "bias")
 
-    def __init__(self, w_self, w_site, w_taxa, bias, use_taxa, activation="elu"):
+    def __init__(self, w_self, w_site, w_taxa, bias, use_taxa):
         self.w_self = ad.Tensor(np.asarray(w_self, float), requires_grad=True)
         self.w_site = ad.Tensor(np.asarray(w_site, float), requires_grad=True)
         self.w_taxa = ad.Tensor(np.asarray(w_taxa, float), requires_grad=True)
         self.bias = ad.Tensor(np.asarray(bias, float), requires_grad=True)
         self.use_taxa = use_taxa
-        self.activation = activation
 
     @property
     def mixes_taxa(self):
         return self.use_taxa
 
     @classmethod
-    def random(cls, c_in, c_out, rng, use_taxa, activation="elu"):
+    def random(cls, c_in, c_out, rng, use_taxa):
         s = 1.0 / np.sqrt(c_in)
-        return cls(
-            rng.normal(0.0, s, size=(c_out, c_in)),
-            rng.normal(0.0, s, size=(c_out, c_in)),
-            rng.normal(0.0, s, size=(c_out, c_in)),
-            np.zeros(c_out),
-            use_taxa,
-            activation,
-        )
+        w_self, w_site, w_taxa = (rng.normal(0.0, s, size=(c_out, c_in)) for _ in range(3))
+        return cls(w_self, w_site, w_taxa, np.zeros(c_out), use_taxa)
 
     def forward(self, t, weights=None):
         out = ad.channel_map(self.w_self, t)
@@ -185,7 +171,7 @@ class DeepSetsMix(Layer):
             taxa_ctx = ad.ordered_sum(t, axis=0, keepdims=True) * (1.0 / t.shape[0])
             out = out + ad.channel_map(self.w_taxa, taxa_ctx)
         out = out + ad.reshape(self.bias, (1, -1, 1))
-        return _act(self.activation)(out)
+        return ad.activation(out, "elu")
 
 
 class Attention(Layer):
@@ -263,7 +249,7 @@ class Dense(Layer):
         return cls(rng.normal(0.0, s, size=(f_in, f_out)), np.zeros(f_out), activation)
 
     def forward(self, t):
-        return _act(self.activation)(t @ self.weight + self.bias)
+        return ad.activation(t @ self.weight + self.bias, self.activation)
 
 
 class ScalarMLP(Layer):
@@ -273,13 +259,11 @@ class ScalarMLP(Layer):
         self.dense = list(dense_layers)
 
     @classmethod
-    def random(cls, f_in, hidden, rng, activation="elu"):
+    def random(cls, f_in, hidden, rng):
+        """ELU hidden layers of the given widths and an identity output."""
         sizes = [f_in] + list(hidden) + [1]
-        layers = []
-        for i in range(len(sizes) - 1):
-            act = activation if i < len(sizes) - 2 else "identity"
-            layers.append(Dense.random(sizes[i], sizes[i + 1], rng, act))
-        return cls(layers)
+        acts = ["elu"] * len(hidden) + ["identity"]
+        return cls(Dense.random(a, b, rng, act) for a, b, act in zip(sizes, sizes[1:], acts))
 
     def params(self):
         return [(f"dense{i}.{n}", p) for i, layer in enumerate(self.dense) for n, p in layer.params()]

@@ -233,7 +233,7 @@ def fit_scalar_head(x, y, hidden=(16, 16, 16, 16), epochs=400, learning_rate=0.0
         raise ConfigError("need at least two (x, y) samples of equal length")
     (x, y), counts = np.unique(np.stack([x, y]), axis=1, return_counts=True)
     rng = substream(seed, "scalar-head")
-    mlp = ScalarMLP.random(1, hidden, rng, activation="elu")
+    mlp = ScalarMLP.random(1, hidden, rng)
     params = [p for _, p in mlp.params()]
     opt = Adam(params)
     xs = x[:, None]

@@ -13,7 +13,9 @@ from util import (
     gradients,
     reference_attention,
     reference_channel_map,
+    reference_elu,
     reference_pair_tokens,
+    reference_relu,
 )
 
 
@@ -61,7 +63,7 @@ def test_backward_per_term_accumulates_like_backward_of_sum():
     consts = [ad.Tensor(rng.normal(size=(2, 5, 3))) for _ in range(3)]
 
     def term(c):
-        h = ad.elu((p + c) @ w)
+        h = ad.activation((p + c) @ w, "elu")
         return ad.tensor_sum(ad.attention(h, *ws, 0.5) ** 2.0)
 
     params = [p, w] + ws
@@ -80,7 +82,7 @@ def test_a_graph_backpropagates_once():
     rng = np.random.default_rng(4)
     p = _param(rng.normal(size=(2, 5, 3)))
     ws = [_param(rng.normal(size=(1, 3, 3))) for _ in range(3)]
-    loss = ad.tensor_sum(ad.attention(ad.elu(p), *ws, 0.5) ** 2.0)
+    loss = ad.tensor_sum(ad.attention(ad.activation(p, "elu"), *ws, 0.5) ** 2.0)
     loss.backward()
     first = p.grad.copy()
     with pytest.raises(NumericError):
@@ -120,7 +122,7 @@ def test_gradients_ignore_stale_grads():
         lambda t: ad.tensor_sum(ad.exp(t)),
         lambda t: ad.tensor_sum(ad.sqrt(t + 5.0)),
         lambda t: ad.tensor_sum(ad.absolute(t) * t),
-        lambda t: ad.tensor_sum(ad.elu(t)),
+        lambda t: ad.tensor_sum(ad.activation(t, "elu")),
         lambda t: ad.tensor_sum(ad.softplus(t)),
         lambda t: ad.tensor_sum(ad.ordered_sum(t, axis=1) ** 2),
         lambda t: ad.tensor_sum(ad.tensor_sum(t, axis=0) ** 3),
@@ -277,6 +279,33 @@ def test_channel_map_matches_composition_bit_for_bit(biased):
     )
 
 
+SEPARATE_NODES = {"elu": reference_elu, "relu": reference_relu}
+
+
+@pytest.mark.parametrize("activation", ["elu", "relu"])
+def test_activation_matches_the_separate_node_bit_for_bit(activation):
+    # a moveaxis view plus a broadcast bias, as DeepSetsMix sums them: the
+    # value keeps that sum's layout, so the bias gradient sums in the same
+    # order.  Zeros, a subnormal and large magnitudes sit on both sides of
+    # the kink
+    rng = np.random.default_rng(11)
+    b = _param(rng.normal(size=5))
+    t_leaf = _param(rng.normal(size=(3, 40, 5)))
+    t_leaf.data[0, :5] = [[0.0] * 5, [-0.0] * 5, [5e-324] * 5, [800.0] * 5, [-800.0] * 5]
+    b.data[0] = 0.0  # the first channel holds those inputs exactly
+
+    def run(op):
+        return op(ad.moveaxis(t_leaf, 2, 1) + ad.reshape(b, (1, -1, 1)))
+
+    probe = np.moveaxis(rng.normal(size=(3, 40, 5)), 2, 1)
+    _assert_graphs_agree(
+        lambda: run(lambda t: ad.activation(t, activation)),
+        lambda: run(SEPARATE_NODES[activation]),
+        [t_leaf, b],
+        probe,
+    )
+
+
 @pytest.mark.parametrize("activation", ["elu", "relu"])
 def test_channel_map_activation_matches_composition_bit_for_bit(activation):
     # the activation overwrites the map's value in place; zeros, a subnormal
@@ -294,7 +323,7 @@ def test_channel_map_activation_matches_composition_bit_for_bit(activation):
         return ad.channel_map(*args, activation)
 
     def separate(*args):
-        return ad.ACTIVATIONS[activation](reference_channel_map(*args))
+        return SEPARATE_NODES[activation](reference_channel_map(*args))
 
     probe = np.moveaxis(rng.normal(size=(3, 40, 5)), 2, 1)
     _assert_graphs_agree(lambda: run(fused), lambda: run(separate), [t_leaf, w, b], probe)
@@ -303,6 +332,9 @@ def test_channel_map_activation_matches_composition_bit_for_bit(activation):
 def test_channel_map_rejects_an_activation_it_cannot_apply_in_place():
     with pytest.raises(ConfigError, match="softplus"):
         ad.channel_map(np.eye(2), np.ones((1, 2, 3)), activation="softplus")
+    # softplus stays its own op, outside the one table
+    with pytest.raises(ConfigError, match="softplus"):
+        ad.activation(ad.Tensor(np.ones(3)), "softplus")
 
 
 def test_gather_pairs_matches_take_and_concat_bit_for_bit():

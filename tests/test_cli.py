@@ -167,6 +167,14 @@ def test_train_writes_checkpoint_history_and_resumes(tmp_path):
     assert rows[-1].split(",")[0] == "2"  # epoch numbering continues
 
 
+def test_train_on_three_taxa_needs_no_validation_set(tmp_path):
+    # only neighbor joining on the validation trees needs 4 taxa
+    out = tmp_path / "run"
+    assert run("train", "--out", out, "--arch", "SitesInvariantS", "--n", "3", "--length", "20",
+               "--train-size", "2", "--val-size", "0", "--epochs", "1", "--channels", "4") == 0
+    assert (out / "checkpoint.pdnet").exists()
+
+
 def test_resume_records_the_checkpoint_network(tmp_path, capsys):
     out = tmp_path / "run"
     common = ["train", "--out", out, "--n", "5", "--length", "40", "--train-size", "2",
@@ -330,6 +338,7 @@ def small_inputs(tmp_path_factory):
     (root / "methods-none.cfg").write_text("methods=none\n")
     (root / "n-arabic.cfg").write_text("n=\u0663\n", encoding="utf-8")
     (root / "length-underscore.cfg").write_text("length=1_2\n")
+    (root / "repeated.cfg").write_text("n=5\n# the second n is an error, not a win\nn=6\n")
     return root
 
 
@@ -400,6 +409,9 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["infer", "--matrices", "{root}/d.tsv", "--method", "k2p"],
         ["infer", "--matrices", "{root}/d.tsv", "--ceiling", "9"],
         ["infer", "--matrices", "{root}/d.tsv", "--saturation", "error"],
+        ["train", "--val-n", "3"],
+        ["train", "--n", "3"],
+        ["simulate", "--config", "{root}/repeated.cfg"],
     ],
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
          "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
@@ -414,7 +426,8 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
          "eval-methods-empty", "simulate-threads-2", "infer-threads-2", "eval-threads-2",
          "infer-alignments-and-matrices", "infer-matrices-and-checkpoint",
          "infer-matrices-and-method", "infer-matrices-and-ceiling",
-         "infer-matrices-and-saturation"],
+         "infer-matrices-and-saturation", "train-val-n-3", "train-n-3",
+         "simulate-config-repeated-key"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]

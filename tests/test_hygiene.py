@@ -2,7 +2,8 @@
 function it defines and every name it binds at module level is read by the
 library, a demo or the bench (not only by tests), only phylodist.files
 opens files for writing, moves them or makes directories, only phylodist.tree
-constructs a PhyloTree, and no module starts threads or processes."""
+constructs a PhyloTree, only phylodist.autodiff defines an activation, and no
+module starts threads or processes."""
 
 import ast
 import importlib.util
@@ -169,6 +170,30 @@ def test_guard_flags_a_triangle():
     )
     assert mentions(source, TRIANGLES) == [
         (1, "triu"), (2, "triu_indices"), (3, "tril"), (6, "tril_indices"), (7, "triu"),
+    ]
+
+
+ACTIVATION_NAMES = ("relu", "elu", "expm1", "ACTIVATIONS")
+
+
+def test_only_autodiff_defines_activations():
+    """autodiff.ACTIVATIONS is the one place that applies and differentiates
+    an activation; a second copy can drift from it bit for bit."""
+    found = {
+        str(p.relative_to(PACKAGE)): names
+        for p in MODULES
+        if p.name != "autodiff.py" and (names := mentions(p.read_text(), ACTIVATION_NAMES))
+    }
+    assert found == {}
+
+
+def test_guard_flags_an_activation():
+    source = (
+        "ad.ACTIVATIONS[name]\nad.activation(t, 'elu')\nnp.expm1(x)\ndef relu(a):\n    pass\n"
+        "from .autodiff import elu\nEquivariantPair(w, activation='relu')\nsoftplus(x)\n"
+    )
+    assert mentions(source, ACTIVATION_NAMES) == [
+        (1, "ACTIVATIONS"), (3, "expm1"), (4, "relu"), (6, "elu"),
     ]
 
 

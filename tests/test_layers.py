@@ -234,7 +234,7 @@ def test_mean_pool_site_invariance():
 
 def test_scalar_mlp_gradcheck():
     rng = np.random.default_rng(20)
-    mlp = ScalarMLP.random(3, (5, 5), rng, activation="elu")
+    mlp = ScalarMLP.random(3, (5, 5), rng)
     t = ad.Tensor(rng.normal(size=(7, 3)))
     worst = finite_difference_check(
         lambda: ad.tensor_sum(mlp.forward(t) ** 2),

@@ -280,6 +280,30 @@ def reference_channel_map(w, t, b=None):
     return out if b is None else out + ad.reshape(b, (1, -1, 1))
 
 
+def reference_relu(a):
+    """The relu node autodiff.activation replaced: its backward reads the input."""
+    a = ad.as_tensor(a)
+    out_data = np.maximum(a.data, 0.0)
+
+    def push(g):
+        a._accumulate(g * (a.data > 0.0))
+
+    return ad._node(out_data, (a,), push)
+
+
+def reference_elu(a):
+    """The elu node autodiff.activation replaced: its backward reads the input."""
+    a = ad.as_tensor(a)
+    neg = np.expm1(np.minimum(a.data, 0.0))
+    out_data = np.where(a.data > 0.0, a.data, neg)
+
+    def push(g):
+        # out_data equals neg wherever a <= 0
+        a._accumulate(g * np.where(a.data > 0.0, 1.0, out_data + 1.0))
+
+    return ad._node(out_data, (a,), push)
+
+
 def reference_pair_tokens(t, ii, jj):
     """architectures._pair_tokens composed of separate take and concat nodes."""
     first, second = (t[ii], t[jj]) if t.shape[0] > 1 else (t, t)
