@@ -27,8 +27,9 @@ and v projections of x by every head, their softmax attention and the
 residual update of x.  It keeps only each head's softmax probabilities and
 recomputes the projections in its backward, which replays the chain rule of
 the separate projection, scale, log-count, softmax, concat and residual steps
-op for op.  ``channel_map`` is one node for a per-site channel matmul, its
-bias and its activation, which overwrites the value in place.
+op for op.  ``channel_map`` is one node for a per-site channel matmul, the
+broadcast context maps added to it in order, its bias and its activation,
+which overwrites the sum in place.
 ``gather_pairs`` is one node for the two row gathers of a pair stage and
 their concat, and keeps only the indices.  None of them keeps an intermediate
 array that no backward reads, and their values and gradients keep the bits of
@@ -412,21 +413,24 @@ def attention(x, w_q, w_k, w_v, scale, log_counts=None):
     return _node(out_data, (x, w_q, w_k, w_v), push)
 
 
-def channel_map(w, t, b=None, activation="identity"):
-    """act((c_out, c_in) weights w applied at every site of a (rows, c_in,
-    site) tensor t, plus a (c_out,) bias b when given) as one node.
-
-    activation names an entry of ACTIVATIONS; it overwrites the map's value,
-    so the tape keeps one array per map, not two.
+def channel_map(w, t, b=None, activation="identity", context=()):
+    """act(w t + w_1 t_1 + ... + b) as one node: (c_out, c_in) weights applied
+    at every site of a (rows, c_in, site) tensor, to t and to each (w_k, t_k)
+    pair of context, summed in that order with broadcasting (a (rows, c_in, 1)
+    site mean or a (1, c_in, site) taxa mean; t_k may have more rows than t),
+    then the (c_out,) bias b when given.  activation names an entry of
+    ACTIVATIONS; it overwrites the sum in place, so the tape keeps one array
+    per mix, not one per term.
     """
     apply, slope = _activation(activation)
-    w, t = as_tensor(w), as_tensor(t)
-    parents = (w, t)
-    x, wt = np.moveaxis(t.data, 1, 2), np.moveaxis(w.data, 0, 1)
-    out_data = x @ wt
+    terms = [(as_tensor(wk), as_tensor(tk)) for wk, tk in ((w, t), *context)]
+    # in the moved (rows, site, channel) layout; not in place, as t_k may widen the rows
+    moved = [(np.moveaxis(tk.data, 1, 2), np.moveaxis(wk.data, 0, 1)) for wk, tk in terms]
+    out_data = sum((x @ wt for x, wt in moved[1:]), start=moved[0][0] @ moved[0][1])
+    parents = [p for term in terms for p in term]
     if b is not None:
         b = as_tensor(b)
-        parents += (b,)
+        parents.append(b)
         out_data += b.data  # in place: the tape keeps one array, not two
     out_data = np.moveaxis(out_data, 2, 1)
     if apply is not None:
@@ -437,9 +441,11 @@ def channel_map(w, t, b=None, activation="identity"):
             g = g * slope(out_data)
         if b is not None:
             b._accumulate(g.sum(axis=(0, 2)))
-        g = np.moveaxis(g, 1, 2)
-        t._accumulate(np.moveaxis(g @ np.swapaxes(wt, -1, -2), 2, 1))
-        w._accumulate(np.moveaxis(_unbroadcast(np.swapaxes(x, -1, -2) @ g, wt.shape), 1, 0))
+        for (wk, tk), (x, wt) in zip(terms, moved):
+            # each term's share, as an add node summing it would push it
+            gk = np.moveaxis(_unbroadcast(g, (tk.shape[0], wt.shape[1], tk.shape[2])), 1, 2)
+            tk._accumulate(np.moveaxis(gk @ np.swapaxes(wt, -1, -2), 2, 1))
+            wk._accumulate(np.moveaxis(_unbroadcast(np.swapaxes(x, -1, -2) @ gk, wt.shape), 1, 0))
 
     return _node(out_data, parents, push)
 

@@ -236,13 +236,15 @@ INFER_DEFAULTS = {
 def cmd_infer(cfg):
     if not (cfg["alignments"] or cfg["matrices"]) or not cfg["out"]:
         raise ConfigError("infer requires --alignments or --matrices, and --out")
-    if cfg["matrices"]:
-        # each of these applies to alignment input only; a default value is
-        # accepted, so manifests that record one still replay
-        for key in ("alignments", "checkpoint", "dump_matrix", "method", "ceiling", "saturation"):
-            if cfg[key] != INFER_DEFAULTS[key]:
+    # --matrices takes none of these keys, a network none of the last three; a
+    # default value is accepted, so manifests that record one still replay
+    keys = ("alignments", "checkpoint", "dump_matrix", "method", "ceiling", "saturation")
+    refusals = (("matrices", "already holds", keys), ("checkpoint", "computes", keys[3:]))
+    for given, verb, refused in refusals:
+        for key in refused:
+            if cfg[given] and cfg[key] != INFER_DEFAULTS[key]:
                 flag = "--" + key.replace("_", "-")
-                raise ConfigError(f"--matrices already holds the distances; it takes no {flag}")
+                raise ConfigError(f"--{given} {verb} the distances; it takes no {flag}")
     policy = SaturationPolicy(cfg["saturation"], cfg["ceiling"])
     build = {"nj": neighbor_join, "bionj": bionj}.get(cfg["algorithm"])
     if build is None:

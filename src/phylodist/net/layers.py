@@ -141,8 +141,9 @@ class PerMemberConv(ChannelConv):
 
 
 class DeepSetsMix(Layer):
-    """Exchangeable-context channel mix: ELU of a self term plus mean-pooled
-    context terms along the site axis and (optionally) the taxa axis."""
+    """Exchangeable-context channel mix: ELU of a self map, plus maps of the
+    means along the site axis and (with use_taxa) the taxa axis, plus a bias,
+    summed in that order as one channel_map node."""
 
     param_names = ("w_self", "w_site", "w_taxa", "bias")
 
@@ -151,11 +152,7 @@ class DeepSetsMix(Layer):
         self.w_site = ad.Tensor(np.asarray(w_site, float), requires_grad=True)
         self.w_taxa = ad.Tensor(np.asarray(w_taxa, float), requires_grad=True)
         self.bias = ad.Tensor(np.asarray(bias, float), requires_grad=True)
-        self.use_taxa = use_taxa
-
-    @property
-    def mixes_taxa(self):
-        return self.use_taxa
+        self.mixes_taxa = use_taxa
 
     @classmethod
     def random(cls, c_in, c_out, rng, use_taxa):
@@ -164,14 +161,11 @@ class DeepSetsMix(Layer):
         return cls(w_self, w_site, w_taxa, np.zeros(c_out), use_taxa)
 
     def forward(self, t, weights=None):
-        out = ad.channel_map(self.w_self, t)
-        site_ctx = _site_mean(t, weights, keepdims=True)
-        out = out + ad.channel_map(self.w_site, site_ctx)
-        if self.use_taxa:
+        context = [(self.w_site, _site_mean(t, weights, keepdims=True))]
+        if self.mixes_taxa:
             taxa_ctx = ad.ordered_sum(t, axis=0, keepdims=True) * (1.0 / t.shape[0])
-            out = out + ad.channel_map(self.w_taxa, taxa_ctx)
-        out = out + ad.reshape(self.bias, (1, -1, 1))
-        return ad.activation(out, "elu")
+            context.append((self.w_taxa, taxa_ctx))
+        return ad.channel_map(self.w_self, t, self.bias, "elu", context)
 
 
 class Attention(Layer):

@@ -409,6 +409,10 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["infer", "--matrices", "{root}/d.tsv", "--method", "k2p"],
         ["infer", "--matrices", "{root}/d.tsv", "--ceiling", "9"],
         ["infer", "--matrices", "{root}/d.tsv", "--saturation", "error"],
+        # a network uses none of these
+        ["infer", "--alignments", "{sims}", "--checkpoint", "{root}/d.tsv", "--method", "k2p"],
+        ["infer", "--alignments", "{sims}", "--checkpoint", "{root}/d.tsv", "--ceiling", "9"],
+        ["infer", "--alignments", "{sims}", "--checkpoint", "{root}/d.tsv", "--saturation", "error"],
         ["train", "--val-n", "3"],
         ["train", "--n", "3"],
         ["simulate", "--config", "{root}/repeated.cfg"],
@@ -426,7 +430,8 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
          "eval-methods-empty", "simulate-threads-2", "infer-threads-2", "eval-threads-2",
          "infer-alignments-and-matrices", "infer-matrices-and-checkpoint",
          "infer-matrices-and-method", "infer-matrices-and-ceiling",
-         "infer-matrices-and-saturation", "train-val-n-3", "train-n-3",
+         "infer-matrices-and-saturation", "infer-checkpoint-and-method",
+         "infer-checkpoint-and-ceiling", "infer-checkpoint-and-saturation", "train-val-n-3", "train-n-3",
          "simulate-config-repeated-key"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):

@@ -2,8 +2,9 @@
 function it defines and every name it binds at module level is read by the
 library, a demo or the bench (not only by tests), only phylodist.files
 opens files for writing, moves them or makes directories, only phylodist.tree
-constructs a PhyloTree, only phylodist.autodiff defines an activation, and no
-module starts threads or processes."""
+constructs a PhyloTree, only phylodist.autodiff defines an activation, no
+function outside it calls channel_map twice (a channel mix summed outside its
+one node), and no module starts threads or processes."""
 
 import ast
 import importlib.util
@@ -225,6 +226,45 @@ def test_guard_flags_a_tree_construction():
         "PhyloTree.__init__\n"
     )
     assert tree_constructions(source) == [1, 4]
+
+
+def repeated_channel_maps(source):
+    """(line, name) of each function that calls channel_map more than once,
+    by its bare name or as an attribute."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = sum(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "channel_map"
+            for node in ast.walk(func)
+        )
+        if calls > 1:
+            found.append((func.lineno, func.name))
+    return sorted(found)
+
+
+def test_one_channel_map_per_function():
+    """autodiff.channel_map sums a channel mix's maps, bias and activation in
+    one node; a function that calls it twice sums a mix outside that node."""
+    found = {
+        str(p.relative_to(PACKAGE)): lines
+        for p in MODULES
+        if p.name != "autodiff.py" and (lines := repeated_channel_maps(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_repeated_channel_maps():
+    source = (
+        "def mix(t):\n    return ad.channel_map(w, t) + ad.channel_map(v, t)\n"
+        "def conv(t):\n    return ad.channel_map(w, t, b, 'elu', [(v, t)])\n"
+        "class Mix:\n    def forward(self, t):\n        out = channel_map(w, t)\n"
+        "        return out + channel_map(v, t)\n"
+        "def maps():\n    return [channel_map, channel_map]\n"
+    )
+    assert repeated_channel_maps(source) == [(1, "mix"), (6, "forward")]
 
 
 CONCURRENCY = ("concurrent", "threading", "_thread", "multiprocessing")

@@ -11,9 +11,10 @@ from phylodist.net.layers import (
     MeanPoolSites,
     PerMemberConv,
     ScalarMLP,
+    SiteWeights,
 )
 
-from util import finite_difference_check
+from util import finite_difference_check, reference_deep_sets_mix
 
 
 def pair_tensor(rng, p=3, c=4, length=10):
@@ -163,6 +164,40 @@ def test_deepsets_gradcheck():
         [p for _, p in layer.params()],
     )
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("tokens", ["columns", "patterns"])
+@pytest.mark.parametrize("use_taxa", [False, True], ids=["sites", "taxa"])
+def test_deepsets_mix_keeps_the_bits_of_the_separate_nodes(use_taxa, tokens):
+    # pattern tokens are one (1, c, 4) row with a per-taxon composition, so
+    # the site context has a row per taxon and widens the value to them.  The
+    # input is the moveaxis view of a (rows, site, c) leaf, as a stack hands
+    # one layer's value to the next
+    rng = np.random.default_rng(14)
+    layer = DeepSetsMix.random(4, 5, rng, use_taxa=use_taxa)
+    layer.bias.data = rng.normal(size=5)  # not zero, so where it is added shows
+    if tokens == "patterns":
+        leaf = ad.Tensor(rng.normal(size=(1, 4, 4)), requires_grad=True)
+        weights = SiteWeights(rng.multinomial(30, [0.25] * 4, size=6), 30)
+    else:
+        leaf = ad.Tensor(rng.normal(size=(6, 13, 4)), requires_grad=True)
+        weights = None
+    params = [leaf] + [p for _, p in layer.params()]
+    probe = np.moveaxis(rng.normal(size=(6, leaf.shape[1], 5)), 2, 1)
+    runs = []
+    for forward in (layer.forward, lambda t, w: reference_deep_sets_mix(layer, t, w)):
+        for p in params:
+            p.grad = None
+        out = forward(ad.moveaxis(leaf, 2, 1), weights)
+        ad.tensor_sum(out * probe).backward()
+        runs.append([out.data] + [p.grad for p in params])
+    assert (layer.w_taxa.grad is None) == (not use_taxa)
+    for fused, separate in zip(*runs):
+        if separate is None:
+            assert fused is None
+            continue
+        assert fused.shape == separate.shape and fused.strides == separate.strides
+        assert fused.tobytes() == separate.tobytes()
 
 
 # -- attention ----------------------------------------------------------------------

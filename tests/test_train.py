@@ -247,6 +247,17 @@ def test_tape_keeps_no_projection_and_no_pair_gather(arch):
     assert by_op["take"] <= 2 * n * n * 8
 
 
+def test_deep_sets_tape_keeps_one_array_per_mix():
+    # 64 taxa at L=100; the tape that summed each mix's three maps and its
+    # bias in add nodes before a separate activation held 36.9 MiB, of which
+    # add values were 19.0 MiB and activation values 6.3 MiB
+    _, _, loss = _one_alignment_tape("FullInvariantS", 64, 64, 4)
+    by_op = tape_bytes_by_op(loss)
+    assert graph_nbytes(loss) <= 16 * 2**20
+    assert "activation" not in by_op
+    assert by_op.get("add", 0) <= 2**20
+
+
 # Recorded before train() ran backward one alignment at a time; pins the final
 # weights and history bit for bit, including a partial last batch.
 TRAIN_DIGEST = "96cdbef61afed06e7d3b72e1cf8f085896b0b6362345c4ceafa276645ee4c4dc"

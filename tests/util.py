@@ -6,7 +6,7 @@ import numpy as np
 from phylodist import autodiff as ad
 from phylodist.alignment import ALPHABET
 from phylodist.net.architectures import _FIRST, _SECOND
-from phylodist.net.layers import MeanPoolSites
+from phylodist.net.layers import MeanPoolSites, _site_mean
 from phylodist.simulate import _spectral, _stochastic_rows
 from phylodist.tree import PhyloTree
 
@@ -278,6 +278,20 @@ def reference_channel_map(w, t, b=None):
     moveaxis views, then the reshaped bias added."""
     out = ad.moveaxis(ad.moveaxis(t, 1, 2) @ ad.moveaxis(w, 0, 1), 2, 1)
     return out if b is None else out + ad.reshape(b, (1, -1, 1))
+
+
+def reference_deep_sets_mix(layer, t, weights=None):
+    """DeepSetsMix.forward composed of separate nodes: three channel maps,
+    each of matmul nodes, summed by add nodes, the reshaped bias added, then
+    the elu node."""
+    out = reference_channel_map(layer.w_self, t)
+    site_ctx = _site_mean(t, weights, keepdims=True)
+    out = out + reference_channel_map(layer.w_site, site_ctx)
+    if layer.mixes_taxa:
+        taxa_ctx = ad.ordered_sum(t, axis=0, keepdims=True) * (1.0 / t.shape[0])
+        out = out + reference_channel_map(layer.w_taxa, taxa_ctx)
+    out = out + ad.reshape(layer.bias, (1, -1, 1))
+    return ad.activation(out, "elu")
 
 
 def reference_relu(a):
