@@ -27,9 +27,10 @@ and v projections of x by every head, their softmax attention and the
 residual update of x.  It keeps only each head's softmax probabilities and
 recomputes the projections in its backward, which replays the chain rule of
 the separate projection, scale, log-count, softmax, concat and residual steps
-op for op.  ``channel_map`` is one node for a per-site channel matmul, the
-broadcast context maps added to it in order, its bias and its activation,
-which overwrites the sum in place.
+op for op.  Both directions run each head in blocks of rows whose scores
+fit ``_BLOCK_BYTES``.  ``channel_map`` is one node for a per-site channel
+matmul, the broadcast context maps added to it in order, its bias and its
+activation, which overwrites the sum in place.
 ``gather_pairs`` is one node for the two row gathers of a pair stage and
 their concat, and keeps only the indices.  None of them keeps an intermediate
 array that no backward reads, and their values and gradients keep the bits of
@@ -44,6 +45,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 _EIG_FLOOR = 1e-10
+# bytes of one block of a head's scores; a few blocks fit in L2
+_BLOCK_BYTES = 1 << 20
 
 
 def _unbroadcast(grad, shape):
@@ -348,37 +351,55 @@ def attention(x, w_q, w_k, w_v, scale, log_counts=None):
     """x + concat_h softmax(q_h @ k_hᵀ * scale + log_counts) @ v_h, as one node,
     where q_h = x @ w_q[h], k_h = x @ w_k[h] and v_h = x @ w_v[h].
 
-    The (H, d, dh) weights give H heads whose widths dh sum to the last axis d
-    of x, each head filling its own slice of it.  log_counts, when given,
-    broadcasts against the (rows, T, T) scores and may widen their rows; -inf
-    entries give a key no weight.  The node keeps only each head's
-    probabilities, and its backward drops them as soon as that head has pushed;
-    the backward recomputes each head's projections from x.  Gradients reach x
-    as the separate nodes pushed them: the residual first, then the q, k and v
-    projections of each head in ascending order.
+    x is (rows, T, d).  The (H, d, dh) weights give H heads whose widths dh
+    sum to d, each head filling its own slice of the last axis.  log_counts,
+    when given, broadcasts against the (rows, T, T) scores and may widen their
+    rows; -inf entries give a key no weight.
+
+    Each head runs in blocks of rows whose scores take at most _BLOCK_BYTES,
+    so no (rows, T, T) temporary is ever whole.  Softmax is row-local and each
+    block's products are rows of the whole products, so blocks keep the bits.
+    Scores that log_counts widens are one block.  Untaped, each block's
+    probabilities are dropped with it; taped, the blocks fill each head's
+    whole probabilities, the only arrays the node keeps.  The backward
+    recomputes each head's projections from x once, runs the same blocks
+    into whole (rows, T, dh) gradients, drops the head's probabilities, and
+    only then sums over rows: the weight gradients and the projections'
+    _unbroadcasts.  Gradients reach x as the separate nodes pushed them: the
+    residual first, then the q, k and v projections of each head in
+    ascending order.
     """
     x, w_q, w_k, w_v = (as_tensor(t) for t in (x, w_q, w_k, w_v))
     xd, ws = x.data, (w_q.data, w_k.data, w_v.data)
+    score_shape = xd.shape[:-1] + xd.shape[-2:-1]
+    wide_shape = np.broadcast_shapes(score_shape, np.shape(log_counts))  # np.shape(None) is ()
+    wide = wide_shape != score_shape
+    if wide:
+        blocks = [slice(None)]
+    else:
+        step = max(1, _BLOCK_BYTES // (8 * score_shape[-1] ** 2))
+        blocks = [slice(i, i + step) for i in range(0, len(xd), step)]
+        if log_counts is not None:
+            log_counts = np.broadcast_to(log_counts, score_shape)
     taping = _TAPE.get()
-    out_data, probs, start = None, [], 0
+    out_data, probs, start = np.empty(wide_shape[:-1] + xd.shape[-1:]), [], 0
     for h in range(len(w_q.data)):
         q, k, v = (xd @ w[h] for w in ws)
-        p = q @ np.moveaxis(k, -1, -2)
-        p *= scale
-        score_shape = p.shape
-        if log_counts is not None:
-            p = p + log_counts
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        if out_data is None:
-            out_data = np.empty(p.shape[:-1] + xd.shape[-1:])
-        width = v.shape[-1]
-        np.matmul(p, v, out=out_data[..., start : start + width])
+        kt, width = np.moveaxis(k, -1, -2), v.shape[-1]
+        whole = np.empty(score_shape) if taping and not wide else None
+        for s in blocks:
+            p = np.matmul(q[s], kt[s], out=None if whole is None else whole[s])
+            p *= scale
+            if log_counts is not None:
+                p = p + log_counts if wide else np.add(p, log_counts[s], out=p)
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            np.matmul(p, v[s], out=out_data[s, :, start : start + width])
         start += width
         if taping:
-            probs.append((p, score_shape))
-        del q, k, v, p  # untaped, nothing else holds them
+            probs.append(p if whole is None else whole)
+        del q, k, v, kt, p  # free this head's arrays before the next head's
     out_data += xd
 
     def push(g):
@@ -386,25 +407,25 @@ def attention(x, w_q, w_k, w_v, scale, log_counts=None):
         grads = [np.zeros_like(w) for w in ws]
         start = 0
         for h in range(len(probs)):
-            (p, score_shape), probs[h] = probs[h], None
+            p, probs[h] = probs[h], None
             q, k, v = (xd @ w[h] for w in ws)
             width = v.shape[-1]
             g_head = g[..., start : start + width]
             start += width
-            kt = np.moveaxis(k, -1, -2)
-            gp = g_head @ np.swapaxes(v, -1, -2)
-            gv = np.swapaxes(p, -1, -2) @ g_head
-            gp -= (gp * p).sum(axis=-1, keepdims=True)
-            gp *= p
+            gq, gkt, gv = np.empty(q.shape), np.empty(np.swapaxes(k, -1, -2).shape), np.empty(v.shape)
+            for s in blocks:
+                gp = g_head[s] @ np.swapaxes(v[s], -1, -2)
+                gv[s] = _unbroadcast(np.swapaxes(p[s], -1, -2) @ g_head[s], gv[s].shape)
+                gp -= (gp * p[s]).sum(axis=-1, keepdims=True)
+                gp *= p[s]
+                # back to the scores before log_counts widened them, then the scale
+                gs = _unbroadcast(gp, q[s].shape[:-1] + score_shape[-1:])
+                gs *= scale
+                np.matmul(gs, k[s], out=gq[s])
+                np.matmul(np.swapaxes(q[s], -1, -2), gs, out=gkt[s])
             del p  # its last reader
-            # back to the scores before log_counts widened them, then the scale
-            gs = _unbroadcast(gp, score_shape)
-            gs *= scale
-            gq = _unbroadcast(gs @ np.swapaxes(kt, -1, -2), q.shape)
-            gk = np.moveaxis(_unbroadcast(np.swapaxes(q, -1, -2) @ gs, kt.shape), -2, -1)
-            gv = _unbroadcast(gv, v.shape)
             # each projection as its matmul node pushed it: into x, then into w[h]
-            for w, grad, gh in zip(ws, grads, (gq, gk, gv)):
+            for w, grad, gh in zip(ws, grads, (gq, np.moveaxis(gkt, -2, -1), gv)):
                 x._accumulate(_unbroadcast(gh @ np.swapaxes(w[h], -1, -2), xd.shape))
                 grad[h] += _unbroadcast(np.swapaxes(xd, -1, -2) @ gh, w[h].shape)
         for w, grad in zip((w_q, w_k, w_v), grads):

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from phylodist.net.architectures import (
 )
 from phylodist.net.layers import ChannelConv, Dense, ScalarMLP
 from phylodist.net.reference import build_reference_net
+from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
 
 from util import gradients, naive_site_forward, site_pattern_compression
 
@@ -158,6 +163,48 @@ def test_inference_keeps_no_tape():
     assert peak < 20e6
     _, taped = forward_matrix(spec, aln)
     assert np.array_equal(got, taped.data)
+
+
+def test_untaped_attention_forward_memory_is_block_sized():
+    # whole (rows, T, T) scores for each head peaked at 59.3 MiB
+    spec = build_architecture("HybridAttentionSP", channels=16, heads=2, seed=1)
+    tree = simulate_bd_tree(BDParams(1.0, 0.5, 12), seed=1)
+    aln = evolve_alignment(tree, SubstModel("K2P", kappa=2.0), 300, seed=1)
+    tracemalloc.start()
+    try:
+        network_forward(spec, aln)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
+# the nets whose bits do not depend on the BLAS thread count yet; the three
+# that attend across taxa differ between 1 and 2 threads at this shape
+_BLAS_DIGEST = """
+import hashlib
+from phylodist.net.architectures import build_architecture, network_forward
+from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
+tree = simulate_bd_tree(BDParams(1.0, 0.5, 20), seed=1)
+aln = evolve_alignment(tree, SubstModel("K2P", kappa=2.0), 300, seed=1)
+h = hashlib.sha256()
+for name in ("SitesInvariantS", "FullInvariantS", "SitesAttentionP"):
+    h.update(network_forward(build_architecture(name, channels=64, heads=4, seed=1), aln).values.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_network_forward_does_not_depend_on_blas_threads():
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _BLAS_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 # Recorded before the layer and pair_values paths were merged; pins the forward

@@ -257,6 +257,28 @@ def test_attention_matches_per_head_composition_bit_for_bit(projected, counted):
     )
 
 
+@pytest.mark.parametrize("counts", [None, "per_row", "widening"])
+def test_attention_blocks_keep_the_bits_of_whole_heads(counts):
+    # 100 tokens take 80,000 bytes of scores a row, so 37 rows run in blocks
+    # of 13, 13 and 11 rows; log_counts that widens one row of x to 37 rows
+    # of scores makes the head one block
+    assert ad._BLOCK_BYTES // (100 * 100 * 8) == 13
+    rng = np.random.default_rng(9)
+    log_counts = None if counts is None else _log_counts(rng, 37, 100)
+    x = _param(rng.normal(size=(1 if counts == "widening" else 37, 100, 6)))
+    ws = [_param(rng.normal(size=(3, 6, 2))) for _ in range(3)]
+
+    def run(op):
+        return op(x, *ws, 0.4, log_counts)
+
+    probe = rng.normal(size=(37, 100, 6))
+    _assert_graphs_agree(
+        lambda: run(ad.attention), lambda: run(reference_attention), [x] + ws, probe
+    )
+    with ad.no_tape():
+        _assert_same_bits(run(ad.attention).data, run(reference_attention).data)
+
+
 @pytest.mark.parametrize("biased", [True, False], ids=["bias", "context"])
 def test_channel_map_matches_composition_bit_for_bit(biased):
     # a biased map on a moveaxis view, and a bias-less one on a (rows, c, 1) context
