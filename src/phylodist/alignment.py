@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import DataError
 from .files import atomic_open
+from .matrices import blocks
 
 ALPHABET = "ACGT"
 N_STATES = 4
@@ -23,27 +24,20 @@ _CODES[_LETTERS] = np.arange(N_STATES)
 TRANSITIONS = frozenset({(0, 2), (1, 3)})
 
 
-# Entries per indicator block: an n-row block spans B sites with
-# n * 4 * B <= _BLOCK_ENTRIES, so pair counts hold 1 MB of float32 indicators
-# next to their O(n^2) count matrices.
-_BLOCK_ENTRIES = 2**18
-
-
 def indicator_blocks(states):
-    """(n, 4, B) float32 0/1 indicators of an n x L state matrix, for
-    consecutive blocks of B = max(1, _BLOCK_ENTRIES // 4n) sites: [i, a, s] is
-    1 when row i has state a at site s of the block.
+    """(n, 4, B) float32 0/1 indicators of an n x L state matrix, for the
+    matrices.blocks of its sites, 16n bytes a site: [i, a, s] is 1 when row i
+    has state a at site s of the block.  So pair counts hold at most
+    BLOCK_BYTES of indicators next to their O(n^2) count matrices.
 
     Gram products of these blocks, summed in float64, count state
     co-occurrences exactly: a block's count is an integer of at most
-    B <= 2^16 < 2^24, so float32 GEMM gets it exactly in any summation order
-    and on any BLAS thread count."""
-    sites = max(1, _BLOCK_ENTRIES // (N_STATES * max(1, states.shape[0])))
+    B <= BLOCK_BYTES / 16 = 2^16 < 2^24, so float32 GEMM gets it exactly in
+    any summation order and on any BLAS thread count."""
     # int8 like the states, so the comparison does not widen them first
     codes = np.arange(N_STATES, dtype=np.int8)[:, None]
-    for start in range(0, states.shape[1], sites):
-        block = states[:, None, start : start + sites]
-        yield (block == codes).astype(np.float32)
+    for sites in blocks(states.shape[1], 4 * N_STATES * states.shape[0]):
+        yield (states[:, None, sites] == codes).astype(np.float32)
 
 
 class Alignment:

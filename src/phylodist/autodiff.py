@@ -18,7 +18,7 @@ context variable, so each thread has its own.
 The op set is exactly what the network layers and losses run: ``+``, ``*``,
 binary ``-``, ``**``, indexing, ``@`` on operands with 2 or more dimensions,
 four elementwise functions, ``activation``, two sums, ``attention``,
-``channel_map``, five shape ops and four matrix ops.  ``ACTIVATIONS`` is the
+``channel_map``, five shape ops and three matrix ops.  ``ACTIVATIONS`` is the
 one table of how identity, relu and elu apply in place and how each reads its
 derivative from its output; ``activation`` and ``channel_map`` both use it.
 ``ordered_sum`` sorts before summing, so its value depends only on the
@@ -28,9 +28,9 @@ residual update of x.  It keeps only each head's softmax probabilities and
 recomputes the projections in its backward, which replays the chain rule of
 the separate projection, scale, log-count, softmax, concat and residual steps
 op for op.  Both directions run each head in blocks of rows whose scores
-fit ``_BLOCK_BYTES``.  ``channel_map`` is one node for a per-site channel
-matmul, the broadcast context maps added to it in order, its bias and its
-activation, which overwrites the sum in place.
+fit ``matrices.BLOCK_BYTES``.  ``channel_map`` is one node for a per-site
+channel matmul, the broadcast context maps added to it in order, its bias and
+its activation, which overwrites the sum in place.
 ``gather_pairs`` is one node for the two row gathers of a pair stage and
 their concat, and keeps only the indices.  None of them keeps an intermediate
 array that no backward reads, and their values and gradients keep the bits of
@@ -43,10 +43,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .matrices import blocks
 
 _EIG_FLOOR = 1e-10
-# bytes of one block of a head's scores; a few blocks fit in L2
-_BLOCK_BYTES = 1 << 20
 
 
 def _unbroadcast(grad, shape):
@@ -274,7 +273,9 @@ def softplus(a):
     out_data = np.logaddexp(0.0, a.data)
 
     def push(g):
-        a._accumulate(g / (1.0 + np.exp(-a.data)))
+        # below about -709 exp(-a) overflows to inf, and the slope is 0 as it should be
+        with np.errstate(over="ignore"):
+            a._accumulate(g / (1.0 + np.exp(-a.data)))
 
     return _node(out_data, (a,), push)
 
@@ -356,9 +357,10 @@ def attention(x, w_q, w_k, w_v, scale, log_counts=None):
     when given, broadcasts against the (rows, T, T) scores and may widen their
     rows; -inf entries give a key no weight.
 
-    Each head runs in blocks of rows whose scores take at most _BLOCK_BYTES,
-    so no (rows, T, T) temporary is ever whole.  Softmax is row-local and each
-    block's products are rows of the whole products, so blocks keep the bits.
+    Each head runs in the matrices.blocks of its rows, at 8·T² bytes of scores
+    a row, so no (rows, T, T) temporary is ever whole.  Softmax is row-local
+    and each block's products are rows of the whole products, so blocks keep
+    the bits.
     Scores that log_counts widens are one block.  Untaped, each block's
     probabilities are dropped with it; taped, the blocks fill each head's
     whole probabilities, the only arrays the node keeps.  The backward
@@ -375,10 +377,9 @@ def attention(x, w_q, w_k, w_v, scale, log_counts=None):
     wide_shape = np.broadcast_shapes(score_shape, np.shape(log_counts))  # np.shape(None) is ()
     wide = wide_shape != score_shape
     if wide:
-        blocks = [slice(None)]
+        spans = [slice(None)]
     else:
-        step = max(1, _BLOCK_BYTES // (8 * score_shape[-1] ** 2))
-        blocks = [slice(i, i + step) for i in range(0, len(xd), step)]
+        spans = blocks(len(xd), 8 * score_shape[-1] ** 2)
         if log_counts is not None:
             log_counts = np.broadcast_to(log_counts, score_shape)
     taping = _TAPE.get()
@@ -387,7 +388,7 @@ def attention(x, w_q, w_k, w_v, scale, log_counts=None):
         q, k, v = (xd @ w[h] for w in ws)
         kt, width = np.moveaxis(k, -1, -2), v.shape[-1]
         whole = np.empty(score_shape) if taping and not wide else None
-        for s in blocks:
+        for s in spans:
             p = np.matmul(q[s], kt[s], out=None if whole is None else whole[s])
             p *= scale
             if log_counts is not None:
@@ -413,7 +414,7 @@ def attention(x, w_q, w_k, w_v, scale, log_counts=None):
             g_head = g[..., start : start + width]
             start += width
             gq, gkt, gv = np.empty(q.shape), np.empty(np.swapaxes(k, -1, -2).shape), np.empty(v.shape)
-            for s in blocks:
+            for s in spans:
                 gp = g_head[s] @ np.swapaxes(v[s], -1, -2)
                 gv[s] = _unbroadcast(np.swapaxes(p[s], -1, -2) @ g_head[s], gv[s].shape)
                 gp -= (gp * p[s]).sum(axis=-1, keepdims=True)
@@ -551,17 +552,6 @@ def stack(tensors, axis=0):
 
 
 # -- matrix ops for the covariance losses ---------------------------------------------------
-
-
-def inv(a):
-    a = as_tensor(a)
-    out_data = np.linalg.inv(a.data)
-
-    def push(g):
-        t = out_data.T
-        a._accumulate(-t @ np.asarray(g) @ t)
-
-    return _node(out_data, (a,), push)
 
 
 def logdet(a):

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .matrices import DistanceMatrix, upper_mask
+from .matrices import DistanceMatrix, blocks, upper_mask
 from .rng import substream
-
-_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -52,14 +50,15 @@ def llr_embed(dist, seed):
 
 
 def euclidean_matrix(labels, points):
-    """Pairwise Euclidean distances of embedded points as a DistanceMatrix,
-    _ROW_BLOCK rows at a time (O(n²) memory, not O(n²k)).  Each pair sums its k
-    squares along one contiguous axis: exactly symmetric, whatever the block."""
+    """Pairwise Euclidean distances of embedded points as a DistanceMatrix, in
+    the matrices.blocks of its rows, 8nk bytes of differences a row (O(n²)
+    memory, not O(n²k)).  Each pair sums its k squares along one contiguous
+    axis: exactly symmetric, whatever the block."""
     points = np.asarray(points, float)
     d = np.empty((len(points), len(points)))
-    for lo in range(0, len(points), _ROW_BLOCK):
-        diff = points[lo : lo + _ROW_BLOCK, None, :] - points[None, :, :]
-        d[lo : lo + _ROW_BLOCK] = np.sqrt((diff**2).sum(axis=-1))
+    for rows in blocks(len(points), points.nbytes):
+        diff = points[rows, None, :] - points[None, :, :]
+        d[rows] = np.sqrt((diff**2).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(labels, d)
 

@@ -53,12 +53,13 @@ def mse(predicted, target):
 
 
 def logdet_divergence(x, y):
-    """Stein's loss D_ld(X||Y) = tr(X Y^-1) - log det(X Y^-1) - n."""
+    """Stein's loss D_ld(X||Y) = tr(X Y^-1) - log det(X Y^-1) - n.  Y is the
+    target: its inverse is a constant, so no gradient reaches Y through it."""
     xt, yt = ad.as_tensor(x), ad.as_tensor(y)
     _check_spd("X", xt.data)
     _check_spd("Y", yt.data)
     n = xt.shape[0]
-    return ad.trace(xt @ ad.inv(yt)) - (ad.logdet(xt) - ad.logdet(yt)) - float(n)
+    return ad.trace(xt @ np.linalg.inv(yt.data)) - (ad.logdet(xt) - ad.logdet(yt)) - float(n)
 
 
 def von_neumann_divergence(x, y):

@@ -2,7 +2,8 @@
 
 Both kinds share one body, LabeledMatrix: immutable after construction, with
 their invariants validated eagerly.  upper_mask fixes the canonical pair
-order for every module.  The inverse Gromov transform converts a covariance
+order for every module, and blocks the one rule by which every row-blocked
+kernel sizes its blocks.  The inverse Gromov transform converts a covariance
 (Gram) matrix to the distance matrix d_ij = C_ii + C_jj - 2*C_ij.
 """
 
@@ -11,11 +12,21 @@ import numpy as np
 from .errors import DataError, NumericError
 from .files import write_table
 
+# bytes of one block of a row-blocked kernel's working set; a few blocks fit in L2
+BLOCK_BYTES = 1 << 20
+
 
 def upper_mask(n):
     """n x n boolean mask of the pairs i < j; its row-major order is the
     canonical pair order."""
     return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
+def blocks(count, item_bytes):
+    """Consecutive slices of range(count), each of as many items of item_bytes
+    as fit in BLOCK_BYTES, and of at least one."""
+    step = max(1, BLOCK_BYTES // max(1, item_bytes))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 class LabeledMatrix:

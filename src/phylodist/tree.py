@@ -13,7 +13,7 @@ the tree diameter are computed here; the inverse Gromov transform lives in
 import numpy as np
 
 from .errors import DataError, NewickError
-from .matrices import CovarianceMatrix, DistanceMatrix
+from .matrices import CovarianceMatrix, DistanceMatrix, blocks
 
 
 class PhyloTree:
@@ -455,10 +455,10 @@ def patristic_matrix(tree):
     """Pairwise path-length (patristic) distance matrix, labels sorted."""
     labels, d = _mrca_depths(tree)
     leaf_depth = np.diag(d).copy()
-    # d_ij = depth_i + depth_j - 2 * mrca_ij over the MRCA matrix, 256 rows at a time
-    for r in range(0, len(labels), 256):
-        block = d[r : r + 256]
-        block[...] = leaf_depth[r : r + 256, None] + leaf_depth[None, :] - 2.0 * block
+    # d_ij = depth_i + depth_j - 2 * mrca_ij over the MRCA matrix, in blocks of its rows
+    for rows in blocks(len(labels), 8 * len(labels)):
+        block = d[rows]
+        block[...] = leaf_depth[rows, None] + leaf_depth[None, :] - 2.0 * block
         block[block < 0] = 0.0  # guard against rounding; keeps -0.0
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(labels, d)

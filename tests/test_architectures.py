@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from phylodist import autodiff as ad
+from phylodist import matrices
 from phylodist.alignment import Alignment
+from phylodist.distances import distance_matrix
+from phylodist.embed import euclidean_matrix
 from phylodist.errors import ConfigError, NumericError
 from phylodist.losses import batch_loss
 from phylodist.net.architectures import (
@@ -24,8 +27,9 @@ from phylodist.net.architectures import (
 from phylodist.net.layers import ChannelConv, Dense, ScalarMLP
 from phylodist.net.reference import build_reference_net
 from phylodist.simulate import BDParams, SubstModel, evolve_alignment, simulate_bd_tree
+from phylodist.tree import patristic_matrix
 
-from util import gradients, naive_site_forward, site_pattern_compression
+from util import gradients, naive_site_forward, random_binary_tree, site_pattern_compression
 
 SMALL = dict(channels=8, heads=2, embed_dim=6, g_hidden=(6,))
 
@@ -177,6 +181,36 @@ def test_untaped_attention_forward_memory_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2**20
+
+
+def _blocked_kernel_outputs():
+    """The outputs of every kernel that runs in matrices.blocks, and the
+    gradients of attention."""
+    rng = np.random.default_rng(34)
+    tree = simulate_bd_tree(BDParams(1.0, 0.5, 10), seed=3)
+    aln = evolve_alignment(tree, SubstModel("K2P", kappa=2.0), 301, seed=3)
+    x = ad.Tensor(rng.normal(size=(37, 10, 6)), requires_grad=True)
+    ws = [ad.Tensor(rng.normal(size=(3, 6, 2)), requires_grad=True) for _ in range(3)]
+    out = ad.attention(x, *ws, 0.4)
+    ad.tensor_sum(out * rng.normal(size=out.shape)).backward()
+    return [
+        euclidean_matrix([f"t{i}" for i in range(17)], rng.normal(size=(17, 9))).values,
+        *(patristic_matrix(random_binary_tree(rng, 40, rooted)).values for rooted in (True, False)),
+        distance_matrix(aln, "k2p").values,
+        network_forward(build_architecture("SitesAttentionP", channels=8, heads=2, seed=1), aln).values,
+        out.data, x.grad, *(w.grad for w in ws),
+    ]
+
+
+def test_blocks_never_change_bits(monkeypatch):
+    # a 4 KiB budget gives every kernel several blocks and a short last one:
+    # Euclidean rows 3 at a time (17 rows), patristic rows 12 (40 rows),
+    # indicators 25 sites (301 sites; the pair counts too), and attention 2
+    # pairs of 16-token scores (45 pairs) and 5 rows of 10-token scores (37 rows)
+    whole = _blocked_kernel_outputs()
+    monkeypatch.setattr(matrices, "BLOCK_BYTES", 4096)
+    for want, got in zip(whole, _blocked_kernel_outputs(), strict=True):
+        assert want.tobytes() == got.tobytes()
 
 
 # the nets whose bits do not depend on the BLAS thread count yet; the three

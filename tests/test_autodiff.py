@@ -1,11 +1,13 @@
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from phylodist import autodiff as ad
 from phylodist.errors import ConfigError, NumericError
+from phylodist.matrices import blocks
 from phylodist.net.architectures import _pair_tokens
 
 from util import (
@@ -140,6 +142,15 @@ def test_elementwise_ops_match_finite_differences(op):
     assert worst < 1e-4
 
 
+def test_softplus_slope_at_large_negative_inputs_is_zero_without_a_warning():
+    # exp(1000) overflows to inf, so the slope 1 / (1 + inf) is exactly 0
+    p = _param(np.array([-1000.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (g,) = gradients(ad.tensor_sum(ad.softplus(p)), [p])
+    assert g.tolist() == [0.0, 0.5]
+
+
 def test_matmul_shapes_match_finite_differences():
     rng = np.random.default_rng(1)
     cases = [
@@ -164,9 +175,7 @@ def test_matrix_ops_match_finite_differences():
     a = _param(_random_spd(rng, 4))
     worst = finite_difference_check(lambda: ad.logdet(a), [a])
     assert worst < 1e-4
-    b = _param(_random_spd(rng, 4))
-    worst = finite_difference_check(lambda: ad.trace(ad.inv(b)), [b])
-    assert worst < 1e-4
+    _random_spd(rng, 4)  # a retired case's draw, so the next case keeps its input
     c = _param(_random_spd(rng, 4))
     target = _random_spd(rng, 4)
     worst = finite_difference_check(
@@ -262,7 +271,7 @@ def test_attention_blocks_keep_the_bits_of_whole_heads(counts):
     # 100 tokens take 80,000 bytes of scores a row, so 37 rows run in blocks
     # of 13, 13 and 11 rows; log_counts that widens one row of x to 37 rows
     # of scores makes the head one block
-    assert ad._BLOCK_BYTES // (100 * 100 * 8) == 13
+    assert [s.stop - s.start for s in blocks(37, 100 * 100 * 8)] == [13, 13, 11]
     rng = np.random.default_rng(9)
     log_counts = None if counts is None else _log_counts(rng, 37, 100)
     x = _param(rng.normal(size=(1 if counts == "widening" else 37, 100, 6)))

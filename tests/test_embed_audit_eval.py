@@ -109,8 +109,8 @@ def test_collision_reported_as_infinite():
 
 
 def test_euclidean_matrix_matches_broadcast_formula():
-    # three row blocks, the last one partial, and k >= 9 so numpy's pairwise
-    # summation of the k squares is not a plain left-to-right loop
+    # row blocks of 97 and 53 rows, and of 50, 50 and 30, and k >= 9 so numpy's
+    # pairwise summation of the k squares is not a plain left-to-right loop
     rng = np.random.default_rng(8)
     for n, k in ((150, 9), (130, 20)):
         pts = rng.normal(size=(n, k)) * rng.uniform(0.1, 100.0, size=k)

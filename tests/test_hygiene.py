@@ -2,9 +2,10 @@
 function it defines and every name it binds at module level is read by the
 library, a demo or the bench (not only by tests), only phylodist.files
 opens files for writing, moves them or makes directories, only phylodist.tree
-constructs a PhyloTree, only phylodist.autodiff defines an activation, no
-function outside it calls channel_map twice (a channel mix summed outside its
-one node), and no module starts threads or processes."""
+constructs a PhyloTree, only phylodist.matrices sizes compute blocks, only
+phylodist.autodiff defines an activation, no function outside it calls
+channel_map twice (a channel mix summed outside its one node), and no module
+starts threads or processes."""
 
 import ast
 import importlib.util
@@ -171,6 +172,32 @@ def test_guard_flags_a_triangle():
     )
     assert mentions(source, TRIANGLES) == [
         (1, "triu"), (2, "triu_indices"), (3, "tril"), (6, "tril_indices"), (7, "triu"),
+    ]
+
+
+def block_constants(source):
+    """(line, name) of each module-level name of source that contains BLOCK."""
+    return [(line, name) for line, name in module_bindings(source) if "BLOCK" in name]
+
+
+def test_only_matrices_sizes_blocks():
+    """matrices.BLOCK_BYTES and matrices.blocks are the one rule by which a
+    row-blocked kernel sizes its blocks; a second constant can drift from it."""
+    found = {
+        str(p.relative_to(PACKAGE)): names
+        for p in MODULES
+        if p.name != "matrices.py" and (names := block_constants(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_a_block_constant():
+    source = (
+        "_BLOCK_BYTES = 1 << 20\nblocks(n, 8 * n)\nROW_BLOCK: int = 64\nCHUNK = 1 << 20\n"
+        "def f():\n    BLOCK = 3\nA_BLOCK, B = 2, 3\nclass BLOCKS:\n    pass\n"
+    )
+    assert block_constants(source) == [
+        (1, "_BLOCK_BYTES"), (3, "ROW_BLOCK"), (7, "A_BLOCK"), (8, "BLOCKS"),
     ]
 
 
@@ -375,9 +402,9 @@ def test_guard_flags_a_function_only_tests_call():
     assert {"finite_difference_check", "naive_site_forward", "site_pattern_compression"} <= flagged
 
 
-def unread_module_names(source, referenced):
-    """(line, name) of each non-dunder name that source binds at module level,
-    by assignment or class statement, and that is not in referenced."""
+def module_bindings(source):
+    """(line, name) of each name that source binds at module level, by
+    assignment or class statement."""
     bound = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.ClassDef):
@@ -386,11 +413,17 @@ def unread_module_names(source, referenced):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
             bound += [(node.lineno, n.id) for n in names]
-    return sorted(
+    return sorted(bound)
+
+
+def unread_module_names(source, referenced):
+    """(line, name) of each non-dunder name that source binds at module level
+    and that is not in referenced."""
+    return [
         (line, name)
-        for line, name in bound
+        for line, name in module_bindings(source)
         if name not in referenced and not (name.startswith("__") and name.endswith("__"))
-    )
+    ]
 
 
 def test_every_module_level_name_is_read():
