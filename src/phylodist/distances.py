@@ -13,7 +13,7 @@ import numpy as np
 
 from .alignment import TRANSITIONS, Alignment, indicator_blocks
 from .errors import ConfigError, DataError, SaturationError
-from .matrices import DistanceMatrix, upper_mask
+from .matrices import DistanceMatrix, canonical_order, upper_mask
 
 DEFAULT_CEILING = 5.0
 
@@ -131,14 +131,15 @@ def _pair_counts(states, transitions):
 def distance_matrix(aln, kind="jc", policy=SaturationPolicy()):
     """All-pairs distance matrix under one analytic estimator.
 
-    Labels come out in sorted (canonical) order.  The counts of all pairs come
-    from BLAS.  A pair's distance depends only on its integer counts at fixed
-    L, so the matrix makes one scalar correction per distinct count: the key
-    of a pair is m (L + 1) + t for k2p and m for jc and hamming (m mismatches,
-    t transitions), and the scalar jc_correct/k2p_correct runs once per
-    distinct key.  Entries therefore equal those of d_hamming/d_jc/d_k2p bit
-    for bit.  Keys are corrected in the order of their first pair in
-    row-major order, so a saturation error names the first saturated pair.
+    Labels come out in canonical order (matrices.canonical_order).  The
+    counts of all pairs come from BLAS.  A pair's distance depends only on its
+    integer counts at fixed L, so the matrix makes one scalar correction per
+    distinct count: the key of a pair is m (L + 1) + t for k2p and m for jc
+    and hamming (m mismatches, t transitions), and the scalar
+    jc_correct/k2p_correct runs once per distinct key.  Entries therefore
+    equal those of d_hamming/d_jc/d_k2p bit for bit.  Keys are corrected in
+    the order of their first pair in row-major order, so a saturation error
+    names the first saturated pair.
     """
     check_kind(kind)
     if aln.n < 3:
@@ -146,9 +147,9 @@ def distance_matrix(aln, kind="jc", policy=SaturationPolicy()):
     length = aln.length
     if length == 0:
         raise DataError("empty sequences")
-    labels = tuple(sorted(aln.labels))
-    row_of = {lab: i for i, lab in enumerate(aln.labels)}
-    states = aln.states[[row_of[lab] for lab in labels]]
+    order = canonical_order(aln.labels)
+    labels = tuple(aln.labels[i] for i in order)
+    states = aln.states[order]
     n = len(labels)
     # keys are built in the matches buffer: integers below (L + 1)^2, exact
     # in float64

@@ -1,10 +1,11 @@
 """Labeled symmetric matrices: pairwise distances and phylogenetic covariances.
 
 Both kinds share one body, LabeledMatrix: immutable after construction, with
-their invariants validated eagerly.  upper_mask fixes the canonical pair
-order for every module, and blocks the one rule by which every row-blocked
-kernel sizes its blocks.  The inverse Gromov transform converts a covariance
-(Gram) matrix to the distance matrix d_ij = C_ii + C_jj - 2*C_ij.
+their invariants validated eagerly.  canonical_order fixes the canonical taxon
+order and upper_mask the canonical pair order for every module, and blocks is
+the one rule by which every row-blocked kernel sizes its blocks.  The inverse
+Gromov transform converts a covariance (Gram) matrix to the distance matrix
+d_ij = C_ii + C_jj - 2*C_ij.
 """
 
 import numpy as np
@@ -14,6 +15,13 @@ from .files import write_table
 
 # bytes of one block of a row-blocked kernel's working set; a few blocks fit in L2
 BLOCK_BYTES = 1 << 20
+
+
+def canonical_order(labels):
+    """Indices that put distinct labels in canonical order: Python's order of
+    their code points.  numpy's string arrays drop trailing NULs, so they would
+    tie "a" and "a\\x00"; here every distinct label keeps a place of its own."""
+    return sorted(range(len(labels)), key=labels.__getitem__)
 
 
 def upper_mask(n):
@@ -134,7 +142,13 @@ def inverse_gromov(cov):
 
 
 def write_tsv(mat, path):
-    """Write a labeled square matrix as TSV with a header row of labels."""
+    """Write a labeled square matrix as TSV with a header row of labels.
+
+    A label holding a tab or a line break would split its row, so it raises
+    DataError before any file is opened."""
+    for lab in mat.labels:
+        if any(c in lab for c in "\t\n\r"):
+            raise DataError(f"label {lab!r} holds a tab or line break, which TSV cannot hold")
     rows = ([lab, *row.tolist()] for lab, row in zip(mat.labels, mat.values))
     write_table(path, ("",) + mat.labels, rows)
 

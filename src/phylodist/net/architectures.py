@@ -3,9 +3,9 @@
 Sequence (S) networks embed each taxon into R^k and read distances off the
 embedding, either directly (euclidean head) or through a Gram matrix and the
 inverse Gromov transform (inner_product head).  Pair (P) networks process
-each pair of sequences jointly, with the pair axis enumerated in sorted-label
-order so input row permutations are bit-neutral, and emit one nonnegative
-scalar per pair.
+each pair of sequences jointly, with the pair axis enumerated in canonical
+label order (matrices.canonical_order) so input row permutations are
+bit-neutral, and emit one nonnegative scalar per pair.
 
 Networks whose layers never mix taxa (SitesInvariantS, SitesAttentionP and
 the reference nets) depend on an alignment only through its site-pattern
@@ -32,7 +32,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..alignment import N_STATES, indicator_blocks
 from ..errors import ConfigError, DataError, NumericError
-from ..matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov, upper_mask
+from ..matrices import CovarianceMatrix, DistanceMatrix, canonical_order, inverse_gromov, upper_mask
 from ..rng import substream
 from .layers import Attention, ChannelConv, DeepSetsMix, Dense, MeanPoolSites, ScalarMLP, SiteWeights
 
@@ -181,8 +181,9 @@ def _check_length(spec, length):
 
 
 def _canonical_pairs(labels):
-    """(i, j) row-index arrays enumerating pairs in sorted-label order."""
-    order = np.argsort(np.asarray(labels))
+    """(i, j) row-index arrays enumerating pairs in canonical label order, the
+    one that distances, nj and tree use (matrices.canonical_order)."""
+    order = np.array(canonical_order(labels))
     first, second = np.nonzero(upper_mask(len(order)))
     return order[first], order[second]
 

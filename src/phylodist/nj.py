@@ -1,10 +1,10 @@
 """Neighbor-joining and BIONJ tree construction.
 
-Input matrices are reindexed into sorted label order before anything else, so
-the algorithm (including tie-breaking by first row-major Q minimum, which is
-then the lexicographically smallest label pair) is exactly invariant to input
-permutations.  Negative inferred branch lengths are clamped to zero without
-redistribution.
+Input matrices are reindexed into canonical label order
+(matrices.canonical_order) before anything else, so the algorithm (including
+tie-breaking by first row-major Q minimum, which is then the first label pair
+in that order) is exactly invariant to input permutations.  Negative inferred
+branch lengths are clamped to zero without redistribution.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .matrices import DistanceMatrix
+from .matrices import DistanceMatrix, canonical_order
 from .tree import NodeTable
 
 
@@ -38,7 +38,7 @@ def _prepare(dist):
         raise DataError("expected a DistanceMatrix")
     if dist.n < 4:
         raise DataError(f"neighbor joining needs >= 4 taxa, got {dist.n}")
-    order = sorted(range(dist.n), key=dist.labels.__getitem__)
+    order = canonical_order(dist.labels)
     # index arrays copy, so the joins may overwrite the result in place; the
     # drop moves rows through the raveled buffer, so it must be C-contiguous
     values = np.ascontiguousarray(dist.values[np.ix_(order, order)])

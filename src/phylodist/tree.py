@@ -13,7 +13,7 @@ the tree diameter are computed here; the inverse Gromov transform lives in
 import numpy as np
 
 from .errors import DataError, NewickError
-from .matrices import CovarianceMatrix, DistanceMatrix, blocks
+from .matrices import CovarianceMatrix, DistanceMatrix, blocks, canonical_order
 
 
 class PhyloTree:
@@ -334,13 +334,14 @@ def read_newick_file(path):
 
 
 def _split_masks(tree, collapse_zero):
-    """Non-trivial splits as leaf bitmasks: bit i is the i-th sorted label.
+    """Non-trivial splits as leaf bitmasks: bit i is the i-th label in canonical order.
 
     A node's mask is the sum of its children's masks, which equals their OR
     since their leaf sets are disjoint.  Each split is normalized to the side
     holding bit 0.  With collapse_zero, edges of length zero are dropped.
     """
-    rank = {lab: i for i, lab in enumerate(sorted(tree.leaf_labels))}
+    labels = tree.leaf_labels
+    rank = {labels[k]: i for i, k in enumerate(canonical_order(labels))}
     n = len(rank)
     full = (1 << n) - 1
     mask, splits = {}, set()
@@ -360,11 +361,12 @@ def _split_masks(tree, collapse_zero):
 def tree_splits(tree, collapse_zero=False):
     """Non-trivial splits of the unrooted topology.
 
-    Each split is the frozenset of labels on the side containing the
-    lexicographically smallest taxon.  With collapse_zero, splits from edges
-    of length zero are dropped.
+    Each split is the frozenset of labels on the side containing the first
+    taxon in canonical order.  With collapse_zero, splits from edges of
+    length zero are dropped.
     """
-    labels = sorted(tree.leaf_labels)
+    leaves = tree.leaf_labels
+    labels = [leaves[k] for k in canonical_order(leaves)]
     return frozenset(
         frozenset(lab for i, lab in enumerate(labels) if side >> i & 1)
         for side in _split_masks(tree, collapse_zero)
@@ -429,7 +431,7 @@ def _mrca_depths(tree):
 
     Leaves are numbered in postorder, where each clade's leaves are
     contiguous, so an internal node fills one block per pair of its
-    children's leaf ranges.  One permutation then sorts the rows by label.
+    children's leaf ranges.  One permutation then puts the rows in canonical order.
     """
     depth = tree.depths()
     n = tree.n_leaves
@@ -447,12 +449,13 @@ def _mrca_depths(tree):
                 m[a:b, c:e] = m[c:e, a:b] = depth[v]
         span[v] = (ranges[0][0], ranges[-1][1])
     m[np.diag_indices(n)] = depth[order]
-    rows = sorted(range(n), key=lambda k: tree.label(order[k]))
-    return tuple(tree.label(order[k]) for k in rows), m[np.ix_(rows, rows)]
+    labels = [tree.label(v) for v in order]
+    rows = canonical_order(labels)
+    return tuple(labels[k] for k in rows), m[np.ix_(rows, rows)]
 
 
 def patristic_matrix(tree):
-    """Pairwise path-length (patristic) distance matrix, labels sorted."""
+    """Pairwise path-length (patristic) distance matrix, labels in canonical order."""
     labels, d = _mrca_depths(tree)
     leaf_depth = np.diag(d).copy()
     # d_ij = depth_i + depth_j - 2 * mrca_ij over the MRCA matrix, in blocks of its rows

@@ -58,9 +58,12 @@ def test_forward_produces_valid_distance_matrix(name):
 def test_taxa_permutation_equivariance(name):
     rng = np.random.default_rng(1)
     spec = build_small(name)
-    for trial in range(5):
-        aln = random_alignment(rng, n=6, length=10)
-        perm = rng.permutation(6)
+    trials = [(random_alignment(rng, n=6, length=10), rng.permutation(6)) for _ in range(5)]
+    # numpy's strings drop trailing NULs, so they tie "a" and "a\x00"; the
+    # reversal swaps the two, which a tie would leave in input order
+    states = rng.integers(0, 4, size=(6, 10), dtype=np.int8)
+    trials.append((Alignment(["b", "a\x00", "a", "c", "d", "é"], states), np.arange(6)[::-1]))
+    for aln, perm in trials:
         permuted = Alignment([aln.labels[i] for i in perm], aln.states[perm])
         base = network_forward(spec, aln).values
         out = network_forward(spec, permuted).values

@@ -629,6 +629,31 @@ def test_matrix_tsv_roundtrip(tmp_path):
     assert np.array_equal(back.values, d.values)
 
 
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+def test_write_tsv_refuses_a_label_that_would_split_a_row(char, tmp_path):
+    label = f"b{char}c"
+    with pytest.raises(DataError) as err:
+        write_tsv(DistanceMatrix(("a", label, "d"), np.zeros((3, 3))), tmp_path / "d.tsv")
+    assert repr(label) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dump_matrix_refuses_a_tab_in_a_label_before_creating_out(tmp_path, capsys):
+    """read_fasta keeps a tab inside a header, but a TSV row cannot hold one;
+    the Newick output can."""
+    fasta = tmp_path / "x.fasta"
+    seqs = ["ACGTACGTAC", "ACGTACGTTC", "ACGAACGTAC", "TCGTACGAAC", "ACCTACGTAG"]
+    fasta.write_text("".join(f">{lab}\n{seq}\n" for lab, seq in zip(["a\tb", *"cdef"], seqs)))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("infer", "--alignments", fasta, "--dump-matrix", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and "'a\\tb'" in err
+    assert not out.exists()
+    assert run("infer", "--alignments", fasta, "--out", out) == 0
+    assert "a\tb" in (out / "x.nwk").read_text()
+
+
 GOOD_TSV = "\ta\tb\tc\na\t0.0\t0.5\t1.0\nb\t0.5\t0.0\t1.5\nc\t1.0\t1.5\t0.0\n"
 
 

@@ -2,10 +2,11 @@
 function it defines and every name it binds at module level is read by the
 library, a demo or the bench (not only by tests), only phylodist.files
 opens files for writing, moves them or makes directories, only phylodist.tree
-constructs a PhyloTree, only phylodist.matrices sizes compute blocks, only
-phylodist.autodiff defines an activation, no function outside it calls
-channel_map twice (a channel mix summed outside its one node), and no module
-starts threads or processes."""
+constructs a PhyloTree, only phylodist.matrices sizes compute blocks, builds
+a triangle or sorts labels (the one taxon order), only phylodist.autodiff
+defines an activation, no function outside it calls channel_map twice (a
+channel mix summed outside its one node), and no module starts threads or
+processes."""
 
 import ast
 import importlib.util
@@ -172,6 +173,45 @@ def test_guard_flags_a_triangle():
     )
     assert mentions(source, TRIANGLES) == [
         (1, "triu"), (2, "triu_indices"), (3, "tril"), (6, "tril_indices"), (7, "triu"),
+    ]
+
+
+SORTS = ("sorted", "argsort", "sort", "lexsort")
+
+
+def label_sorts(source):
+    """(line, name) of each call of sorted, argsort, sort or lexsort, by its
+    bare name or as an attribute, whose source text mentions a label."""
+    return sorted(
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in SORTS
+        and "label" in ast.unparse(node)
+    )
+
+
+def test_only_matrices_orders_taxa():
+    """matrices.canonical_order is the one taxon order, on which upper_mask's
+    pair order rests; a module that sorts labels itself can drift from it, as
+    numpy's strings do on labels that differ only in trailing NULs."""
+    found = {
+        str(p.relative_to(PACKAGE)): calls
+        for p in MODULES
+        if p.name != "matrices.py" and (calls := label_sorts(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_a_label_sort():
+    source = (
+        "sorted(aln.labels)\nnp.argsort(np.asarray(labels))\nsorted(paths)\n"
+        "sorted(range(n), key=lambda k: tree.label(order[k]))\nlabels.sort()\n"
+        "canonical_order(labels)\nnp.lexsort((x, label_rank))\nnp.sort(a, axis=1)\n"
+        "sorted({x for x in names if names.count(x) > 1})\n"
+    )
+    assert label_sorts(source) == [
+        (1, "sorted"), (2, "argsort"), (4, "sorted"), (5, "sort"), (7, "lexsort"),
     ]
 
 

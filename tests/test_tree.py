@@ -5,8 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from phylodist.alignment import Alignment
+from phylodist.distances import distance_matrix
 from phylodist.errors import DataError, NewickError
-from phylodist.matrices import CovarianceMatrix, DistanceMatrix, inverse_gromov, upper_mask
+from phylodist.matrices import (
+    CovarianceMatrix,
+    DistanceMatrix,
+    canonical_order,
+    inverse_gromov,
+    upper_mask,
+)
+from phylodist.nj import neighbor_join
 from phylodist.simulate import BDParams, simulate_bd_tree
 from phylodist.tree import (
     PhyloTree,
@@ -272,6 +281,22 @@ def test_splits_match_edge_deletion_oracle():
     for _ in range(10):
         t = random_binary_tree(rng, 8, rooted=bool(rng.integers(2)))
         assert tree_splits(t) == naive_splits(t)
+
+
+def test_every_user_of_the_taxon_order_agrees_on_labels_numpy_ties():
+    """distances, tree and nj order taxa by matrices.canonical_order, where
+    "a" and "a\\x00" stay distinct although numpy's strings tie them."""
+    labels = ("b", "a\x00", "a", "c", "d", "é")
+    canonical = [labels[i] for i in canonical_order(labels)]
+    states = np.random.default_rng(29).integers(0, 4, size=(6, 40), dtype=np.int8)
+    aln = Alignment(labels, states)
+    d = distance_matrix(aln, "hamming")
+    t1 = neighbor_join(d)
+    t2 = parse_newick("(((b:1,'a\x00':1):1,a:1):1,(c:1,d:1):1,é:1);")
+    assert list(d.labels) == list(patristic_matrix(t1).labels) == canonical
+    s1, s2 = tree_splits(t1), tree_splits(t2)
+    assert s1 == naive_splits(t1) and s2 == naive_splits(t2)
+    assert rf_distance(t1, t2) == len(s1 ^ s2) / len(s1 | s2) > 0
 
 
 def test_rf_identity():
