@@ -52,6 +52,8 @@ class Alignment:
             raise DataError(
                 f"{len(self.labels)} labels for {states.shape[0]} sequences"
             )
+        if "" in self.labels:
+            raise DataError(f"sequence {self.labels.index('') + 1} has an empty label")
         if len(set(self.labels)) != len(self.labels):
             raise DataError("duplicate sequence labels")
         if states.size and (states.min() < 0 or states.max() >= N_STATES):

@@ -142,23 +142,34 @@ class PerMemberConv(ChannelConv):
 
 class DeepSetsMix(Layer):
     """Exchangeable-context channel mix: ELU of a self map, plus maps of the
-    means along the site axis and (with use_taxa) the taxa axis, plus a bias,
-    summed in that order as one channel_map node."""
+    means along the site axis and (when it holds w_taxa) the taxa axis, plus
+    a bias, summed in that order as one channel_map node."""
 
-    param_names = ("w_self", "w_site", "w_taxa", "bias")
-
-    def __init__(self, w_self, w_site, w_taxa, bias, use_taxa):
+    def __init__(self, w_self, w_site, w_taxa, bias):
+        """w_taxa None: site context only, and the layer holds no taxa weight."""
         self.w_self = ad.Tensor(np.asarray(w_self, float), requires_grad=True)
         self.w_site = ad.Tensor(np.asarray(w_site, float), requires_grad=True)
-        self.w_taxa = ad.Tensor(np.asarray(w_taxa, float), requires_grad=True)
+        if w_taxa is not None:
+            w_taxa = ad.Tensor(np.asarray(w_taxa, float), requires_grad=True)
+        self.w_taxa = w_taxa
         self.bias = ad.Tensor(np.asarray(bias, float), requires_grad=True)
-        self.mixes_taxa = use_taxa
+
+    @property
+    def mixes_taxa(self):
+        return self.w_taxa is not None
+
+    @property
+    def param_names(self):
+        taxa = ("w_taxa",) if self.mixes_taxa else ()
+        return ("w_self", "w_site", *taxa, "bias")
 
     @classmethod
     def random(cls, c_in, c_out, rng, use_taxa):
         s = 1.0 / np.sqrt(c_in)
+        # w_taxa is drawn even when dropped, so every other weight keeps its
+        # value and COVARIANCE_DIGEST and every forward value keep their bits
         w_self, w_site, w_taxa = (rng.normal(0.0, s, size=(c_out, c_in)) for _ in range(3))
-        return cls(w_self, w_site, w_taxa, np.zeros(c_out), use_taxa)
+        return cls(w_self, w_site, w_taxa if use_taxa else None, np.zeros(c_out))
 
     def forward(self, t, weights=None):
         context = [(self.w_site, _site_mean(t, weights, keepdims=True))]

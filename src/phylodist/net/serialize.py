@@ -77,6 +77,9 @@ def load_network(path):
     Raises DataError when a header field is missing or of the wrong type, when
     the parameter table does not promise exactly the bytes after the header,
     or when a stored parameter's name or shape differs from the architecture's.
+    A table that also lists a w_taxa for each mix layer that does not mix taxa,
+    as every file did before such layers stopped holding one, still loads: the
+    shape of each is checked and its values are dropped.
     """
     from .architectures import ARCHITECTURES, build_architecture
     from .reference import build_reference_net
@@ -125,16 +128,34 @@ def load_network(path):
                 raise DataError(f"{path}: unknown architecture {name!r}")
         except ConfigError as err:
             raise DataError(f"{path}: {err}") from None
-        named = spec.named_params()
-        if [n for n, _ in named] != [_field(path, meta, "name", str) for meta in table]:
-            raise DataError(f"{path}: parameter table does not match architecture")
-        for (n, p), shape in zip(named, shapes):
-            if shape != list(p.data.shape):
+        names = [_field(path, meta, "name", str) for meta in table]
+        rows = [(n, p.data.shape, p) for n, p in spec.named_params()]
+        if names != [n for n, _, _ in rows]:
+            rows = _with_unread_taxa_weights(rows)
+            if names != [n for n, _, _ in rows]:
+                raise DataError(f"{path}: parameter table does not match architecture")
+        for (n, want, p), shape in zip(rows, shapes):
+            if shape != list(want):
                 raise DataError(
-                    f"{path}: parameter {n} has shape {shape}, "
-                    f"the architecture's is {list(p.data.shape)}"
+                    f"{path}: parameter {n} has shape {shape}, the architecture's is {list(want)}"
                 )
-            raw = fh.read(p.data.size * 8)
-            p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape).astype(float)
+            raw = fh.read(math.prod(want) * 8)
+            if p is not None:
+                p.data = np.frombuffer(raw, dtype="<f8").reshape(want).astype(float)
         spec.config = cfg
     return spec
+
+
+def _with_unread_taxa_weights(rows):
+    """The (name, shape, parameter) rows of a file written while every
+    DeepSetsMix held a w_taxa: after the w_site of each mix layer that does
+    not mix taxa comes its w_taxa, of w_site's shape and no parameter, whose
+    bytes load_network reads past."""
+    names = {n for n, _, _ in rows}
+    out = []
+    for n, shape, p in rows:
+        out.append((n, shape, p))
+        layer = n.removesuffix(".w_site")
+        if layer != n and f"{layer}.w_taxa" not in names:
+            out.append((f"{layer}.w_taxa", shape, None))
+    return out

@@ -104,3 +104,15 @@ def test_phylip_bad_header(tmp_path):
     p.write_text(" 3 4\nx  ACGT\ny  ACGT\n")
     with pytest.raises(DataError):
         read_phylip(p)
+
+
+@pytest.mark.parametrize("header", [">", ">   "], ids=["bare", "spaces"])
+def test_empty_label_is_refused_naming_its_row(header, tmp_path):
+    p = tmp_path / "unlabeled.fasta"
+    p.write_text(f">a\nACGT\n{header}\nACGA\n>c\nACGG\n")
+    with pytest.raises(DataError, match="sequence 2 has an empty label"):
+        read_fasta(p)
+    with pytest.raises(DataError, match="sequence 1 has an empty label"):
+        Alignment.from_sequences(["", "b"], ["ACGT", "ACGA"])
+    with pytest.raises(DataError, match="sequence 3 has an empty label"):
+        Alignment(["a", "b", ""], np.zeros((3, 4), dtype=np.int8))

@@ -245,8 +245,10 @@ def test_network_forward_does_not_depend_on_blas_threads():
 
 
 # Recorded before the layer and pair_values paths were merged; pins the forward
-# values and gradients of every architecture bit for bit.
-FORWARD_DIGEST = "f72dad581a82ed736d96c0843484eb42102c4d2b4235a7fdb900b87e168c052d"
+# values and gradients of every architecture bit for bit.  Re-derived when
+# SitesInvariantS stopped holding the taxa weights it never read: the same
+# computation on the older code with their (zero) gradients left out.
+FORWARD_DIGEST = "bf8ff2cc5729d3649023d71a8a7ad3f88f1746c7270d472e8042a5e71bdc753e"
 
 
 def test_forward_values_match_golden_digest():
@@ -369,10 +371,38 @@ def test_embedding_shape_and_default_dim():
     assert default_embed_dim(2) == 8
 
 
+@pytest.mark.parametrize(
+    "name, head",
+    [(name, head) for name in ARCHITECTURES
+     for head in ((None,) if name.endswith("P") else ("euclidean", "inner_product"))],
+)
+def test_every_parameter_is_read(name, head):
+    # a parameter the forward never reads gets no gradient, so Adam would
+    # carry moments for it and every checkpoint would store it
+    rng = np.random.default_rng(3)
+    aln = random_alignment(rng)
+    target = rng.uniform(0.1, 2.0, size=(aln.n, aln.n))
+    spec = build_architecture(name, head=head, **SMALL)
+    batch_loss("mae", [(forward_matrix(spec, aln)[1], target + target.T)]).backward()
+    assert [n for n, p in spec.named_params() if p.grad is None] == []
+
+
 def test_param_counts_are_positive_and_distinct():
     counts = {name: build_small(name).param_count() for name in ARCHITECTURES}
     assert all(c > 0 for c in counts.values())
     assert counts["FullAttentionSP"] > counts["SitesInvariantS"]
+
+
+def test_param_counts_at_the_cli_defaults():
+    counts = {name: build_architecture(name, n_taxa=20).param_count() for name in ARCHITECTURES}
+    assert counts == {
+        "SitesInvariantS": 18132,  # 2 mix layers of 3 (64, 64) weights; FullInvariantS's have 4
+        "FullInvariantS": 26324,
+        "SitesAttentionP": 104609,
+        "HybridAttentionSP": 145729,
+        "FullAttentionS": 174036,
+        "FullAttentionSP": 182593,
+    }
 
 
 # -- site-pattern compression -------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -9,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phylodist.alignment import read_fasta, write_fasta, write_phylip
+from phylodist.alignment import Alignment, read_fasta, write_fasta, write_phylip
 from phylodist.cli import main
 from phylodist.errors import DataError
 from phylodist.matrices import DistanceMatrix, write_tsv
-from phylodist.net.architectures import build_architecture
+from phylodist.net.architectures import build_architecture, network_forward
 from phylodist.net.reference import build_reference_net
 from phylodist.net.serialize import MAGIC, load_network, save_network
 from phylodist.tree import parse_newick, patristic_matrix, read_newick_file, rf_distance
 
-from util import caterpillar_newick, random_binary_tree
+from util import SITES_CHECKPOINT_WITH_TAXA_WEIGHTS, caterpillar_newick, random_binary_tree
 
 
 def run(*argv):
@@ -439,13 +440,19 @@ def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp
     assert_configuration_error_leaves_no_out(argv, tmp_path / "out", capsys)
 
 
-@pytest.mark.parametrize("case", ["phylip-header", "matrix-value", "truncated-checkpoint"])
+@pytest.mark.parametrize(
+    "case", ["phylip-header", "fasta-empty-label", "matrix-value", "truncated-checkpoint"]
+)
 def test_data_errors_exit_3_before_creating_out(case, small_inputs, tmp_path, capsys):
     bad = tmp_path / "bad"
     if case == "phylip-header":  # "²".isdigit(), but int("²") fails
         bad = bad.with_suffix(".phy")
         bad.write_text("\u00b2 5\na  ACGTA\n", encoding="utf-8")
         argv = ["infer", "--alignments", bad]
+    elif case == "fasta-empty-label":  # refused on reading, before a matrix is dumped
+        bad = bad.with_suffix(".fasta")
+        bad.write_text(">a\nACGTACGTAC\n>  \nACGTACGTTC\n>c\nACGAACGTAC\n>d\nTCGTACGTAC\n")
+        argv = ["infer", "--alignments", bad, "--dump-matrix"]
     elif case == "matrix-value":
         bad = bad.with_suffix(".tsv")
         bad.write_text(GOOD_TSV.replace("c\t1.0\t1.5", "c\tfoo\t1.5"))
@@ -525,6 +532,51 @@ def test_weights_file_must_hold_exactly_its_table(tmp_path):
         ckpt.write_bytes(bad)
         with pytest.raises(DataError, match="file size"):
             load_network(ckpt)
+
+
+# sha256 of the network_forward bytes of SITES_CHECKPOINT_WITH_TAXA_WEIGHTS, and
+# of the network one resumed epoch trains from it, recorded with the code that
+# wrote the file
+OLD_FORWARD_DIGEST = "d85983838d380f87c9ba1166eba27b0ab64298e9750dae1ef777bb197155fe49"
+OLD_RESUMED_DIGEST = "bb90d8dbe75a8e3d38856a34adc0437a9798daa7e666829c1999fc1ab231d068"
+
+
+def test_checkpoints_holding_unread_taxa_weights_still_load(tmp_path, capsys):
+    rng = np.random.default_rng(36)
+    aln = Alignment(["t3", "t1", "t4", "t0", "t2", "t5"],
+                    rng.integers(0, 4, size=(6, 30), dtype=np.int8))
+
+    def forward_digest(path):
+        spec = load_network(path)
+        assert not [n for n, _ in spec.named_params() if n.endswith("w_taxa")]
+        return hashlib.sha256(network_forward(spec, aln).values.tobytes()).hexdigest()
+
+    old = tmp_path / "old.pdnet"
+    old.write_bytes(SITES_CHECKPOINT_WITH_TAXA_WEIGHTS)
+    assert forward_digest(old) == OLD_FORWARD_DIGEST
+    out = tmp_path / "run"
+    assert run("train", "--out", out, "--resume", old, "--n", "5", "--length", "20",
+               "--train-size", "2", "--val-size", "0", "--epochs", "1", "--seed", "4") == 0
+    assert b"w_taxa" not in read_bytes(out / "checkpoint.pdnet")
+    assert forward_digest(out / "checkpoint.pdnet") == OLD_RESUMED_DIGEST
+
+    # the shape of an unread weight is still checked
+    fasta = tmp_path / "a.fasta"
+    write_fasta(aln, fasta)
+    entry = b'"name": "seq2.w_taxa", "shape": [2, 2]'
+    assert SITES_CHECKPOINT_WITH_TAXA_WEIGHTS.count(entry) == 1
+    old.write_bytes(SITES_CHECKPOINT_WITH_TAXA_WEIGHTS.replace(entry, entry[:-6] + b"[4, 1]"))
+    with pytest.raises(DataError, match=r"seq2\.w_taxa has shape \[4, 1\]"):
+        load_network(old)
+    capsys.readouterr()
+    assert run("infer", "--alignments", fasta, "--checkpoint", old, "--out", tmp_path / "z") == 3
+    assert capsys.readouterr().err.startswith("I/O error:")
+    assert not (tmp_path / "z").exists()
+    # a net that mixes taxa reads its taxa weights, so a table without them is refused
+    blob = read_bytes(out / "checkpoint.pdnet")
+    old.write_bytes(with_header_config(blob, architecture="FullInvariantS"))
+    with pytest.raises(DataError, match="does not match architecture"):
+        load_network(old)
 
 
 def test_infinite_birth_rate_exits_2(tmp_path):
@@ -668,9 +720,15 @@ GOOD_TSV = "\ta\tb\tc\na\t0.0\t0.5\t1.0\nb\t0.5\t0.0\t1.5\nc\t1.0\t1.5\t0.0\n"
         (GOOD_TSV.replace("c\t1.0\t1.5", "c\tfoo\t1.5"), "row 3 has a non-numeric value"),
         (GOOD_TSV.replace("c\t1.0\t1.5", "c\t1_0\t1.5"), "row 3 has a non-numeric value"),
         (GOOD_TSV.replace("b\t0.5\t0.0", "b\t0.5\t\u0660"), "row 2 has a non-numeric value"),
+        (GOOD_TSV.replace("\tb", "\ta", 1).replace("\nb\t", "\na\t"), "duplicate labels"),
+        (GOOD_TSV.replace("b\t0.5", "b\t0.6"), "not exactly symmetric"),
+        (GOOD_TSV.replace("b\t0.5\t0.0", "b\t0.5\t0.1"), "diagonal must be exactly zero"),
+        (GOOD_TSV.replace("0.5", "-0.5"), "negative entries"),
+        (GOOD_TSV.replace("c\t1.0\t1.5", "c\tnan\t1.5"), "non-finite entries"),
     ],
     ids=["missing-row", "extra-row", "ragged-row", "row-label", "empty-cell", "word",
-         "underscore", "non-ascii-digit"],
+         "underscore", "non-ascii-digit", "duplicate-label", "asymmetric", "diagonal",
+         "negative", "nan"],
 )
 def test_malformed_matrix_exits_3_naming_the_row(text, named, tmp_path, capsys):
     path = tmp_path / "bad.tsv"
@@ -679,6 +737,13 @@ def test_malformed_matrix_exits_3_naming_the_row(text, named, tmp_path, capsys):
     assert run("infer", "--matrices", path, "--out", tmp_path / "out") == 3
     err = capsys.readouterr().err
     assert err.startswith("I/O error:") and named in err and "Traceback" not in err
+
+
+def test_distance_matrix_refuses_a_shape_no_tsv_can_hold():
+    with pytest.raises(DataError, match="must be square"):
+        DistanceMatrix(("a", "b"), np.zeros((2, 3)))
+    with pytest.raises(DataError, match="expected 3 labels, got 2"):
+        DistanceMatrix(("a", "b"), np.zeros((3, 3)))
 
 
 def test_matrix_rows_may_be_spaced_and_labels_may_hold_hashes(tmp_path):

@@ -39,7 +39,12 @@ from phylodist.nj import bionj, neighbor_join
 from phylodist.simulate import _sample_rows
 from phylodist.tree import covariance_matrix, parse_newick, patristic_matrix, serialize_newick
 
-from util import random_binary_tree, reference_join, sample_categorical
+from util import (
+    SITES_CHECKPOINT_WITH_TAXA_WEIGHTS,
+    random_binary_tree,
+    reference_join,
+    sample_categorical,
+)
 
 seq = st.lists(st.integers(0, 3), min_size=1, max_size=60)
 
@@ -417,17 +422,18 @@ def test_config_file_refuses_any_text_only_with_config_error(case):
 
 @functools.cache
 def saved_networks():
-    """(bytes, header end) of a small saved template net and a reference net."""
-    out = []
+    """(bytes, header end) of a small saved template net, a reference net and
+    a SitesInvariantS file whose table lists taxa weights it never reads."""
+    raws = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "net.pdnet")
         for spec in (build_architecture("SitesAttentionP", channels=4, heads=2, g_hidden=(4,)),
                      build_reference_net("K2P", 12)):
             save_network(spec, path)
             with open(path, "rb") as fh:
-                raw = fh.read()
-            out.append((raw, len(MAGIC) + 8 + struct.unpack_from("<I", raw, len(MAGIC) + 4)[0]))
-    return out
+                raws.append(fh.read())
+    raws.append(SITES_CHECKPOINT_WITH_TAXA_WEIGHTS)
+    return [(raw, len(MAGIC) + 8 + struct.unpack_from("<I", raw, len(MAGIC) + 4)[0]) for raw in raws]
 
 
 header_bytes = st.one_of(

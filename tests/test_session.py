@@ -49,7 +49,9 @@ print(json.dumps(digests, sort_keys=True))
 """
 
 # Recorded before read_tsv parsed with np.loadtxt and before Alignment.sequence
-# used a byte table.
+# used a byte table.  The two run/checkpoint.pdnet entries were re-derived when
+# SitesInvariantS stopped holding the taxa weights it never read: the same
+# session on the older code with those weights left out of every table.
 SESSION_DIGESTS = {
     "audit.txt": "613a3b884eebe0bb4898295a1cc86b07fb12b3353f02447433c7735e9fdd9d68",
     "embedding.tsv": "cd90e30c1498ecb37a2ad84378e95241ec71cd4feb03163b88344d3eeb65a2c0",
@@ -66,8 +68,8 @@ SESSION_DIGESTS = {
     "phy/rep_0000.phy": "9793cdad1b3f3314209d3458a9e686b7e5bfb31ffadd95d4402451d8f1fdda7e",
     "phy_trees/manifest.txt": "dce9f05c19af109acf07310f7d5c7c5ef15477690151a6172e8916f3de79a2b7",
     "phy_trees/rep_0000.nwk": "fb9f51a61648fbce6a781e61ffe70e7fbcccedda1bce2db7fd976652153e781c",
-    "run/checkpoint.pdnet": "29c95025ec0198e0265ce4c7bb373f4676881778f9bba7d76c1bc1a3f0eef503",
-    "run/checkpoint.pdnet.manifest.txt": "ce09002e1329fdb5530979299ddefbb6c8393a784d73084967b87b892b5b78eb",
+    "run/checkpoint.pdnet": "66d099dff0e5c783085135ff088242c8af8850ee467f27eab81897fb806f482e",
+    "run/checkpoint.pdnet.manifest.txt": "03ea0db6f028109ed1afd834cd37edd4c8fb8eeeb6065700e28ba12ca7054a08",
     "run/history.csv": "ba80de7572cdcab1ebdb5d217bdae73bb129fa68ed4db3009b1f55b958ad7f88",
     "run/manifest.txt": "66f37e4b9a18104906cb12938b6b548b5f0778f1498716204eca2390e801271a",
     "scores/instances.csv": "e9f9df9d1f33ebde73c13b79e98475558a1bd0fab5d974c1916014b9ca908208",

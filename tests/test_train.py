@@ -293,8 +293,10 @@ def test_site_attention_learns_to_build_trees():
 
 
 # Recorded before train() ran backward one alignment at a time; pins the final
-# weights and history bit for bit, including a partial last batch.
-TRAIN_DIGEST = "96cdbef61afed06e7d3b72e1cf8f085896b0b6362345c4ceafa276645ee4c4dc"
+# weights and history bit for bit, including a partial last batch.  Re-derived
+# when SitesInvariantS stopped holding the taxa weights it never read: the same
+# computation on the older code with those weights left out of the hash.
+TRAIN_DIGEST = "3b3defdfc9d7655142d1a0e9f6367ec55bfc96efc857bc611bc0b8f93fee5057"
 
 
 def test_training_matches_golden_digest():
@@ -315,7 +317,9 @@ def test_training_matches_golden_digest():
 # heads, batch 4, seed 1): sha256 of the final weights and the history.  Run
 # with one BLAS thread, since the nets that mix taxa do not yet keep their bits
 # across thread counts.  Recorded before the tape stopped keeping the attention
-# projections, the conv pre-activations and the pair-stage gathers.
+# projections, the conv pre-activations and the pair-stage gathers;
+# SitesInvariantS's re-derived, like TRAIN_DIGEST, when it stopped holding the
+# taxa weights it never read.
 _BENCH_EPOCH = """
 import hashlib, json
 import numpy as np
@@ -352,7 +356,7 @@ BENCH_EPOCH_DIGESTS = {
     "FullAttentionSP": "4d271545b800748a34f352d2f89f77bf6b174a715eadf1f1c2a728b0aa756741",
     "HybridAttentionSP": "37530e1a9a41dbfebb675410d9ac7821b7cffbff4008274a90bc85ba1fded112",
     "FullAttentionS": "0aba650b94c72bc785d56ff1bce6eeac447750eeeb0ff990dac14fafbce94468",
-    "SitesInvariantS": "89d1b12becca5d6a714ea2f83ce63a6cc93c4a8bb65a52816e4002e3b6e5082f",
+    "SitesInvariantS": "7db1f0df2ad5f94cd43b4c63c915d3b3b19b8f5b08101d14677a1ac11b013ced",
     "FullInvariantS": "fb30358ec090f07cac5bd20baecf852b47b8c39d020d5b694789bcc28290da0b",
 }
 

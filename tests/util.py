@@ -1,5 +1,8 @@
-"""Shared test helpers: independent oracles kept deliberately naive, and the
-gradient, transition-matrix and compression checks that only tests run."""
+"""Shared test helpers: independent oracles kept deliberately naive, the
+gradient, transition-matrix and compression checks that only tests run, and a
+weights file in an older parameter-table layout."""
+
+import base64
 
 import numpy as np
 
@@ -403,3 +406,27 @@ def transition_probabilities(model, t):
     """Stochastic matrix P(t) = expm(Q t) for one branch duration t >= 0."""
     u, w, wt = _spectral(model)
     return _stochastic_rows(u, np.exp(w * t), wt)
+
+
+# A SitesInvariantS weights file (2 channels, trained two epochs) written while
+# every DeepSetsMix held a w_taxa, so its table lists seq1.w_taxa and
+# seq2.w_taxa, each (2, 2), which the network never reads.
+SITES_CHECKPOINT_WITH_TAXA_WEIGHTS = base64.b64decode(
+    "UERORVQAAQAAAKkCAAB7ImNvbmZpZyI6IHsiYXJjaGl0ZWN0dXJlIjogIlNpdGVzSW52YXJpYW50UyIsICJj"
+    "aGFubmVscyI6IDIsICJlbWJlZF9kaW0iOiAyLCAiZ19oaWRkZW4iOiBbMTYsIDE2LCAxNl0sICJoZWFkIjog"
+    "ImV1Y2xpZGVhbiIsICJoZWFkcyI6IDEsICJub25uZWciOiBudWxsLCAic2VlZCI6IDN9LCAicGFyYW1fY291"
+    "bnQiOiA0NCwgInBhcmFtcyI6IFt7Im5hbWUiOiAic2VxMC53ZWlnaHQiLCAic2hhcGUiOiBbMiwgNF19LCB7"
+    "Im5hbWUiOiAic2VxMC5iaWFzIiwgInNoYXBlIjogWzJdfSwgeyJuYW1lIjogInNlcTEud19zZWxmIiwgInNo"
+    "YXBlIjogWzIsIDJdfSwgeyJuYW1lIjogInNlcTEud19zaXRlIiwgInNoYXBlIjogWzIsIDJdfSwgeyJuYW1l"
+    "IjogInNlcTEud190YXhhIiwgInNoYXBlIjogWzIsIDJdfSwgeyJuYW1lIjogInNlcTEuYmlhcyIsICJzaGFw"
+    "ZSI6IFsyXX0sIHsibmFtZSI6ICJzZXEyLndfc2VsZiIsICJzaGFwZSI6IFsyLCAyXX0sIHsibmFtZSI6ICJz"
+    "ZXEyLndfc2l0ZSIsICJzaGFwZSI6IFsyLCAyXX0sIHsibmFtZSI6ICJzZXEyLndfdGF4YSIsICJzaGFwZSI6"
+    "IFsyLCAyXX0sIHsibmFtZSI6ICJzZXEyLmJpYXMiLCAic2hhcGUiOiBbMl19LCB7Im5hbWUiOiAiZW1iZWQu"
+    "d2VpZ2h0IiwgInNoYXBlIjogWzIsIDJdfSwgeyJuYW1lIjogImVtYmVkLmJpYXMiLCAic2hhcGUiOiBbMl19"
+    "XX3TFwa0O/DmP2wPq2Hcbdy/3QhHl+VX37/GBhOkVPTcP/XfJjOiXvC/mTrQ9YFL0z89De6QcXjnP3D0J/Wf"
+    "aOA/q0LJuemAiz+a2lxhvnWMv+6JyEvwFeK/V8oZ83/e4L/T0zIaY3nYv4QMkZSrQdg/WmdzJFxB9z+slYG5"
+    "S0D5vzpAswau6+o/aO3K3gZwtr+QwIK+QL3MPz/cgxSERt6/uDbO5gms0r94RUYxO0nFP9ZQ2+0gmos/TvjM"
+    "lp6vjb+a9GedsFXWP78BAwhNXOS/+Ergg4n75z/baS6wGAynvxkGl3A4zN2/gkqsowJc7r+80ulosqzlP7of"
+    "zL+Cr8S/LxTMokux4j+GToUK9r3Cvxck0O5NA9u/pQK340rM6z/cK4E/FeiQP6b6gKmmoos/qZu2Ydmi6D87"
+    "mT9m+mjVP1WDDnaMONQ/Z7lNrgpR8r9jLPkJ7NHAPY2N0xyNtMA9"
+)
