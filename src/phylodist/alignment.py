@@ -8,7 +8,7 @@ ALPHABET order, with a one-hot n x 4 x L view for the networks.
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_open
+from .files import atomic_open, open_input
 from .matrices import blocks
 
 ALPHABET = "ACGT"
@@ -127,7 +127,7 @@ def write_fasta(aln, path):
 
 def read_fasta(path):
     labels, seqs, current = [], [], None
-    with open(path) as fh:
+    with open_input(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:
@@ -138,11 +138,11 @@ def read_fasta(path):
                 current = seqs[-1]
             else:
                 if current is None:
-                    raise DataError(f"{path}: sequence data before first header")
+                    raise DataError("sequence data before first header")
                 current.append(line.strip())
-    if not labels:
-        raise DataError(f"{path}: no FASTA records")
-    return Alignment.from_sequences(labels, ["".join(s) for s in seqs])
+        if not labels:
+            raise DataError("no FASTA records")
+        return Alignment.from_sequences(labels, ["".join(s) for s in seqs])
 
 
 # -- PHYLIP (sequential) -------------------------------------------------------
@@ -156,27 +156,25 @@ def write_phylip(aln, path):
 
 
 def read_phylip(path):
-    with open(path) as fh:
+    with open_input(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty PHYLIP file")
-    header = lines[0].split()
-    # isdigit() alone admits digits such as "²" that int() refuses
-    if len(header) != 2 or not all(h.isascii() and h.isdigit() for h in header):
-        raise DataError(f"{path}: malformed PHYLIP header {lines[0]!r}")
-    n, length = int(header[0]), int(header[1])
-    if len(lines) != n + 1:
-        raise DataError(f"{path}: header promises {n} records, found {len(lines) - 1}")
-    labels, seqs = [], []
-    for line in lines[1:]:
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise DataError(f"{path}: malformed PHYLIP record {line!r}")
-        lab, seq = parts[0], parts[1].replace(" ", "")
-        if len(seq) != length:
-            raise DataError(
-                f"{path}: record {lab!r} has {len(seq)} characters, expected {length}"
-            )
-        labels.append(lab)
-        seqs.append(seq)
-    return Alignment.from_sequences(labels, seqs)
+        if not lines:
+            raise DataError("empty PHYLIP file")
+        header = lines[0].split()
+        # isdigit() alone admits digits such as "²" that int() refuses
+        if len(header) != 2 or not all(h.isascii() and h.isdigit() for h in header):
+            raise DataError(f"malformed PHYLIP header {lines[0]!r}")
+        n, length = int(header[0]), int(header[1])
+        if len(lines) != n + 1:
+            raise DataError(f"header promises {n} records, found {len(lines) - 1}")
+        labels, seqs = [], []
+        for line in lines[1:]:
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise DataError(f"malformed PHYLIP record {line!r}")
+            lab, seq = parts[0], parts[1].replace(" ", "")
+            if len(seq) != length:
+                raise DataError(f"record {lab!r} has {len(seq)} characters, expected {length}")
+            labels.append(lab)
+            seqs.append(seq)
+        return Alignment.from_sequences(labels, seqs)

@@ -28,9 +28,9 @@ from .alignment import read_fasta, read_phylip, write_fasta, write_phylip
 from .audit import audit_metric
 from .distances import DEFAULT_CEILING, SaturationPolicy, check_kind, distance_matrix
 from .embed import embedding_distortion, llr_embed
-from .errors import ConfigError, DataError, NumericError, PhylodistError
+from .errors import ConfigError, DataError, NumericError
 from .evaluate import evaluate_pipeline, report_table, write_instances_csv, write_report_csv
-from .files import write_table, write_text
+from .files import open_input, write_table, write_text
 from .matrices import read_tsv, write_tsv
 from .net.architectures import build_architecture, network_forward
 from .net.serialize import load_network, save_network
@@ -64,7 +64,7 @@ ALIGNMENT_EXTENSIONS = _FASTA_EXTENSIONS + (".phy", ".phylip")
 
 def read_config_file(path):
     out, set_on = {}, {}
-    with open(path) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -526,7 +526,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError, UnicodeDecodeError) as err:
+    except (DataError, OSError) as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as err:
@@ -535,9 +535,6 @@ def main(argv=None):
     except NumericError as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except PhylodistError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

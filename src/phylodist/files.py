@@ -1,6 +1,9 @@
-"""Every file the library writes goes through here: a reader of the target
-path sees either its previous bytes or the complete new file, never a partial one.
-A missing parent directory is made with the first file written into it.
+"""Every file the library opens goes through here, its text UTF-8 whatever the
+locale.  open_input opens an input: a DataError raised while its block reads
+the file, or text that is not UTF-8, names the path once.  atomic_open opens an
+output: a reader of the target path sees either its previous bytes or the
+complete new file, never a partial one.  A missing parent directory is made
+with the first file written into it.
 
 A target that already holds exactly the new bytes is left as it is (inode,
 mode and mtime included) and the temporary file is dropped: renaming over an
@@ -12,7 +15,30 @@ import os
 import stat
 from contextlib import contextmanager
 
+from .errors import DataError
+
 CHUNK = 1 << 20  # bytes compared at a time, so a large file's compare stays small
+
+
+def _open(path, mode):
+    """open(path, mode), a text mode's text in UTF-8."""
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+
+
+@contextmanager
+def open_input(path, mode="r"):
+    """Read path.  A DataError raised in the block gets "<path>: " in front of
+    its message and keeps its class and attributes; text that is not UTF-8
+    raises a DataError naming path."""
+    try:
+        with _open(path, mode) as fh:
+            yield fh
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start]
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{bad:02x}: {err.reason})") from None
+    except DataError as err:
+        err.args = (f"{path}: {err}",)
+        raise
 
 
 @contextmanager
@@ -23,7 +49,7 @@ def atomic_open(path, mode="w"):
         os.makedirs(parent, exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, mode) as fh:
+        with _open(tmp, mode) as fh:
             yield fh
         if not _same_bytes(tmp, path):
             os.replace(tmp, path)

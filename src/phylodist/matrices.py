@@ -11,7 +11,7 @@ d_ij = C_ii + C_jj - 2*C_ij.
 import numpy as np
 
 from .errors import DataError, NumericError
-from .files import write_table
+from .files import open_input, write_table
 
 # bytes of one block of a row-blocked kernel's working set; a few blocks fit in L2
 BLOCK_BYTES = 1 << 20
@@ -165,32 +165,32 @@ def read_tsv(path):
 
     Values take Python's float syntax, surrounded by any whitespace, without
     "_" separators or non-ASCII digits."""
-    with open(path) as fh:
+    with open_input(path) as fh:
         lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty matrix file")
-    labels = lines[0].split("\t")[1:]
-    n = len(labels)
-    if not n:
-        raise DataError(f"{path}: header row names no taxa")
-    rows = lines[1:]
-    if len(rows) != n:
-        raise DataError(f"{path}: expected {n} data rows, found {len(rows)}")
-    for i, (label, row) in enumerate(zip(labels, rows)):
-        tabs = row.count("\t")
-        if tabs != n:
-            raise DataError(f"{path}: row {i + 1} has {tabs} values")
-        if not row.startswith(label + "\t"):
-            got = row.split("\t", 1)[0]
-            raise DataError(f"{path}: row label {got!r} does not match header {label!r}")
-    try:
-        values = _parse_values(rows, n)
-    except ValueError:
-        # only a malformed file pays for finding its first bad row
-        for i, row in enumerate(rows):
-            try:
-                _parse_values([row], n)
-            except ValueError:
-                raise DataError(f"{path}: row {i + 1} has a non-numeric value") from None
-        raise
-    return DistanceMatrix(labels, values)
+        if not lines:
+            raise DataError("empty matrix file")
+        labels = lines[0].split("\t")[1:]
+        n = len(labels)
+        if not n:
+            raise DataError("header row names no taxa")
+        rows = lines[1:]
+        if len(rows) != n:
+            raise DataError(f"expected {n} data rows, found {len(rows)}")
+        for i, (label, row) in enumerate(zip(labels, rows)):
+            tabs = row.count("\t")
+            if tabs != n:
+                raise DataError(f"row {i + 1} has {tabs} values")
+            if not row.startswith(label + "\t"):
+                got = row.split("\t", 1)[0]
+                raise DataError(f"row label {got!r} does not match header {label!r}")
+        try:
+            values = _parse_values(rows, n)
+        except ValueError:
+            # only a malformed file pays for finding its first bad row
+            for i, row in enumerate(rows):
+                try:
+                    _parse_values([row], n)
+                except ValueError:
+                    raise DataError(f"row {i + 1} has a non-numeric value") from None
+            raise
+        return DistanceMatrix(labels, values)

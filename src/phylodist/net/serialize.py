@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..files import atomic_open, write_text
+from ..files import atomic_open, open_input, write_text
 
 MAGIC = b"PDNET\x00"
 VERSION = 1
@@ -52,22 +52,22 @@ def save_network(spec, path):
     return str(path)
 
 
-def _field(path, table, key, *types):
+def _field(table, key, *types):
     """table[key] when table is a JSON object and the value's JSON type is one
     of types (NoneType: the key may be absent)."""
     value = table.get(key) if type(table) is dict else None
     if type(value) not in types:
-        raise DataError(f"{path}: weights file header field {key!r} is missing or malformed")
+        raise DataError(f"weights file header field {key!r} is missing or malformed")
     return value
 
 
-def _sizes(path, table, key, *types):
+def _sizes(table, key, *types):
     """A header field holding an int, or a list or absence of them; building
     the network checks that each is >= 1."""
-    value = _field(path, table, key, *types)
+    value = _field(table, key, *types)
     items = value if type(value) is list else [value] if value is not None else []
     if any(type(v) is not int for v in items):
-        raise DataError(f"{path}: weights file header field {key!r} is malformed")
+        raise DataError(f"weights file header field {key!r} is malformed")
     return value
 
 
@@ -84,60 +84,60 @@ def load_network(path):
     from .architectures import ARCHITECTURES, build_architecture
     from .reference import build_reference_net
 
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
-            raise DataError(f"{path}: not a network weights file")
+            raise DataError("not a network weights file")
         try:
             version, blob_len = struct.unpack("<II", fh.read(8))
         except struct.error:
-            raise DataError(f"{path}: truncated weights file header") from None
+            raise DataError("truncated weights file header") from None
         if version != VERSION:
-            raise DataError(f"{path}: unsupported weights version {version}")
+            raise DataError(f"unsupported weights version {version}")
         try:
             header = json.loads(fh.read(blob_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise DataError(f"{path}: malformed weights file header: {err}") from None
-        cfg = _field(path, header, "config", dict)
-        table = _field(path, header, "params", list)
-        name = _field(path, cfg, "architecture", str)
-        shapes = [_sizes(path, meta, "shape", list) for meta in table]
+            raise DataError(f"malformed weights file header: {err}") from None
+        cfg = _field(header, "config", dict)
+        table = _field(header, "params", list)
+        name = _field(cfg, "architecture", str)
+        shapes = [_sizes(meta, "shape", list) for meta in table]
         total = sum(math.prod(shape) for shape in shapes)
         if total * 8 != os.fstat(fh.fileno()).st_size - fh.tell():
-            raise DataError(f"{path}: parameter table does not match the weights file size")
+            raise DataError("parameter table does not match the weights file size")
         try:
             if name in ARCHITECTURES:
                 kw = dict(
-                    head=_field(path, cfg, "head", str),
-                    channels=_sizes(path, cfg, "channels", int),
-                    heads=_sizes(path, cfg, "heads", int),
-                    embed_dim=_sizes(path, cfg, "embed_dim", int),
-                    g_hidden=tuple(_sizes(path, cfg, "g_hidden", list, type(None)) or ()),
-                    seed=_field(path, cfg, "seed", int, type(None)) or 0,
+                    head=_field(cfg, "head", str),
+                    channels=_sizes(cfg, "channels", int),
+                    heads=_sizes(cfg, "heads", int),
+                    embed_dim=_sizes(cfg, "embed_dim", int),
+                    g_hidden=tuple(_sizes(cfg, "g_hidden", list, type(None)) or ()),
+                    seed=_field(cfg, "seed", int, type(None)) or 0,
                 )
                 # every template has a channels x channels weight, then a head through
                 # these widths; refuse sizes the table cannot hold before they are drawn
                 widths = kw["g_hidden"] if kw["head"] == "pair_scalar" else (kw["embed_dim"],)
                 dims = (kw["channels"],) * 2 + widths
                 if any(a * b > total for a, b in zip(dims, dims[1:])):
-                    raise DataError(f"{path}: header sizes exceed the parameter table")
+                    raise DataError("header sizes exceed the parameter table")
                 spec = build_architecture(name, **kw)
             elif name.startswith("Reference"):
-                length = _sizes(path, cfg, "ref_length", int)
+                length = _sizes(cfg, "ref_length", int)
                 spec = build_reference_net(name[len("Reference") :], length)
             else:
-                raise DataError(f"{path}: unknown architecture {name!r}")
+                raise DataError(f"unknown architecture {name!r}")
         except ConfigError as err:
-            raise DataError(f"{path}: {err}") from None
-        names = [_field(path, meta, "name", str) for meta in table]
+            raise DataError(str(err)) from None
+        names = [_field(meta, "name", str) for meta in table]
         rows = [(n, p.data.shape, p) for n, p in spec.named_params()]
         if names != [n for n, _, _ in rows]:
             rows = _with_unread_taxa_weights(rows)
             if names != [n for n, _, _ in rows]:
-                raise DataError(f"{path}: parameter table does not match architecture")
+                raise DataError("parameter table does not match architecture")
         for (n, want, p), shape in zip(rows, shapes):
             if shape != list(want):
                 raise DataError(
-                    f"{path}: parameter {n} has shape {shape}, the architecture's is {list(want)}"
+                    f"parameter {n} has shape {shape}, the architecture's is {list(want)}"
                 )
             raw = fh.read(math.prod(want) * 8)
             if p is not None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, TrainingDiverged
-from .files import write_table
+from .files import open_input, write_table
 from .losses import LOSS_KINDS, batch_loss
 from .net.architectures import forward_matrix, network_forward
 from .net.layers import ScalarMLP
@@ -205,14 +205,14 @@ def write_history_csv(history, path):
 def read_history_csv(path):
     """History rows of a file written by write_history_csv."""
     history = []
-    with open(path) as fh:
+    with open_input(path) as fh:
         next(fh, None)
         for line in fh:
             try:
                 epoch, train_loss, val_rf, lr = line.split(",")
                 values = int(epoch), float(train_loss), float(val_rf), float(lr)
             except ValueError:
-                raise DataError(f"{path}: malformed history row {line!r}") from None
+                raise DataError(f"malformed history row {line!r}") from None
             history.append(dict(zip(_HISTORY_COLUMNS, values)))
     return history
 

@@ -13,6 +13,7 @@ the tree diameter are computed here; the inverse Gromov transform lives in
 import numpy as np
 
 from .errors import DataError, NewickError
+from .files import open_input
 from .matrices import CovarianceMatrix, DistanceMatrix, blocks, canonical_order
 
 
@@ -323,11 +324,11 @@ def serialize_newick(tree):
 
 def read_newick_file(path):
     """Read a Newick file with one tree per line; DataError if it holds none."""
-    with open(path) as fh:
+    with open_input(path) as fh:
         trees = [parse_newick(line.strip()) for line in fh if line.strip()]
-    if not trees:
-        raise DataError(f"{path}: no Newick tree in file")
-    return trees
+        if not trees:
+            raise DataError("no Newick tree in file")
+        return trees
 
 
 # -- splits and Robinson-Foulds ---------------------------------------------

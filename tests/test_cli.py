@@ -12,7 +12,13 @@ import pytest
 
 from phylodist.alignment import Alignment, read_fasta, write_fasta, write_phylip
 from phylodist.cli import main
-from phylodist.errors import DataError
+from phylodist.errors import (
+    ConfigError,
+    DataError,
+    NumericError,
+    PhylodistError,
+    TrainingDiverged,
+)
 from phylodist.matrices import DistanceMatrix, write_tsv
 from phylodist.net.architectures import build_architecture, network_forward
 from phylodist.net.reference import build_reference_net
@@ -29,6 +35,9 @@ def run(*argv):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+GOOD_FASTA = ">a\nACGTACGTAC\n>b\nACGTACGTTC\n>c\nACGAACGTAC\n>d\nTCGTACGTAC\n"
 
 
 def test_simulate_writes_consistent_pairs(tmp_path):
@@ -354,9 +363,11 @@ def small_inputs(tmp_path_factory):
         ["infer", "--alignments", "{sims}", "--threads", "0"],
         ["eval", "--data", "{sims}", "--threads", "0"],
         ["embed", "--matrix", "{root}/d.tsv", "--sweep", "-3"],
+        ["train", "--epochs", "0"],
+        ["train", "--batch-size", "0"],
     ],
     ids=["train-size", "val-size", "patience", "replicates", "simulate-threads", "infer-threads",
-         "eval-threads", "sweep"],
+         "eval-threads", "sweep", "epochs", "batch-size"],
 )
 def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]
@@ -417,6 +428,7 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
         ["train", "--val-n", "3"],
         ["train", "--n", "3"],
         ["simulate", "--config", "{root}/repeated.cfg"],
+        ["infer"],
     ],
     ids=["simulate-length", "simulate-n", "simulate-format", "simulate-model",
          "simulate-kappa-inf", "simulate-gamma-shape-inf", "simulate-gamma-shape-nan",
@@ -433,7 +445,7 @@ def test_counts_below_their_minimum_exit_2(argv, small_inputs, tmp_path, capsys)
          "infer-matrices-and-method", "infer-matrices-and-ceiling",
          "infer-matrices-and-saturation", "infer-checkpoint-and-method",
          "infer-checkpoint-and-ceiling", "infer-checkpoint-and-saturation", "train-val-n-3", "train-n-3",
-         "simulate-config-repeated-key"],
+         "simulate-config-repeated-key", "infer-no-input"],
 )
 def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp_path, capsys):
     argv = [a.format(root=small_inputs, sims=small_inputs / "sims") for a in argv]
@@ -441,7 +453,10 @@ def test_configuration_errors_exit_2_before_creating_out(argv, small_inputs, tmp
 
 
 @pytest.mark.parametrize(
-    "case", ["phylip-header", "fasta-empty-label", "matrix-value", "truncated-checkpoint"]
+    "case",
+    ["phylip-header", "fasta-empty-label", "matrix-value", "truncated-checkpoint",
+     "infer-empty-directory", "eval-tree-without-alignment", "eval-different-taxa",
+     "two-sequences", "no-sites", "checkpoint-no-sites"],
 )
 def test_data_errors_exit_3_before_creating_out(case, small_inputs, tmp_path, capsys):
     bad = tmp_path / "bad"
@@ -457,15 +472,142 @@ def test_data_errors_exit_3_before_creating_out(case, small_inputs, tmp_path, ca
         bad = bad.with_suffix(".tsv")
         bad.write_text(GOOD_TSV.replace("c\t1.0\t1.5", "c\tfoo\t1.5"))
         argv = ["infer", "--matrices", bad]
-    else:
+    elif case == "truncated-checkpoint":
         bad = bad.with_suffix(".pdnet")
         bad.write_bytes(b"PDNET\x00\x01\x00")
         argv = ["eval", "--data", small_inputs / "sims", "--methods", f"jc,{bad}"]
+    elif case == "infer-empty-directory":
+        bad.mkdir()
+        argv = ["infer", "--alignments", bad]
+    elif case.startswith("eval-"):
+        bad.mkdir()
+        (bad / "rep.nwk").write_text("((a:1,b:1):1,(c:1,e:1):1);\n")
+        if case == "eval-different-taxa":
+            (bad / "rep.fasta").write_text(GOOD_FASTA)
+        argv = ["eval", "--data", bad]
+    else:  # faults found after reading
+        bad = bad.with_suffix(".fasta")
+        bad.write_text(">a\nACGT\n>b\nACGA\n" if case == "two-sequences" else ">a\n>b\n>c\n>d\n")
+        argv = ["infer", "--alignments", bad]
+        if case == "checkpoint-no-sites":
+            ckpt = tmp_path / "net.pdnet"
+            save_network(build_architecture("SitesInvariantS", channels=4, heads=1, embed_dim=4), ckpt)
+            argv += ["--checkpoint", ckpt]
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(*argv, "--out", out) == 3
     assert capsys.readouterr().err.startswith("I/O error:")
     assert not out.exists()
+
+
+def written(root):
+    """Each file under root, relative to it, with its bytes; None if root is missing."""
+    if not root.exists():
+        return None
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fasta-repeated-label", "phylip-illegal-character", "tsv-asymmetric",
+     "newick-without-semicolon", "newick-four-child-root", "fasta-undecodable",
+     "config-undecodable", "pdnet-magic", "history-row"],
+)
+def test_a_fault_in_an_input_file_exits_3_naming_the_file(case, tmp_path, capsys):
+    """Each reader names the file it reads in the one message a fault in it
+    prints, also where the fault is found by the constructor it ends in."""
+    fasta, out = tmp_path / "good.fasta", tmp_path / "out"
+    fasta.write_text(GOOD_FASTA)
+    if case == "fasta-repeated-label":
+        bad = tmp_path / "bad.fasta"
+        bad.write_text(GOOD_FASTA.replace(">b", ">a"))
+        argv = ["infer", "--alignments", bad]
+    elif case == "phylip-illegal-character":
+        bad = tmp_path / "bad.phy"
+        write_phylip(read_fasta(fasta), bad)
+        bad.write_text(bad.read_text().replace("ACGTACGTTC", "ACGTACGTXC"))
+        argv = ["infer", "--alignments", bad]
+    elif case == "tsv-asymmetric":
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(GOOD_TSV.replace("b\t0.5", "b\t0.6"))
+        argv = ["infer", "--matrices", bad]
+    elif case.startswith("newick-"):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "rep.fasta").write_text(GOOD_FASTA)
+        bad = data / "rep.nwk"
+        tree = "((a:1,b:1):1,(c:1,d:1):1)" if case == "newick-without-semicolon" else "(a,b,c,d);"
+        bad.write_text(tree + "\n")
+        argv = ["eval", "--data", data]
+    elif case == "fasta-undecodable":
+        bad = tmp_path / "bad.fasta"
+        bad.write_bytes(GOOD_FASTA.replace("ACGTACGTTC", "ACGTACGT\xff").encode("latin-1"))
+        argv = ["infer", "--alignments", bad]
+    elif case == "config-undecodable":
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"n=5\nmodel=\xe9\n")
+        argv = ["simulate", "--config", bad]
+    elif case == "pdnet-magic":
+        bad = tmp_path / "bad.pdnet"
+        bad.write_bytes(b"PDNEX\x00" + struct.pack("<II", 1, 2) + b"{}")
+        argv = ["infer", "--alignments", fasta, "--checkpoint", bad]
+    else:
+        ckpt = tmp_path / "net.pdnet"
+        save_network(build_architecture("SitesInvariantS", channels=4, heads=1, embed_dim=4), ckpt)
+        bad = out / "history.csv"
+        out.mkdir()
+        bad.write_text("epoch,train_loss,val_rf,lr\n0,1.0,0.5\n")
+        argv = ["train", "--resume", ckpt, "--n", "5", "--length", "20", "--train-size", "1",
+                "--val-size", "0", "--epochs", "1"]
+    before = written(out)
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"I/O error: {bad}: ") and err.count(str(bad)) == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert written(out) == before
+
+
+def test_text_is_utf8_whatever_the_locale(tmp_path):
+    """A label outside ASCII reads and writes the same bytes under the C
+    locale as under UTF-8."""
+    fasta = tmp_path / "x.fasta"
+    fasta.write_text(GOOD_FASTA.replace(">a", ">t\u00e61"), encoding="utf-8")
+    assert run("infer", "--alignments", fasta, "--dump-matrix", "--out", tmp_path / "utf8") == 0
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO"))}
+    env.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "phylodist.cli", "infer", "--alignments", str(fasta),
+         "--dump-matrix", "--out", str(tmp_path / "ascii")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("x.nwk", "x.dist.tsv"):
+        assert read_bytes(tmp_path / "ascii" / name) == read_bytes(tmp_path / "utf8" / name)
+    assert "t\u00e61".encode() in read_bytes(tmp_path / "ascii" / "x.nwk")
+
+
+def error_classes(cls=PhylodistError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_documented_code(cls, tmp_path, capsys, monkeypatch):
+    err = cls(3, 1, 2.5) if cls is TrainingDiverged else cls("a fault")
+
+    def failing(_):
+        raise err
+
+    monkeypatch.setattr("phylodist.cli.read_tsv", failing)
+    codes = [code for base, code in ((ConfigError, 2), (DataError, 3), (NumericError, 4))
+             if issubclass(cls, base)]
+    capsys.readouterr()
+    assert run("audit", "--matrix", tmp_path / "d.tsv") == codes[0]
+    message = capsys.readouterr().err
+    assert message.endswith(f": {err}\n") and message.count("\n") == 1
 
 
 def test_resume_reads_the_old_history_before_training(tmp_path, monkeypatch):
@@ -785,9 +927,6 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch):
         ["infer", "--alignments", "sims", "--algorithm", "bionj", "--dump-matrix",
          "--out", "trees"],
     )
-
-    def written(root):
-        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
     for name in ("fresh", "shared"):
         (tmp_path / name).mkdir()

@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from phylodist import files
-from phylodist.files import atomic_open, write_text
+from phylodist.errors import DataError, NewickError
+from phylodist.files import atomic_open, open_input, write_text
 
 
 @pytest.fixture
@@ -59,10 +60,10 @@ def test_a_failed_compare_still_replaces(tmp_path, replaced, monkeypatch):
     write_text(path, "same bytes\n")
     replaced.clear()
 
-    def unreadable(name, mode="r"):
+    def unreadable(name, mode="r", **kwargs):
         if "r" in mode:  # files run as root read any mode, so fail the read itself
             raise PermissionError(13, "Permission denied", str(name))
-        return open(name, mode)
+        return open(name, mode, **kwargs)
 
     monkeypatch.setattr(files, "open", unreadable, raising=False)
     write_text(path, "same bytes\n")
@@ -89,3 +90,19 @@ def test_the_compare_streams(tmp_path, replaced):
         tracemalloc.stop()
     assert replaced == []
     assert peak < 4 * 2**20
+
+
+def test_an_input_fault_names_the_path_once_and_keeps_its_class(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"ok\n\xff\n")
+    with pytest.raises(NewickError) as err:
+        with open_input(path):
+            raise NewickError("expected ';'", offset=17)
+    assert str(err.value) == f"{path}: expected ';' (at byte 17)" and err.value.offset == 17
+    with pytest.raises(DataError) as err:
+        with open_input(path) as fh:
+            fh.read()
+    assert type(err.value) is DataError
+    assert str(err.value) == f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
+    with open_input(path, "rb") as fh:
+        assert fh.read() == b"ok\n\xff\n"

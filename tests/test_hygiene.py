@@ -1,12 +1,12 @@
 """Source hygiene: every name a library module imports is used in it, every
 function it defines and every name it binds at module level is read by the
-library, a demo or the bench (not only by tests), only phylodist.files
-opens files for writing, moves them or makes directories, only phylodist.tree
-constructs a PhyloTree, only phylodist.matrices sizes compute blocks, builds
-a triangle or sorts labels (the one taxon order), only phylodist.autodiff
-defines an activation, no function outside it calls channel_map twice (a
-channel mix summed outside its one node), and no module starts threads or
-processes."""
+library, a demo or the bench (not only by tests), only phylodist.files opens
+files (one guard for any open, one for opens that may write), moves them or
+makes directories, only phylodist.tree constructs a PhyloTree, only
+phylodist.matrices sizes compute blocks, builds a triangle or sorts labels
+(the one taxon order), only phylodist.autodiff defines an activation, no
+function outside it calls channel_map twice (a channel mix summed outside its
+one node), and no module starts threads or processes."""
 
 import ast
 import importlib.util
@@ -75,6 +75,39 @@ def test_guard_flags_a_write_open():
     assert write_opens(source) == [
         (3, "'w'"), (4, "'ab'"), (5, "m"), (6, "'r+'"), (8, "'x'"),
     ]
+
+
+def opens(source):
+    """Line of each call of open, by its bare name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
+    )
+
+
+def test_only_files_opens_files():
+    """files.open_input is the one opener of an input, so a fault found while
+    a file is read names it in one place; files.atomic_open is the one opener
+    of an output."""
+    found = {
+        str(p.relative_to(PACKAGE)): lines
+        for p in MODULES
+        if p.name != "files.py" and (lines := opens(p.read_text()))
+    }
+    assert found == {}
+
+
+def test_guard_flags_an_open():
+    source = (PACKAGE / "matrices.py").read_text()
+    assert opens(source) == []
+    end = source.count("\n")
+    source += (
+        "open(p)\nio.open(p, 'rb')\nopen_input(p)\natomic_open(p, 'wb')\nPath(p).open()\n"
+        "os.open(p, os.O_RDONLY)\nfh.opened\nwith open(p) as fh:\n    pass\n"
+    )
+    assert opens(source) == [end + 1, end + 2, end + 5, end + 6, end + 8]
 
 
 def mentions(source, names):
